@@ -14,6 +14,7 @@ explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -118,61 +119,27 @@ def cmd_eval(args) -> int:
 
 
 def _experiment_config(args) -> harness.ExperimentConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(json.loads(Path(args.config).read_text()))
-    entries = {}
-    if values.get("corpora"):
-        entries.update(values["corpora"])
+    """Config file values, overridden by every flag given; each grid flag's
+    ``dest`` is the name of the ExperimentConfig field it sets."""
+    values: dict = json.loads(Path(args.config).read_text()) if args.config else {}
+    names = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    unknown = sorted(set(values) - names)
+    if unknown:
+        raise SystemExit(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+    for name in names:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    entries = dict(values.get("corpora") or {})
     try:
         entries.update(_collect_corpora(args))
     except SystemExit:
         if not entries:
             raise
-    if args.model:
-        values["model_path"] = args.model
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.out:
-        values["output_dir"] = args.out
-    if args.criteria:
-        values["criteria"] = tuple(args.criteria.split(","))
-    if args.sparsity:
-        values["sparsities"] = tuple(float(s) for s in args.sparsity.split(","))
-    if args.nm:
-        values["nm_patterns"] = tuple(tuple(int(v) for v in p.split(":")) for p in args.nm.split(","))
-    if args.n_samples is not None:
-        values["n_samples"] = args.n_samples
-    if args.seq_len is not None:
-        values["seq_len"] = args.seq_len
-    if args.epsilon is not None:
-        values["epsilon"] = args.epsilon
-    if args.w_draws is not None:
-        values["w_draws"] = args.w_draws
-    if args.eval_fraction is not None:
-        values["eval_fraction"] = args.eval_fraction
-    if args.init_mode:
-        values["init_mode_override"] = args.init_mode
-    if getattr(args, "sparsity_sweep", None):
-        values["sparsity_sweep"] = tuple(float(s) for s in args.sparsity_sweep.split(","))
-    if getattr(args, "samples_sweep", None):
-        values["samples_sweep"] = tuple(int(n) for n in args.samples_sweep.split(","))
     values["corpora"] = entries
-    if "seed" not in values or values["seed"] is None:
+    if values.get("seed") is None:
         raise SystemExit("--seed is required")
     if "model_path" not in values:
         raise SystemExit("--model is required")
-    values.setdefault("output_dir", "runs")
-    if "nm_patterns" in values:
-        values["nm_patterns"] = tuple(tuple(p) for p in values["nm_patterns"])
-    if "criteria" in values:
-        values["criteria"] = tuple(values["criteria"])
-    if "sparsities" in values:
-        values["sparsities"] = tuple(values["sparsities"])
-    if "sparsity_sweep" in values:
-        values["sparsity_sweep"] = tuple(values["sparsity_sweep"])
-    if "samples_sweep" in values:
-        values["samples_sweep"] = tuple(values["samples_sweep"])
     return harness.ExperimentConfig(**values)
 
 
@@ -209,13 +176,13 @@ def cmd_report(args) -> int:
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", help="model checkpoint path")
+    p.add_argument("--model", dest="model_path", help="model checkpoint path")
     _add_corpora_args(p)
-    p.add_argument("--out", help="output directory for reports")
+    p.add_argument("--out", dest="output_dir", help="output directory for reports")
     p.add_argument("--seed", type=int, help="master seed (required)")
     p.add_argument("--criteria", help="comma-separated criteria")
-    p.add_argument("--sparsity", help="comma-separated unstructured sparsities")
-    p.add_argument("--nm", help="comma-separated N:M patterns, e.g. 2:4,4:8")
+    p.add_argument("--sparsity", dest="sparsities", help="comma-separated unstructured sparsities")
+    p.add_argument("--nm", dest="nm_patterns", help="comma-separated N:M patterns, e.g. 2:4,4:8")
     p.add_argument("--n-samples", type=int, dest="n_samples")
     p.add_argument("--seq-len", type=int, dest="seq_len")
     p.add_argument("--epsilon", type=float)
@@ -223,7 +190,7 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
                    help="weight perturbation draws per calibration segment")
     p.add_argument("--eval-fraction", type=float, dest="eval_fraction",
                    help="trailing fraction of each corpus held out for evaluation")
-    p.add_argument("--init-mode", choices=("sequential", "global"), dest="init_mode",
+    p.add_argument("--init-mode", choices=("sequential", "global"), dest="init_mode_override",
                    help="force one initialization mode for all criteria")
 
 

@@ -55,6 +55,12 @@ class ExperimentConfig:
     samples_sweep: tuple[int, ...] = DEFAULT_SAMPLES_SWEEP
 
     def __post_init__(self) -> None:
+        # lists come from JSON configs, comma-separated strings from flags
+        self.criteria = _items(self.criteria, str)
+        self.sparsities = _items(self.sparsities, float)
+        self.nm_patterns = _items(self.nm_patterns, _nm_pair)
+        self.sparsity_sweep = _items(self.sparsity_sweep, float)
+        self.samples_sweep = _items(self.samples_sweep, int)
         if not self.corpora:
             raise UsageError("need at least one corpus")
         if not self.criteria:
@@ -62,6 +68,17 @@ class ExperimentConfig:
         missing = [p for p in [self.model_path, *self.corpora.values()] if not Path(p).exists()]
         if missing:
             raise InputError(f"missing input files: {missing}")
+
+
+def _items(value, parse) -> tuple:
+    if isinstance(value, str):
+        value = value.split(",")
+    return tuple(parse(v) for v in value)
+
+
+def _nm_pair(value) -> tuple[int, int]:
+    """``"2:4"`` or ``[2, 4]`` as the pair ``(2, 4)``."""
+    return tuple(int(v) for v in (value.split(":") if isinstance(value, str) else value))
 
 
 @dataclass
@@ -196,7 +213,7 @@ def run_continual(cfg: ExperimentConfig) -> dict:
     base, corpora = _load_inputs(cfg)
     dense = dense_row(base, corpora, cfg.seq_len)
     results: dict[str, GridResult] = {}
-    specs: list = list(cfg.sparsities) + [tuple(p) for p in cfg.nm_patterns]
+    specs = [*cfg.sparsities, *cfg.nm_patterns]
     for criterion in cfg.criteria:
         for spec in specs:
             result = run_grid_cell(cfg, base, corpora, criterion, spec)
@@ -248,21 +265,25 @@ def _write_outputs(cfg: ExperimentConfig, out: dict, results: dict[str, GridResu
     for key, result in sorted(results.items()):
         if result.report is None:
             continue
-        stem = key.replace(":", "_")
-        rows = _cells_csv(result.report)
-        (out_dir / f"cells_{stem}.csv").write_text(rows)
-    table = render_table(out)
-    (out_dir / "table.txt").write_text(table)
-    (out_dir / "table.csv").write_text(_table_csv(out))
+        rows = [["permutation", "step", "pruned_dataset", "eval_dataset", "perplexity"]]
+        rows += [
+            [c.permutation_id, c.step, c.pruned_dataset, c.eval_dataset, c.perplexity]
+            for c in result.report.cells
+        ]
+        _write_csv(out_dir / f"cells_{key.replace(':', '_')}.csv", rows)
+    (out_dir / "table.txt").write_text(render_table(out))
+    _write_csv(out_dir / "table.csv", _table_rows(out))
 
 
-def _cells_csv(report: RunReport) -> str:
+def _write_csv(path: Path, rows) -> None:
+    """Strings as they are, None as an empty field, numbers as ``repr``
+    (which round-trips exactly)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["permutation", "step", "pruned_dataset", "eval_dataset", "perplexity"])
-    for c in report.cells:
-        writer.writerow([c.permutation_id, c.step, c.pruned_dataset, c.eval_dataset, repr(c.perplexity)])
-    return buf.getvalue()
+    for row in rows:
+        writer.writerow(["" if v is None else v if isinstance(v, str) else repr(v) for v in row])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(buf.getvalue())
 
 
 def _fmt(value, ws: bool = False) -> str:
@@ -327,24 +348,20 @@ def render_table(out: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_csv(out: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["criterion", "spec", "a_bwt", "m_bwt", "a_ppl", "m_ppl"])
-    writer.writerow(["dense", "-", "", "", repr(out["dense"]["a_ppl"]), repr(out["dense"]["m_ppl"])])
+def _table_rows(out: dict) -> list[list]:
+    rows = [
+        ["criterion", "spec", "a_bwt", "m_bwt", "a_ppl", "m_ppl"],
+        ["dense", "-", None, None, out["dense"]["a_ppl"], out["dense"]["m_ppl"]],
+    ]
     for key in sorted(out["grids"]):
         g = out["grids"][key]
         rep = g["report"]
         if rep is None:
             continue
         agg = rep["aggregates"]
-        if g["ws"]:
-            a_bwt = m_bwt = "WS"
-        else:
-            a_bwt = "" if agg["a_bwt"] is None else repr(agg["a_bwt"])
-            m_bwt = "" if agg["m_bwt"] is None else repr(agg["m_bwt"])
-        writer.writerow([g["criterion"], g["spec"], a_bwt, m_bwt, repr(agg["a_ppl"]), repr(agg["m_ppl"])])
-    return buf.getvalue()
+        bwt = ["WS", "WS"] if g["ws"] else [agg["a_bwt"], agg["m_bwt"]]
+        rows.append([g["criterion"], g["spec"], *bwt, agg["a_ppl"], agg["m_ppl"]])
+    return rows
 
 
 def run_ablation_sparsity(cfg: ExperimentConfig) -> list[dict]:
@@ -353,7 +370,7 @@ def run_ablation_sparsity(cfg: ExperimentConfig) -> list[dict]:
     rows: list[dict] = []
     for s in cfg.sparsity_sweep:
         for criterion in cfg.criteria:
-            result = run_grid_cell(cfg, base, corpora, criterion, float(s))
+            result = run_grid_cell(cfg, base, corpora, criterion, s)
             rows.append(_ablation_row(result, {"sparsity": s}))
     _write_ablation(cfg, rows, "ablation_sparsity.csv", "sparsity")
     return rows
@@ -365,8 +382,8 @@ def run_ablation_samples(cfg: ExperimentConfig, criteria: tuple[str, ...] = ("se
     rows: list[dict] = []
     for n in cfg.samples_sweep:
         for criterion in criteria:
-            result = run_grid_cell(cfg, base, corpora, criterion, 0.5, n_samples=int(n))
-            rows.append(_ablation_row(result, {"n_samples": int(n)}))
+            result = run_grid_cell(cfg, base, corpora, criterion, 0.5, n_samples=n)
+            rows.append(_ablation_row(result, {"n_samples": n}))
     _write_ablation(cfg, rows, "ablation_samples.csv", "n_samples")
     return rows
 
@@ -383,19 +400,8 @@ def _ablation_row(result: GridResult, extra: dict) -> dict:
 
 
 def _write_ablation(cfg: ExperimentConfig, rows: list[dict], filename: str, sweep_key: str) -> None:
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["criterion", sweep_key, "a_bwt", "m_bwt"])
-    for row in rows:
-        a, m = row.get("a_bwt"), row.get("m_bwt")
-        writer.writerow(
-            [
-                row["criterion"],
-                row[sweep_key],
-                a if isinstance(a, str) else ("" if a is None else repr(a)),
-                m if isinstance(m, str) else ("" if m is None else repr(m)),
-            ]
-        )
-    (out_dir / filename).write_text(buf.getvalue())
+    _write_csv(
+        Path(cfg.output_dir) / filename,
+        [["criterion", sweep_key, "a_bwt", "m_bwt"]]
+        + [[row["criterion"], row[sweep_key], row["a_bwt"], row["m_bwt"]] for row in rows],
+    )

@@ -108,6 +108,10 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"state manifest unreadable: {exc}") from exc
+        keys = ("layers", "datasets_seen", "sample_count")
+        missing = [k for k in keys if not isinstance(manifest, dict) or k not in manifest]
+        if missing:
+            raise FormatError(f"state manifest lacks {', '.join(missing)}")
         per_layer: dict[int, np.ndarray] = {}
         for entry in manifest["layers"]:
             n = entry["rows"] * entry["cols"]
@@ -119,6 +123,8 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
                 .astype(np.float64)
                 .reshape(entry["rows"], entry["cols"])
             )
+        if fh.read(1):
+            raise FormatError("trailing bytes after the state payload")
     state = ImportanceState(
         per_layer=per_layer,
         datasets_seen=list(manifest["datasets_seen"]),

@@ -1,8 +1,8 @@
-"""Dense double-precision matrix arithmetic used throughout the package.
+"""SVD-based pseudoinverse and numerical rank of dense float64 matrices.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in float64. Every public
-operation validates shapes up front and guarantees finite entries in its
-result, so downstream modules can treat NaN/Inf as impossible.
+operation validates its input with ``as_matrix`` first, so NaN/Inf and
+non-matrix shapes are rejected before the SVD runs.
 """
 from __future__ import annotations
 
@@ -27,19 +27,6 @@ def as_matrix(values) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix contains non-finite entries")
     return a
-
-
-def _require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape} do not match")
-    return a @ b
 
 
 def pseudoinverse(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
@@ -76,38 +63,3 @@ def _svd(a: np.ndarray):
         raise NumericalError(
             f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
-def elementwise_abs(a: np.ndarray) -> np.ndarray:
-    return np.abs(as_matrix(a))
-
-
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_same_shape(a, b, "elementwise_mul")
-    return a * b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_same_shape(a, b, "sub")
-    return a - b
-
-
-def scale(a: np.ndarray, factor: float) -> np.ndarray:
-    if not np.isfinite(factor):
-        raise NumericalError(f"scale factor must be finite, got {factor}")
-    return as_matrix(a) * float(factor)

@@ -192,24 +192,3 @@ def report_to_dict(report: RunReport) -> dict:
         },
         "per_dataset": report.per_dataset,
     }
-
-
-def report_from_dict(data: dict) -> RunReport:
-    """Rebuild a report from serialized cells, recomputing all aggregates."""
-    cells = [
-        EvalCell(
-            permutation=tuple(c["permutation"]),
-            step=int(c["step"]),
-            eval_dataset=c["eval_dataset"],
-            perplexity=float(c["perplexity"]),
-        )
-        for c in data["cells"]
-    ]
-    return aggregate(cells)
-
-
-def cells_to_csv_rows(report: RunReport) -> list[list]:
-    rows: list[list] = [["permutation", "step", "pruned_dataset", "eval_dataset", "perplexity"]]
-    for c in report.cells:
-        rows.append([c.permutation_id, c.step, c.pruned_dataset, c.eval_dataset, repr(c.perplexity)])
-    return rows

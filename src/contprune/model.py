@@ -81,20 +81,6 @@ class Layer:
             if self.gain.shape != self.bias.shape:
                 raise ShapeError("layer_norm gain and bias must have equal length")
 
-    def in_dim(self) -> int | None:
-        if self.kind == "linear":
-            return self.weight.shape[1]
-        if self.kind == "layer_norm":
-            return self.gain.shape[0]
-        return None
-
-    def out_dim(self) -> int | None:
-        if self.kind == "linear":
-            return self.weight.shape[0]
-        if self.kind == "layer_norm":
-            return self.gain.shape[0]
-        return None
-
 
 def linear(weight) -> Layer:
     return Layer(kind="linear", weight=np.asarray(weight, dtype=np.float64))

@@ -40,14 +40,7 @@ from .errors import ShapeError, UsageError
 from .importance import ImportanceState, accumulate, finish_dataset
 from .model import Network, forward_capture
 from .seeding import derive_seed
-from .sensitivity import (
-    batch_gradient_magnitude,
-    batch_input_perturbation,
-    make_perturbation,
-    record,
-    scaled_gaussian,
-    unit_forward,
-)
+from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian
 
 CRITERIA = ("sensitivity", "magnitude", "wanda")
 INIT_MODES = ("sequential", "global")
@@ -80,18 +73,13 @@ class PruneConfig:
     init_mode: str = "global"
     seed: int = 0
     epsilon: float = 1e-3
-    granularity: str = "token"  # sensitivity inputs j: per token, or per segment mean
     w_draws: int = 1  # independent weight perturbations per segment
-    fuse_activation: bool = False  # sensitivity: treat linear+activation as one unit
-    normalize_samples: bool = False  # per-dataset mean instead of raw sums
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA:
             raise UsageError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         if self.init_mode not in INIT_MODES:
             raise UsageError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
-        if self.granularity not in ("token", "segment_mean"):
-            raise UsageError(f"unknown granularity {self.granularity!r}")
         if self.w_draws < 1:
             raise UsageError(f"w_draws must be >= 1, got {self.w_draws}")
         if (self.sparsity is None) == (self.nm is None):
@@ -231,8 +219,8 @@ def _build_mask(scores: np.ndarray, config: PruneConfig) -> Mask:
     return build_mask_nm(scores, *config.nm)
 
 
-def _capture_means(net: Network, calib: CalibrationSet):
-    """Per-layer mean input column and concatenated inputs per segment."""
+def _capture_inputs(net: Network, calib: CalibrationSet):
+    """Per-layer inputs of each segment, and the same inputs concatenated."""
     per_segment: list[dict[int, np.ndarray]] = []
     concat: dict[int, list[np.ndarray]] = {}
     for seg in calib.segments:
@@ -279,39 +267,24 @@ def prune_step(
     per_segment: list[dict[int, np.ndarray]] = []
     stacked: dict[int, np.ndarray] = {}
     if need_captures:
-        per_segment, stacked = _capture_means(ref_net, calib)
+        per_segment, stacked = _capture_inputs(ref_net, calib)
 
     if config.criterion == "sensitivity":
-        scale = 1.0 / calib.n_samples if config.normalize_samples else 1.0
+        # every position is one input; weight perturbations are shared
+        # across a segment, input perturbations are per token
         for j, seg_inputs in enumerate(per_segment):
             for idx in prunable:
                 layer = ref_net.layers[idx]
-                post = None
-                if config.fuse_activation and idx + 1 < len(ref_net.layers):
-                    nxt = ref_net.layers[idx + 1]
-                    if nxt.kind == "activation":
-                        post = nxt
+                w = layer.weight
+                x_batch = seg_inputs[idx]
                 seed = derive_seed(config.seed, "pert", calib.corpus_name, j, idx)
-                if config.granularity == "token":
-                    # every position is one input j; weight perturbations are
-                    # shared across a segment, input perturbations are per token
-                    x_batch = seg_inputs[idx]
-                    rng = np.random.default_rng(seed)
-                    w = layer.weight
-                    w_rms = config.epsilon * float(np.sqrt(np.mean(w * w)))
-                    for _ in range(config.w_draws):
-                        delta_w = scaled_gaussian(w.shape, w_rms, rng)
-                        delta_x = batch_input_perturbation(x_batch, config.epsilon, rng)
-                        contrib = batch_gradient_magnitude(
-                            layer, x_batch, delta_w, delta_x, post=post
-                        )
-                        accumulate(state, idx, layer.weight, contrib * scale)
-                else:
-                    x = seg_inputs[idx].mean(axis=1, keepdims=True)
-                    y = unit_forward(layer, x, post=post)
-                    pert = make_perturbation(layer.weight, x, epsilon=config.epsilon, seed=seed)
-                    rec = record(layer, x, y, pert, post=post)
-                    accumulate(state, idx, layer.weight, rec.grad * scale)
+                rng = np.random.default_rng(seed)
+                w_rms = config.epsilon * float(np.sqrt(np.mean(w * w)))
+                for _ in range(config.w_draws):
+                    delta_w = scaled_gaussian(w.shape, w_rms, rng)
+                    delta_x = batch_input_perturbation(x_batch, config.epsilon, rng)
+                    contrib = batch_gradient_magnitude(layer, x_batch, delta_w, delta_x)
+                    accumulate(state, idx, w, contrib)
         finish_dataset(state, calib.corpus_name, calib.n_samples)
 
     masks: dict[int, Mask] = {}

@@ -38,13 +38,14 @@ class Perturbation:
     delta_w and delta_x are Gaussian, rescaled so that RMS(delta_w) equals
     epsilon * RMS(W) and RMS(delta_x) equals epsilon * RMS(x). A dense
     Gaussian matrix is full-rank almost surely, which the pseudoinverse
-    surrogate requires.
+    surrogate requires. ``epsilon`` and ``seed`` record how
+    ``make_perturbation`` drew them; the batch kernel leaves them unset.
     """
 
     delta_w: np.ndarray | None
     delta_x: np.ndarray | None
-    epsilon: float
-    seed: int
+    epsilon: float | None = None
+    seed: int | None = None
 
 
 def scaled_gaussian(shape, target_rms: float, rng: np.random.Generator) -> np.ndarray:
@@ -176,6 +177,13 @@ class SensitivityRecord:
     grad: np.ndarray
 
 
+def _terms(layer: Layer, x: np.ndarray, y, pert: Perturbation, post: Layer | None):
+    """(s_w, s_x, dy, dfdw) for one input column or a batch of columns."""
+    s_w = sensitivity_w(layer, x, y, pert, post=post)
+    s_x = sensitivity_x(layer, x, y, pert, post=post)
+    return s_w, s_x, s_w + s_x, dfdw_surrogate(layer, x, s_w, pert, post=post)
+
+
 def record(
     layer: Layer,
     x: np.ndarray,
@@ -184,12 +192,8 @@ def record(
     post: Layer | None = None,
 ) -> SensitivityRecord:
     """Full sensitivity record for one (layer, input) pair."""
-    s_w = sensitivity_w(layer, x, y, pert, post=post)
-    s_x = sensitivity_x(layer, x, y, pert, post=post)
-    dy = s_w + s_x
-    dfdw = dfdw_surrogate(layer, x, s_w, pert, post=post)
-    grad = loss_gradient(dy, dfdw)
-    return SensitivityRecord(s_w=s_w, s_x=s_x, dy=dy, dfdw=dfdw, grad=grad)
+    s_w, s_x, dy, dfdw = _terms(layer, x, y, pert, post)
+    return SensitivityRecord(s_w=s_w, s_x=s_x, dy=dy, dfdw=dfdw, grad=loss_gradient(dy, dfdw))
 
 
 def batch_input_perturbation(
@@ -210,33 +214,15 @@ def batch_gradient_magnitude(
     x_batch: np.ndarray,
     delta_w: np.ndarray,
     delta_x: np.ndarray,
-    post: Layer | None = None,
 ) -> np.ndarray:
-    """Sum over columns p of ``|2 * dy_p @ dfdw_p.T|``, shaped like the weight.
+    """Sum over columns p of ``|record(layer, x_p, y_p, pert_p).grad|``, where
+    ``pert_p`` pairs the shared ``delta_w`` with column p of ``delta_x``.
 
-    Equivalent to accumulating one record per column of ``x_batch`` with a
-    shared weight perturbation, but computed as a single matrix product of
-    absolute values: gradients here are outer products, so the positionwise
-    sum of their magnitudes is ``2 |dy| @ |dfdw|.T``.
+    The terms are the ones ``record`` uses, evaluated on all columns at once.
+    Each gradient is an outer product, so the positionwise sum of their
+    magnitudes is the single matrix product ``2 |dy| @ |dfdw|.T``. Only
+    linear layers carry a weight, and their exact forms never read ``y``.
     """
-    if layer.weight is None:
-        raise UsageError(f"{layer.kind} layer has no weight to perturb")
     x_batch = np.asarray(x_batch, dtype=np.float64)
-    if delta_w.shape != layer.weight.shape or delta_x.shape != x_batch.shape:
-        raise ShapeError("perturbations not congruent to weight/input batch")
-    if _is_bare_linear(layer, post):
-        s_w = delta_w @ x_batch
-        s_x = layer.weight @ delta_x
-        dfdw = x_batch
-    else:
-        y = unit_forward(layer, x_batch, post=post)
-        s_w = unit_forward(layer, x_batch, weight_override=layer.weight + delta_w, post=post) - y
-        s_x = unit_forward(layer, x_batch + delta_x, post=post) - y
-        if linalg.rank(delta_w) < min(delta_w.shape):
-            raise NumericalError(
-                f"delta_w of shape {delta_w.shape} is rank-deficient; regenerate "
-                f"the perturbation with a different seed"
-            )
-        dfdw = linalg.pseudoinverse(delta_w) @ s_w
-    dy = s_w + s_x
+    _, _, dy, dfdw = _terms(layer, x_batch, None, Perturbation(delta_w, delta_x), None)
     return 2.0 * np.abs(dy) @ np.abs(dfdw).T

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 
@@ -7,6 +9,7 @@ import pytest
 
 from contprune import cli
 from contprune import harness as H
+from contprune import pruner as P
 from contprune.errors import InputError, UsageError
 
 
@@ -35,6 +38,50 @@ class TestConfig:
             H.ExperimentConfig(**tiny_cfg_kwargs, output_dir="x", criteria=())
 
 
+    def test_sequences_coerced_from_flags_and_json(self, tiny_cfg_kwargs):
+        from_flags = H.ExperimentConfig(
+            **tiny_cfg_kwargs, criteria="magnitude,wanda", sparsities="0,0.5",
+            nm_patterns="2:4,4:8", sparsity_sweep="0.3", samples_sweep="8,16",
+        )
+        from_json = H.ExperimentConfig(
+            **tiny_cfg_kwargs, criteria=["magnitude", "wanda"], sparsities=[0, 0.5],
+            nm_patterns=[[2, 4], [4, 8]], sparsity_sweep=[0.3], samples_sweep=[8, 16],
+        )
+        for cfg in (from_flags, from_json):
+            assert cfg.criteria == ("magnitude", "wanda")
+            assert cfg.sparsities == (0.0, 0.5) and type(cfg.sparsities[0]) is float
+            assert cfg.nm_patterns == ((2, 4), (4, 8))
+            assert cfg.sparsity_sweep == (0.3,)
+            assert cfg.samples_sweep == (8, 16)
+
+
+class TestNoUnreachableKnobs:
+    def test_every_experiment_field_is_a_grid_flag_dest(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = {
+            action.dest
+            for command in ("run-grid", "ablate-sparsity", "ablate-samples")
+            for action in sub.choices[command]._actions
+        }
+        fields = {f.name for f in dataclasses.fields(H.ExperimentConfig)} - {"corpora"}
+        assert fields - dests == set()
+
+    def test_every_prune_field_is_set_by_the_harness(self, tiny_cfg_kwargs, monkeypatch):
+        cfg = H.ExperimentConfig(**tiny_cfg_kwargs)
+        passed: set[str] = set()
+
+        def recording(**kwargs):
+            passed.update(kwargs)
+            return P.PruneConfig(**kwargs)
+
+        monkeypatch.setattr(H, "PruneConfig", recording)
+        H._prune_config(cfg, "sensitivity", 0.5)
+        H._prune_config(cfg, "magnitude", (2, 4))
+        assert passed == {f.name for f in dataclasses.fields(P.PruneConfig)}
+
+
 class TestRunContinual:
     def test_cell_counts_and_files(self, tiny_cfg_kwargs, tmp_path):
         cfg = H.ExperimentConfig(**tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"))
@@ -50,6 +97,20 @@ class TestRunContinual:
         assert (run_dir / "table.txt").exists()
         assert (run_dir / "table.csv").exists()
         assert (run_dir / "cells_magnitude_unstructured-0.5.csv").exists()
+
+    def test_cells_csv_covers_every_cell(self, tiny_cfg_kwargs, tmp_path):
+        cfg = H.ExperimentConfig(
+            **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)
+        )
+        cells = H.run_continual(cfg)["grids"]["magnitude:unstructured-0.5"]["report"]["cells"]
+        text = (tmp_path / "runs" / "cells_magnitude_unstructured-0.5.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["permutation", "step", "pruned_dataset", "eval_dataset", "perplexity"]
+        assert rows[1:] == [
+            [">".join(c["permutation"]), str(c["step"]), c["pruned_dataset"],
+             c["eval_dataset"], repr(c["perplexity"])]
+            for c in cells
+        ]
 
     def test_dense_row_has_no_bwt_and_table_marks_it(self, tiny_cfg_kwargs, tmp_path):
         cfg = H.ExperimentConfig(**tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"))
@@ -196,6 +257,41 @@ class TestCli:
         assert written["config"]["criteria"] == ["magnitude"]
         table = capsys.readouterr().out
         assert "magnitude" in table
+
+    def _run_grid_from_config(self, tiny_cfg_kwargs, tmp_path, **values):
+        config = {
+            "model_path": tiny_cfg_kwargs["model_path"],
+            "corpora": tiny_cfg_kwargs["corpora"],
+            "criteria": ["magnitude"],
+            "seq_len": 48,
+            "n_samples": 4,
+            "seed": 1,
+            "output_dir": str(tmp_path / "grid"),
+            **values,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["run-grid", "--config", str(cfg_path)]) == 0
+        return json.loads((tmp_path / "grid" / "grid.json").read_text())
+
+    def test_config_integer_sparsity_and_nm_lists(self, tiny_cfg_kwargs, tmp_path):
+        written = self._run_grid_from_config(
+            tiny_cfg_kwargs, tmp_path, sparsities=[0], nm_patterns=[[2, 4]]
+        )
+        assert written["config"]["sparsities"] == [0.0]
+        assert sorted(written["grids"]) == ["magnitude:2of4", "magnitude:unstructured-0"]
+        for grid in written["grids"].values():
+            assert grid["complete"] and not grid["errors"]
+        unpruned = written["grids"]["magnitude:unstructured-0"]["report"]["aggregates"]
+        assert unpruned["a_ppl"] == pytest.approx(written["dense"]["a_ppl"], rel=1e-12)
+
+    def test_config_integer_sparsity_one_is_a_usage_error(self, tiny_cfg_kwargs, tmp_path):
+        with pytest.raises(UsageError, match=r"sparsity must be in \[0, 1\), got 1.0"):
+            self._run_grid_from_config(tiny_cfg_kwargs, tmp_path, sparsities=[1])
+
+    def test_config_unknown_key_is_named(self, tiny_cfg_kwargs, tmp_path):
+        with pytest.raises(SystemExit, match=r"unknown config key.*: sparsity$"):
+            self._run_grid_from_config(tiny_cfg_kwargs, tmp_path, sparsity=[0.5])
 
     def test_run_grid_requires_seed(self, tiny_cfg_kwargs, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +194,28 @@ class TestPersistence:
             I.load_state(path)
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(FormatError):
+            I.load_state(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        _, state = self.fill(rng)
+        path = tmp_path / "state.bin"
+        I.save_state(state, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            I.load_state(path)
+
+    @pytest.mark.parametrize("key", ["layers", "datasets_seen", "sample_count"])
+    def test_manifest_without_key_rejected(self, tmp_path, rng, key):
+        _, state = self.fill(rng)
+        path = tmp_path / "state.bin"
+        I.save_state(state, path)
+        data = path.read_bytes()
+        (blob_len,) = struct.unpack("<I", data[12:16])
+        manifest = json.loads(data[16 : 16 + blob_len])
+        del manifest[key]
+        blob = json.dumps(manifest, sort_keys=True).encode()
+        path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + blob_len :])
+        with pytest.raises(FormatError, match=key):
             I.load_state(path)
 
     def test_size_depends_on_model_not_data(self, tmp_path, rng):

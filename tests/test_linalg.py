@@ -21,43 +21,6 @@ def small_matrices(max_dim=6):
     )
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = linalg.matmul(np.eye(2), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [4.0]])
-
-    def test_column_selection(self):
-        out = linalg.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        expected = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(linalg.matmul(a, b), expected, rtol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_associativity(self, data):
-        r = data.draw(st.integers(1, 4))
-        s = data.draw(st.integers(1, 4))
-        t = data.draw(st.integers(1, 4))
-        u = data.draw(st.integers(1, 4))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        a, b, c = rng.standard_normal((r, s)), rng.standard_normal((s, t)), rng.standard_normal((t, u))
-        left = linalg.matmul(linalg.matmul(a, b), c)
-        right = linalg.matmul(a, linalg.matmul(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-10)
-
-
 class TestPseudoinverse:
     def test_identity(self):
         np.testing.assert_allclose(linalg.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)
@@ -121,30 +84,7 @@ class TestRank:
         assert linalg.rank(np.zeros((2, 3))) == 0
 
 
-class TestElementwise:
-    def test_frobenius_345(self):
-        assert linalg.frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-
-    def test_mul_by_ones_is_identity(self, rng):
-        a = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(linalg.elementwise_mul(a, np.ones((3, 3))), a)
-
-    def test_abs(self):
-        np.testing.assert_array_equal(linalg.elementwise_abs(np.array([[-1.0, 2.0]])), [[1.0, 2.0]])
-
-    def test_add_sub_scale(self, rng):
-        a = rng.standard_normal((2, 4))
-        b = rng.standard_normal((2, 4))
-        np.testing.assert_array_equal(linalg.add(a, b), a + b)
-        np.testing.assert_array_equal(linalg.sub(a, b), a - b)
-        np.testing.assert_array_equal(linalg.scale(a, -2.0), -2.0 * a)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            linalg.add(np.ones((2, 2)), np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            linalg.elementwise_mul(np.ones((2, 2)), np.ones((3, 2)))
-
+class TestAsMatrix:
     def test_as_matrix_validation(self):
         with pytest.raises(ShapeError):
             linalg.as_matrix(np.ones(3))

@@ -11,6 +11,7 @@ from contprune import importance as I
 from contprune import metrics as X
 from contprune import model as M
 from contprune import pruner as P
+from contprune import sensitivity as S
 from contprune.errors import ShapeError, UsageError
 from contprune.seeding import derive_seed
 
@@ -286,6 +287,32 @@ class TestPruneStep:
         assert frag["overall_sparsity"] == pytest.approx(0.5)
         for mask in masks.values():
             assert mask.structure == (2, 4)
+
+    def test_sensitivity_state_equals_summed_records(self, rng):
+        # prune_step's batch kernel against the per-column reference record,
+        # with the same per-(segment, layer) perturbation seeds
+        net = M.make_decoder(vocab_size=64, d=16, hidden=24, blocks=1, seed=9)
+        calib = make_calib(rng.integers(0, 64, size=4000), "A", n_samples=2, seed=3)
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=5, w_draws=2)
+        state = I.init_state(net)
+        P.prune_step(net, state, cfg, calib)
+        expected = {idx: np.zeros_like(acc) for idx, acc in state.per_layer.items()}
+        for j, seg in enumerate(calib.segments):
+            for cap in M.forward_capture(net, seg)[1]:
+                idx, layer = cap.layer_index, net.layers[cap.layer_index]
+                w = layer.weight
+                pert_rng = np.random.default_rng(derive_seed(5, "pert", "A", j, idx))
+                for _ in range(2):
+                    delta_w = S.scaled_gaussian(w.shape, 1e-3 * float(np.sqrt(np.mean(w * w))), pert_rng)
+                    delta_x = S.batch_input_perturbation(cap.input, 1e-3, pert_rng)
+                    for p in range(cap.input.shape[1]):
+                        x = cap.input[:, p : p + 1]
+                        pert = S.Perturbation(delta_w=delta_w, delta_x=delta_x[:, p : p + 1])
+                        expected[idx] += np.abs(w * S.record(layer, x, w @ x, pert).grad)
+        assert len(expected) == len(net.prunable_indices()) == 2
+        for idx, acc in expected.items():
+            assert acc.min() > 0
+            np.testing.assert_allclose(state.per_layer[idx], acc, rtol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
