@@ -72,7 +72,6 @@ def cmd_train(args) -> int:
         seq_len=args.seq_len,
         learning_rate=args.lr,
         seed=args.seed,
-        corpora=[c.name for c in corpora],
     )
     losses: list[float] = []
     net = trainer.train(net, corpora, cfg, loss_log=losses)

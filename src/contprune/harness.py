@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import Corpus, load_corpus, permutations, sample_calibration
 from .errors import InputError, UsageError
 from .importance import init_state
-from .metrics import EvalCell, RunReport, aggregate, perplexity, report_to_dict
+from .metrics import EvalCell, aggregate, perplexity, report_to_dict
 from .model import Network, load_checkpoint
 from .pruner import PruneConfig, detect_stasis, prune_step
 from .seeding import derive_seed
@@ -81,34 +81,19 @@ def _nm_pair(value) -> tuple[int, int]:
     return tuple(int(v) for v in (value.split(":") if isinstance(value, str) else value))
 
 
-@dataclass
-class GridResult:
-    criterion: str
-    spec_label: str
-    report: RunReport | None
-    ws: bool
-    ws_permutations: list[str] = field(default_factory=list)
-    step_stats: list[dict] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
-
-
-def _load_inputs(cfg: ExperimentConfig) -> tuple[Network, dict[str, Corpus]]:
+def _load_inputs(cfg: ExperimentConfig, runs) -> tuple[Network, dict[str, Corpus]]:
+    """Load the model and corpora, after checking every ``(criterion, spec,
+    n_samples)`` run, so that a bad later value cannot discard finished grids."""
+    for criterion, spec, n_samples in runs:
+        _prune_config(cfg, criterion, spec)
+        if n_samples < 1:
+            raise UsageError(f"n_samples must be >= 1, got {n_samples}")
     net = load_checkpoint(cfg.model_path)
     corpora = {
         name: load_corpus(path, name, eval_fraction=cfg.eval_fraction)
         for name, path in cfg.corpora.items()
     }
     return net, corpora
-
-
-def _calibration_sets(cfg: ExperimentConfig, corpora: dict[str, Corpus], n_samples: int):
-    # one calibration set per dataset, shared across criteria and orderings
-    return {
-        name: sample_calibration(
-            corpus, n_samples, cfg.seq_len, derive_seed(cfg.seed, "calib", name)
-        )
-        for name, corpus in corpora.items()
-    }
 
 
 def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
@@ -130,21 +115,27 @@ def run_grid_cell(
     corpora: dict[str, Corpus],
     criterion: str,
     spec,
-    n_samples: int | None = None,
-) -> GridResult:
-    """Full permutation grid for one (criterion, sparsity spec) pair."""
-    calib_sets = _calibration_sets(cfg, corpora, n_samples or cfg.n_samples)
+    n_samples: int,
+) -> dict:
+    """Full permutation grid for one (criterion, sparsity spec) pair, as its
+    ``grid.json`` entry. A failed ordering adds only an ``errors`` entry."""
+    calib_sets = {  # one calibration set per dataset, shared across orderings
+        name: sample_calibration(
+            corpus, n_samples, cfg.seq_len, derive_seed(cfg.seed, "calib", name)
+        )
+        for name, corpus in corpora.items()
+    }
     names = sorted(corpora)
-    perms = permutations(names)
     pconfig = _prune_config(cfg, criterion, spec)
-    label = pconfig.spec_label()
 
     cells: list[EvalCell] = []
     completed: list[tuple[str, ...]] = []
     ws_perms: list[str] = []
     step_stats: list[dict] = []
     errors: list[dict] = []
-    for pi in perms:
+    for pi in permutations(names):
+        perm_cells: list[EvalCell] = []
+        perm_stats: list[dict] = []
         try:
             current = base.copy()
             state = init_state(base) if criterion == "sensitivity" else None
@@ -162,7 +153,7 @@ def run_grid_cell(
                     hamming_total = sum(h for _, h in per_layer)
                     transitions_stasis.append(all(st for st, _ in per_layer))
                 prev_masks = masks
-                step_stats.append(
+                perm_stats.append(
                     {
                         "permutation": ">".join(pi),
                         "step": step,
@@ -172,7 +163,7 @@ def run_grid_cell(
                     }
                 )
                 for ds in names:
-                    cells.append(
+                    perm_cells.append(
                         EvalCell(
                             permutation=pi,
                             step=step,
@@ -180,22 +171,24 @@ def run_grid_cell(
                             perplexity=perplexity(current, corpora[ds], cfg.seq_len),
                         )
                     )
-            completed.append(pi)
-            if transitions_stasis and all(transitions_stasis):
-                ws_perms.append(">".join(pi))
         except Exception as exc:  # keep other orderings running
             errors.append({"permutation": ">".join(pi), "error": f"{type(exc).__name__}: {exc}"})
-    report = aggregate(cells, completed, names) if completed else None
-    ws = bool(completed) and len(ws_perms) == len(completed)
-    return GridResult(
-        criterion=criterion,
-        spec_label=label,
-        report=report,
-        ws=ws,
-        ws_permutations=ws_perms,
-        step_stats=step_stats,
-        errors=errors,
-    )
+            continue
+        cells += perm_cells
+        step_stats += perm_stats
+        completed.append(pi)
+        if transitions_stasis and all(transitions_stasis):
+            ws_perms.append(">".join(pi))
+    return {
+        "criterion": criterion,
+        "spec": pconfig.spec_label(),
+        "ws": bool(completed) and len(ws_perms) == len(completed),
+        "ws_permutations": ws_perms,
+        "report": report_to_dict(aggregate(cells, completed, names)) if completed else None,
+        "step_stats": step_stats,
+        "errors": errors,
+        "complete": not errors,
+    }
 
 
 def dense_row(base: Network, corpora: dict[str, Corpus], seq_len: int) -> dict:
@@ -210,69 +203,67 @@ def dense_row(base: Network, corpora: dict[str, Corpus], seq_len: int) -> dict:
 
 def run_continual(cfg: ExperimentConfig) -> dict:
     """Run the full grid; returns the result dict and writes report files."""
-    base, corpora = _load_inputs(cfg)
-    dense = dense_row(base, corpora, cfg.seq_len)
-    results: dict[str, GridResult] = {}
     specs = [*cfg.sparsities, *cfg.nm_patterns]
-    for criterion in cfg.criteria:
-        for spec in specs:
-            result = run_grid_cell(cfg, base, corpora, criterion, spec)
-            results[f"{criterion}:{result.spec_label}"] = result
+    runs = [(criterion, spec, cfg.n_samples) for criterion in cfg.criteria for spec in specs]
+    base, corpora = _load_inputs(cfg, runs)
+    dense = dense_row(base, corpora, cfg.seq_len)
+    grids = {}
+    for run in runs:
+        entry = run_grid_cell(cfg, base, corpora, *run)
+        grids[f"{entry['criterion']}:{entry['spec']}"] = entry
     out = {
         "schema_version": 1,
         "config": _config_echo(cfg),
         "dense": dense,
-        "grids": {key: _result_to_dict(r) for key, r in sorted(results.items())},
+        "grids": dict(sorted(grids.items())),
     }
-    _write_outputs(cfg, out, results)
+    _write_outputs(cfg, out)
     return out
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "model_path": str(cfg.model_path),
-        "corpora": {k: str(v) for k, v in sorted(cfg.corpora.items())},
-        "criteria": list(cfg.criteria),
-        "sparsities": list(cfg.sparsities),
-        "nm_patterns": [list(p) for p in cfg.nm_patterns],
-        "n_samples": cfg.n_samples,
-        "seq_len": cfg.seq_len,
-        "seed": cfg.seed,
-        "epsilon": cfg.epsilon,
-        "w_draws": cfg.w_draws,
-        "eval_fraction": cfg.eval_fraction,
-        "init_mode_override": cfg.init_mode_override,
-    }
+    # where the files go and what the ablations sweep do not shape a grid
+    skip = ("output_dir", "sparsity_sweep", "samples_sweep")
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
 
 
-def _result_to_dict(result: GridResult) -> dict:
-    return {
-        "criterion": result.criterion,
-        "spec": result.spec_label,
-        "ws": result.ws,
-        "ws_permutations": result.ws_permutations,
-        "report": None if result.report is None else report_to_dict(result.report),
-        "step_stats": result.step_stats,
-        "errors": result.errors,
-        "complete": not result.errors,
-    }
+SUMMARY_HEADER = ["criterion", "spec", "a_bwt", "m_bwt", "a_ppl", "m_ppl"]
 
 
-def _write_outputs(cfg: ExperimentConfig, out: dict, results: dict[str, GridResult]) -> None:
+def _summary(entry: dict) -> list | None:
+    """One grid entry's table row (``SUMMARY_HEADER``), with ``"WS"`` in the
+    BWT columns when every ordering froze; None when every ordering failed."""
+    if entry["report"] is None:
+        return None
+    agg = entry["report"]["aggregates"]
+    bwt = ["WS", "WS"] if entry["ws"] else [agg["a_bwt"], agg["m_bwt"]]
+    return [entry["criterion"], entry["spec"], *bwt, agg["a_ppl"], agg["m_ppl"]]
+
+
+def _dense_summary(out: dict) -> list:
+    return ["dense", "-", None, None, out["dense"]["a_ppl"], out["dense"]["m_ppl"]]
+
+
+def _write_outputs(cfg: ExperimentConfig, out: dict) -> None:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "grid.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    for key, result in sorted(results.items()):
-        if result.report is None:
+    for key, g in out["grids"].items():
+        if g["report"] is None:
             continue
         rows = [["permutation", "step", "pruned_dataset", "eval_dataset", "perplexity"]]
         rows += [
-            [c.permutation_id, c.step, c.pruned_dataset, c.eval_dataset, c.perplexity]
-            for c in result.report.cells
+            [">".join(c["permutation"]), c["step"], c["pruned_dataset"], c["eval_dataset"],
+             c["perplexity"]]
+            for c in g["report"]["cells"]
         ]
         _write_csv(out_dir / f"cells_{key.replace(':', '_')}.csv", rows)
     (out_dir / "table.txt").write_text(render_table(out))
-    _write_csv(out_dir / "table.csv", _table_rows(out))
+    summaries = [_summary(g) for g in out["grids"].values()]
+    _write_csv(
+        out_dir / "table.csv",
+        [SUMMARY_HEADER, _dense_summary(out), *(s for s in summaries if s is not None)],
+    )
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -286,37 +277,21 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text(buf.getvalue())
 
 
-def _fmt(value, ws: bool = False) -> str:
-    if ws:
-        return "WS"
+def _fmt(value) -> str:
     if value is None:
         return "-"
+    if isinstance(value, str):
+        return value
     return f"{value:.4f}"
 
 
 def render_table(out: dict) -> str:
     """Aligned text table: criterion rows, aggregate and per-dataset blocks."""
-    headers = ["criterion", "spec", "a-bwt", "m-bwt", "a-ppl", "m-ppl"]
-    rows = [
-        ["dense", "-", "-", "-", _fmt(out["dense"]["a_ppl"]), _fmt(out["dense"]["m_ppl"])]
-    ]
-    for key in sorted(out["grids"]):
-        g = out["grids"][key]
-        rep = g["report"]
-        if rep is None:
-            rows.append([g["criterion"], g["spec"], "error", "error", "error", "error"])
-            continue
-        agg = rep["aggregates"]
-        rows.append(
-            [
-                g["criterion"],
-                g["spec"],
-                _fmt(agg["a_bwt"], g["ws"]),
-                _fmt(agg["m_bwt"], g["ws"]),
-                _fmt(agg["a_ppl"]),
-                _fmt(agg["m_ppl"]),
-            ]
-        )
+    headers = [h.replace("_", "-") for h in SUMMARY_HEADER]
+    rows = [_dense_summary(out)]
+    for g in out["grids"].values():
+        rows.append(_summary(g) or [g["criterion"], g["spec"], *["error"] * 4])
+    rows = [[_fmt(v) for v in r] for r in rows]
     widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
     lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths))]
     lines.append("-+-".join("-" * w for w in widths))
@@ -324,13 +299,9 @@ def render_table(out: dict) -> str:
         lines.append(" | ".join(v.ljust(w) for v, w in zip(r, widths)))
 
     # per-dataset mean +/- std blocks
-    datasets = sorted(out["dense"]["per_dataset"])
-    for ds in datasets:
-        lines.append("")
-        lines.append(f"[{ds}]")
-        lines.append(f"  dense: ppl {out['dense']['per_dataset'][ds]:.4f} ± 0.0000")
-        for key in sorted(out["grids"]):
-            g = out["grids"][key]
+    for ds in sorted(out["dense"]["per_dataset"]):
+        lines += ["", f"[{ds}]", f"  dense: ppl {out['dense']['per_dataset'][ds]:.4f} ± 0.0000"]
+        for g in out["grids"].values():
             rep = g["report"]
             if rep is None or ds not in rep["per_dataset"]:
                 continue
@@ -348,60 +319,31 @@ def render_table(out: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_rows(out: dict) -> list[list]:
-    rows = [
-        ["criterion", "spec", "a_bwt", "m_bwt", "a_ppl", "m_ppl"],
-        ["dense", "-", None, None, out["dense"]["a_ppl"], out["dense"]["m_ppl"]],
-    ]
-    for key in sorted(out["grids"]):
-        g = out["grids"][key]
-        rep = g["report"]
-        if rep is None:
-            continue
-        agg = rep["aggregates"]
-        bwt = ["WS", "WS"] if g["ws"] else [agg["a_bwt"], agg["m_bwt"]]
-        rows.append([g["criterion"], g["spec"], *bwt, agg["a_ppl"], agg["m_ppl"]])
-    return rows
-
-
 def run_ablation_sparsity(cfg: ExperimentConfig) -> list[dict]:
     """Sweep unstructured sparsity; one row per (criterion, sparsity)."""
-    base, corpora = _load_inputs(cfg)
-    rows: list[dict] = []
-    for s in cfg.sparsity_sweep:
-        for criterion in cfg.criteria:
-            result = run_grid_cell(cfg, base, corpora, criterion, s)
-            rows.append(_ablation_row(result, {"sparsity": s}))
-    _write_ablation(cfg, rows, "ablation_sparsity.csv", "sparsity")
-    return rows
+    runs = [(s, (c, s, cfg.n_samples)) for s in cfg.sparsity_sweep for c in cfg.criteria]
+    return _ablation(cfg, "ablation_sparsity.csv", "sparsity", runs)
 
 
 def run_ablation_samples(cfg: ExperimentConfig, criteria: tuple[str, ...] = ("sensitivity",)) -> list[dict]:
     """Sweep calibration sample counts at fixed 0.5 unstructured sparsity."""
-    base, corpora = _load_inputs(cfg)
+    runs = [(n, (c, 0.5, n)) for n in cfg.samples_sweep for c in criteria]
+    return _ablation(cfg, "ablation_samples.csv", "n_samples", runs)
+
+
+def _ablation(cfg: ExperimentConfig, filename: str, sweep_key: str, runs) -> list[dict]:
+    """One grid per ``(sweep value, (criterion, spec, n_samples))`` run and
+    one row per grid, also written to ``filename``."""
+    base, corpora = _load_inputs(cfg, [run for _, run in runs])
     rows: list[dict] = []
-    for n in cfg.samples_sweep:
-        for criterion in criteria:
-            result = run_grid_cell(cfg, base, corpora, criterion, 0.5, n_samples=n)
-            rows.append(_ablation_row(result, {"n_samples": n}))
-    _write_ablation(cfg, rows, "ablation_samples.csv", "n_samples")
+    for value, run in runs:
+        summary = _summary(run_grid_cell(cfg, base, corpora, *run))
+        row = {"criterion": run[0], sweep_key: value}
+        if summary is None:
+            row.update({"a_bwt": None, "m_bwt": None, "error": True})
+        else:
+            row.update({"a_bwt": summary[2], "m_bwt": summary[3]})
+        rows.append(row)
+    header = ["criterion", sweep_key, "a_bwt", "m_bwt"]
+    _write_csv(Path(cfg.output_dir) / filename, [header, *([r[k] for k in header] for r in rows)])
     return rows
-
-
-def _ablation_row(result: GridResult, extra: dict) -> dict:
-    row = {"criterion": result.criterion, **extra}
-    if result.report is None:
-        row.update({"a_bwt": None, "m_bwt": None, "error": True})
-    elif result.ws:
-        row.update({"a_bwt": "WS", "m_bwt": "WS"})
-    else:
-        row.update({"a_bwt": result.report.a_bwt, "m_bwt": result.report.m_bwt})
-    return row
-
-
-def _write_ablation(cfg: ExperimentConfig, rows: list[dict], filename: str, sweep_key: str) -> None:
-    _write_csv(
-        Path(cfg.output_dir) / filename,
-        [["criterion", sweep_key, "a_bwt", "m_bwt"]]
-        + [[row["criterion"], row[sweep_key], row["a_bwt"], row["m_bwt"]] for row in rows],
-    )

@@ -108,10 +108,7 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"state manifest unreadable: {exc}") from exc
-        keys = ("layers", "datasets_seen", "sample_count")
-        missing = [k for k in keys if not isinstance(manifest, dict) or k not in manifest]
-        if missing:
-            raise FormatError(f"state manifest lacks {', '.join(missing)}")
+        _check_manifest(manifest)
         per_layer: dict[int, np.ndarray] = {}
         for entry in manifest["layers"]:
             n = entry["rows"] * entry["cols"]
@@ -127,12 +124,38 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
             raise FormatError("trailing bytes after the state payload")
     state = ImportanceState(
         per_layer=per_layer,
-        datasets_seen=list(manifest["datasets_seen"]),
-        sample_count={k: int(v) for k, v in manifest["sample_count"].items()},
+        datasets_seen=manifest["datasets_seen"],
+        sample_count=manifest["sample_count"],
     )
     if net is not None:
         _check_against(state, net)
     return state
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_manifest(manifest) -> None:
+    """Raise FormatError unless the manifest has the documented shape."""
+    keys = ("layers", "datasets_seen", "sample_count")
+    missing = [k for k in keys if not isinstance(manifest, dict) or k not in manifest]
+    if missing:
+        raise FormatError(f"state manifest lacks {', '.join(missing)}")
+    layers, seen, counts = (manifest[k] for k in keys)
+    if not isinstance(layers, list) or not all(
+        isinstance(e, dict) and _is_int(e.get("index"), 0)
+        and _is_int(e.get("rows"), 1) and _is_int(e.get("cols"), 1)
+        for e in layers
+    ):
+        raise FormatError(f"state manifest layers must be {{index, rows, cols}} with "
+                          f"index >= 0 and rows, cols >= 1, got {layers!r}")
+    if len({e["index"] for e in layers}) != len(layers):
+        raise FormatError(f"state manifest repeats a layer index: {layers!r}")
+    if not isinstance(seen, list) or not all(isinstance(name, str) for name in seen):
+        raise FormatError(f"state manifest datasets_seen must list names, got {seen!r}")
+    if not isinstance(counts, dict) or not all(_is_int(n, 0) for n in counts.values()):
+        raise FormatError(f"state manifest sample_count must map names to counts, got {counts!r}")
 
 
 def _check_against(state: ImportanceState, net: Network) -> None:

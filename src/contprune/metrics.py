@@ -57,10 +57,6 @@ class EvalCell:
     perplexity: float
 
     @property
-    def permutation_id(self) -> str:
-        return ">".join(self.permutation)
-
-    @property
     def pruned_dataset(self) -> str:
         return self.permutation[self.step - 1]
 

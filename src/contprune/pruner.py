@@ -313,7 +313,7 @@ def prune_step(
     return pruned, masks, frag
 
 
-def export_masks(masks: dict[int, Mask], out_dir, prev_masks: dict[int, Mask] | None = None):
+def export_masks(masks: dict[int, Mask], out_dir):
     """Write bit-packed masks plus a JSON summary into ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,18 +323,13 @@ def export_masks(masks: dict[int, Mask], out_dir, prev_masks: dict[int, Mask] | 
     for idx in sorted(masks):
         mask = masks[idx]
         packed = np.packbits(mask.bits.ravel())
-        entry = {
+        summary[str(idx)] = {
             "shape": list(mask.bits.shape),
             "structure": list(mask.structure) if isinstance(mask.structure, tuple) else mask.structure,
             "sparsity": mask.sparsity,
             "offset": offset,
             "packed_bytes": len(packed),
         }
-        if prev_masks is not None and idx in prev_masks:
-            stasis, hamming = detect_stasis(prev_masks[idx], mask)
-            entry["hamming_vs_prev"] = hamming
-            entry["stasis"] = stasis
-        summary[str(idx)] = entry
         payload.extend(packed.tobytes())
         offset += len(packed)
     (out_dir / "masks.bin").write_bytes(bytes(payload))

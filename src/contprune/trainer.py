@@ -7,7 +7,7 @@ given corpora, so the evaluation splits stay unseen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class TrainConfig:
     seq_len: int = 64
     learning_rate: float = 0.3
     seed: int = 0
-    corpora: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.steps < 0:

@@ -37,7 +37,6 @@ def desk_model_path(desk_dir, desk_corpora):
         seq_len=64,
         learning_rate=0.3,
         seed=derive_seed(DESK_SEED, "train"),
-        corpora=sorted(desk_corpora),
     )
     corpora = [desk_corpora[name] for name in sorted(desk_corpora)]
     net = trainer_mod.train(net, corpora, cfg)
@@ -72,7 +71,6 @@ def tiny_model_path(tiny_dir, tiny_corpora):
     net = model_mod.make_decoder(d=32, hidden=64, blocks=1, seed=3)
     cfg = trainer_mod.TrainConfig(
         steps=300, batch=8, seq_len=48, learning_rate=0.3, seed=11,
-        corpora=sorted(tiny_corpora),
     )
     net = trainer_mod.train(net, list(tiny_corpora.values()), cfg)
     model_mod.save_checkpoint(net, path)

@@ -10,6 +10,7 @@ import pytest
 from contprune import cli
 from contprune import harness as H
 from contprune import pruner as P
+from contprune import trainer as T
 from contprune.errors import InputError, UsageError
 
 
@@ -22,6 +23,19 @@ def tiny_cfg_kwargs(tiny_dir, tiny_model_path):
         seq_len=48,
         n_samples=4,
     )
+
+
+def read_csv(path) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(path.read_text())))
+
+
+def cells_csv_rows(cells) -> list[list[str]]:
+    """The data rows the cells CSV must hold for these grid.json cells."""
+    return [
+        [">".join(c["permutation"]), str(c["step"]), c["pruned_dataset"],
+         c["eval_dataset"], repr(c["perplexity"])]
+        for c in cells
+    ]
 
 
 class TestConfig:
@@ -81,6 +95,21 @@ class TestNoUnreachableKnobs:
         H._prune_config(cfg, "magnitude", (2, 4))
         assert passed == {f.name for f in dataclasses.fields(P.PruneConfig)}
 
+    def test_every_train_field_is_set_by_the_cli(self, tiny_dir, tmp_path, monkeypatch):
+        real = T.TrainConfig
+        passed: set[str] = set()
+
+        def recording(**kwargs):
+            passed.update(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(T, "TrainConfig", recording)
+        assert cli.main([
+            "train", "--corpora-dir", str(tiny_dir), "--out", str(tmp_path / "m.ckpt"),
+            "--steps", "0", "--dim", "8", "--hidden", "8", "--blocks", "1", "--seed", "0",
+        ]) == 0
+        assert passed == {f.name for f in dataclasses.fields(real)}
+
 
 class TestRunContinual:
     def test_cell_counts_and_files(self, tiny_cfg_kwargs, tmp_path):
@@ -103,14 +132,9 @@ class TestRunContinual:
             **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)
         )
         cells = H.run_continual(cfg)["grids"]["magnitude:unstructured-0.5"]["report"]["cells"]
-        text = (tmp_path / "runs" / "cells_magnitude_unstructured-0.5.csv").read_text()
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = read_csv(tmp_path / "runs" / "cells_magnitude_unstructured-0.5.csv")
         assert rows[0] == ["permutation", "step", "pruned_dataset", "eval_dataset", "perplexity"]
-        assert rows[1:] == [
-            [">".join(c["permutation"]), str(c["step"]), c["pruned_dataset"],
-             c["eval_dataset"], repr(c["perplexity"])]
-            for c in cells
-        ]
+        assert rows[1:] == cells_csv_rows(cells)
 
     def test_dense_row_has_no_bwt_and_table_marks_it(self, tiny_cfg_kwargs, tmp_path):
         cfg = H.ExperimentConfig(**tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"))
@@ -173,6 +197,66 @@ class TestRunContinual:
         assert "synthetic failure" in g["errors"][0]["error"]
         # the other permutation still produced its half of the grid
         assert len(g["report"]["cells"]) == 4
+
+    def test_failed_ordering_adds_no_cells(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
+        cfg = H.ExperimentConfig(
+            **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)
+        )
+        real = H.perplexity
+        calls = {"n": 0}
+
+        def flaky(net, corpus, seq_len):
+            calls["n"] += 1
+            # two dense evals and step 1 of the first ordering pass; its step 2 fails
+            if calls["n"] == 5:
+                raise RuntimeError("synthetic failure")
+            return real(net, corpus, seq_len)
+
+        monkeypatch.setattr(H, "perplexity", flaky)
+        g = H.run_continual(cfg)["grids"]["magnitude:unstructured-0.5"]
+        assert [e["permutation"] for e in g["errors"]] == ["numeric>prose"]
+        cells = g["report"]["cells"]
+        assert len(cells) == 4
+        assert {tuple(c["permutation"]) for c in cells} == {("prose", "numeric")}
+        assert {s["permutation"] for s in g["step_stats"]} == {"prose>numeric"}
+        assert g["report"]["aggregates"]["a_ppl"] == float(
+            np.mean([c["perplexity"] for c in cells])
+        )
+        rows = read_csv(tmp_path / "runs" / "cells_magnitude_unstructured-0.5.csv")
+        assert rows[1:] == cells_csv_rows(cells)
+
+    def test_failed_grid_renders_as_error(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
+        real = H.prune_step
+
+        def failing_wanda(net, state, config, calib, base_net=None):
+            if config.criterion == "wanda":
+                raise RuntimeError("synthetic failure")
+            return real(net, state, config, calib, base_net=base_net)
+
+        monkeypatch.setattr(H, "prune_step", failing_wanda)
+        run_dir = tmp_path / "runs"
+        cfg = H.ExperimentConfig(
+            **tiny_cfg_kwargs, output_dir=str(run_dir),
+            criteria=("magnitude", "wanda"), sparsity_sweep=(0.5,),
+        )
+        g = H.run_continual(cfg)["grids"]["wanda:unstructured-0.5"]
+        assert g["report"] is None and len(g["errors"]) == 2
+        table = (run_dir / "table.txt").read_text()
+        wanda_line = next(l for l in table.splitlines() if l.startswith("wanda"))
+        assert [v.strip() for v in wanda_line.split("|")] == ["wanda", "unstructured-0.5"] + [
+            "error"
+        ] * 4
+        assert "wanda (" not in table  # no per-dataset stats
+        assert [r[0] for r in read_csv(run_dir / "table.csv")] == [
+            "criterion", "dense", "magnitude"
+        ]
+        assert not (run_dir / "cells_wanda_unstructured-0.5.csv").exists()
+
+        rows = H.run_ablation_sparsity(cfg)
+        assert rows[1] == {
+            "criterion": "wanda", "sparsity": 0.5, "a_bwt": None, "m_bwt": None, "error": True
+        }
+        assert read_csv(run_dir / "ablation_sparsity.csv")[2] == ["wanda", "0.5", "", ""]
 
     def test_init_mode_override_forces_sequential(self, tiny_cfg_kwargs, tmp_path):
         cfg = H.ExperimentConfig(
@@ -292,6 +376,36 @@ class TestCli:
     def test_config_unknown_key_is_named(self, tiny_cfg_kwargs, tmp_path):
         with pytest.raises(SystemExit, match=r"unknown config key.*: sparsity$"):
             self._run_grid_from_config(tiny_cfg_kwargs, tmp_path, sparsity=[0.5])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-grid", "--sparsity", "0.5,1"],
+            ["run-grid", "--criteria", "magnitude,bogus"],
+            ["ablate-sparsity", "--criteria", "magnitude", "--sparsity-sweep", "0.5,1"],
+            ["ablate-samples", "--ablate-criteria", "magnitude", "--samples-sweep", "2,0"],
+        ],
+        ids=["sparsity", "criterion", "sparsity-sweep", "samples-sweep"],
+    )
+    def test_bad_later_value_fails_before_any_evaluation(
+        self, tiny_cfg_kwargs, tmp_path, monkeypatch, argv
+    ):
+        real = H.perplexity
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(H, "perplexity", counting)
+        corpora = [f"--corpus={n}={p}" for n, p in tiny_cfg_kwargs["corpora"].items()]
+        with pytest.raises(UsageError):
+            cli.main([
+                *argv, "--model", tiny_cfg_kwargs["model_path"], *corpora,
+                "--out", str(tmp_path / "runs"), "--seed", "0", "--seq-len", "48",
+            ])
+        assert len(calls) == 0
+        assert not (tmp_path / "runs").exists()
 
     def test_run_grid_requires_seed(self, tiny_cfg_kwargs, tmp_path):
         with pytest.raises(SystemExit):

@@ -204,18 +204,41 @@ class TestPersistence:
         with pytest.raises(FormatError, match="trailing"):
             I.load_state(path)
 
-    @pytest.mark.parametrize("key", ["layers", "datasets_seen", "sample_count"])
-    def test_manifest_without_key_rejected(self, tmp_path, rng, key):
+    def saved_with_manifest(self, tmp_path, rng, change):
+        """A saved state whose manifest ``change`` edited in place."""
         _, state = self.fill(rng)
         path = tmp_path / "state.bin"
         I.save_state(state, path)
         data = path.read_bytes()
         (blob_len,) = struct.unpack("<I", data[12:16])
         manifest = json.loads(data[16 : 16 + blob_len])
-        del manifest[key]
+        change(manifest)
         blob = json.dumps(manifest, sort_keys=True).encode()
         path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + blob_len :])
+        return path
+
+    @pytest.mark.parametrize("key", ["layers", "datasets_seen", "sample_count"])
+    def test_manifest_without_key_rejected(self, tmp_path, rng, key):
+        path = self.saved_with_manifest(tmp_path, rng, lambda m: m.pop(key))
         with pytest.raises(FormatError, match=key):
+            I.load_state(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: m["layers"][0].pop("rows"),
+            lambda m: m["sample_count"].update(A="x"),
+            lambda m: m["layers"][0].update(rows=-1),
+            lambda m: m.update(layers=5),
+            lambda m: m.update(sample_count=[]),
+            lambda m: m["layers"][1].update(index=m["layers"][0]["index"]),
+        ],
+        ids=["layer-without-rows", "count-not-int", "negative-rows", "layers-not-list",
+             "counts-not-object", "duplicate-index"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, rng, change):
+        path = self.saved_with_manifest(tmp_path, rng, change)
+        with pytest.raises(FormatError, match="state manifest"):
             I.load_state(path)
 
     def test_size_depends_on_model_not_data(self, tmp_path, rng):
