@@ -61,6 +61,11 @@ class ExperimentConfig:
         self.nm_patterns = _items(self.nm_patterns, _nm_pair)
         self.sparsity_sweep = _items(self.sparsity_sweep, float)
         self.samples_sweep = _items(self.samples_sweep, int)
+        for name in ("criteria", "sparsities", "nm_patterns", "sparsity_sweep", "samples_sweep"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise UsageError(f"{name} repeats the value {repeated[0]!r}")
         if not self.corpora:
             raise UsageError("need at least one corpus")
         if not self.criteria:

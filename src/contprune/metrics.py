@@ -22,11 +22,23 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import CompletenessError, InputError, NumericalError
-from .model import Network, forward
+from .model import Network, check_tokens, forward, vocabulary_tokens
 
 
 def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
-    """Mean over non-overlapping eval windows of exp(mean token NLL)."""
+    """Mean over non-overlapping eval windows of exp(mean token NLL).
+
+    The eval split is cut into ``len // seq_len`` windows of ``seq_len``
+    tokens; a trailing remainder is not scored. Window ``w`` scores its
+    ``seq_len - 1`` next-token predictions: its value is
+    ``exp(-mean_t logp[w[t], w[t + 1]])``, where ``logp`` is the
+    log-softmax of the vocabulary table (``model.vocabulary_tokens``), so
+    row ``a`` is the next-token distribution after token ``a``. That is
+    exactly what ``forward`` gives on the window, because every layer is
+    positionwise; the table is computed once and every window is a gather.
+    """
+    if seq_len < 2:
+        raise InputError(f"seq_len must be >= 2, got {seq_len}")
     tokens = corpus.eval_tokens()
     n_windows = len(tokens) // seq_len
     if n_windows == 0:
@@ -34,19 +46,21 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
             f"eval split of {corpus.name!r} has {len(tokens)} tokens, "
             f"fewer than one window of {seq_len}"
         )
-    ppls = np.empty(n_windows)
-    for w in range(n_windows):
-        window = tokens[w * seq_len : (w + 1) * seq_len]
-        logits = forward(net, window)
-        if not np.all(np.isfinite(logits)):
-            raise NumericalError(f"non-finite logits on window {w} of {corpus.name!r}")
-        # log-softmax via log-sum-exp; no token can hit probability zero
-        zmax = logits.max(axis=1, keepdims=True)
-        logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-        targets = window[1:]
-        logp = logits[np.arange(len(targets)), targets] - logz
-        ppls[w] = np.exp(-logp.mean())
-    return float(ppls.mean())
+    windows = check_tokens(net, tokens[: n_windows * seq_len]).reshape(n_windows, seq_len)
+    prev, targets = windows[:, :-1], windows[:, 1:]
+    logits = forward(net, vocabulary_tokens(net))  # row a: logits after token a
+    finite = np.all(np.isfinite(logits), axis=1)
+    bad = ~np.all(finite[prev], axis=1)
+    if bad.any():
+        raise NumericalError(
+            f"non-finite logits on window {int(np.argmax(bad))} of {corpus.name!r}"
+        )
+    logits[~finite] = 0.0  # rows that no window reads
+    # log-softmax via log-sum-exp; no token can hit probability zero
+    zmax = logits.max(axis=1, keepdims=True)
+    logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    logp = logits[prev, targets] - logz[prev]
+    return float(np.exp(-logp.mean(axis=1)).mean())
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ projection (the embedding matrix reused as the classification head).
 There is no attention; every layer is a map ``y = f(x, W)`` applied
 independently per position, so causality holds by construction.
 
+Positionwise contract: every layer kind in ``POSITIONWISE_KINDS`` maps each
+position's column on its own. The logits at a position then depend only on
+the token at that position, and the network is a map from the ``V`` token
+ids to ``V`` logits. ``forward`` on ``vocabulary_tokens(net)`` evaluates that
+map once: a (V, V) vocabulary table whose row ``a`` holds the logits that
+follow token ``a``. Perplexity and calibration captures gather from it
+instead of running the stack per window. A layer kind that mixes positions
+must stay out of ``POSITIONWISE_KINDS``; ``vocabulary_tokens`` then raises.
+
 Convention: activations are stored column-wise. A matrix ``x`` of shape
 ``(dim, n)`` holds ``n`` feature vectors; a linear layer computes
 ``W @ x`` with ``W`` of shape ``(out_dim, in_dim)``.
@@ -20,9 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, InputError, ShapeError
+from .errors import FormatError, InputError, ShapeError, UsageError
 
 LAYER_KINDS = ("linear", "activation", "layer_norm")
+POSITIONWISE_KINDS = frozenset({"linear", "activation", "layer_norm"})
 ACTIVATION_KINDS = ("relu", "gelu", "tanh")
 
 LAYER_NORM_EPS = 1e-5
@@ -190,7 +200,7 @@ def make_decoder(
     return Network(layers=layers, vocab_size=vocab_size, embed=embed)
 
 
-def _check_tokens(net: Network, tokens) -> np.ndarray:
+def check_tokens(net: Network, tokens) -> np.ndarray:
     toks = np.asarray(tokens)
     if toks.ndim != 1 or toks.shape[0] < 2:
         raise InputError("token sequence must be 1-D with length >= 2")
@@ -205,8 +215,9 @@ def _check_tokens(net: Network, tokens) -> np.ndarray:
 def forward(net: Network, tokens) -> np.ndarray:
     """Next-token logits, shape (len(tokens) - 1, vocab_size).
 
-    Row t is the prediction for tokens[t + 1]. Positions are processed
-    independently, so row t depends only on tokens[: t + 1].
+    Row t is the prediction for tokens[t + 1]. Every layer is positionwise
+    (see the module docstring), so row t depends on tokens[t] alone: it is
+    row ``tokens[t]`` of ``forward(net, vocabulary_tokens(net))``.
     """
     logits, _ = _forward_impl(net, tokens, capture=False)
     return logits
@@ -217,8 +228,19 @@ def forward_capture(net: Network, tokens) -> tuple[np.ndarray, list[CaptureRecor
     return _forward_impl(net, tokens, capture=True)
 
 
+def vocabulary_tokens(net: Network) -> np.ndarray:
+    """``[0, 1, ..., V-1, 0]``: ``forward`` on it is the vocabulary table, and
+    column ``a`` of each captured input is that layer's input for token ``a``
+    (the trailing 0 is never an input). Raises UsageError when a layer kind
+    is not in ``POSITIONWISE_KINDS``."""
+    mixing = sorted({layer.kind for layer in net.layers} - POSITIONWISE_KINDS)
+    if mixing:
+        raise UsageError(f"layer kinds {mixing} are not positionwise; no vocabulary table")
+    return np.append(np.arange(net.vocab_size), 0)
+
+
 def _forward_impl(net: Network, tokens, capture: bool):
-    toks = _check_tokens(net, tokens)
+    toks = check_tokens(net, tokens)
     x = net.embed[toks[:-1]].T  # (d, len-1)
     records: list[CaptureRecord] = []
     for idx, layer in enumerate(net.layers):

@@ -38,7 +38,7 @@ import numpy as np
 from .corpus import CalibrationSet
 from .errors import ShapeError, UsageError
 from .importance import ImportanceState, accumulate, finish_dataset
-from .model import Network, forward_capture
+from .model import Network, check_tokens, forward_capture, vocabulary_tokens
 from .seeding import derive_seed
 from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian
 
@@ -220,18 +220,29 @@ def _build_mask(scores: np.ndarray, config: PruneConfig) -> Mask:
 
 
 def _capture_inputs(net: Network, calib: CalibrationSet):
-    """Per-layer inputs of each segment, and the same inputs concatenated."""
+    """Per-layer inputs of each segment, and the same inputs concatenated.
+
+    A segment's inputs are the columns of its tokens but the last in one
+    capture on the vocabulary (``model.vocabulary_tokens``).
+    """
+    segments = [check_tokens(net, seg) for seg in calib.segments]
+    _, records = forward_capture(net, vocabulary_tokens(net))
     per_segment: list[dict[int, np.ndarray]] = []
     concat: dict[int, list[np.ndarray]] = {}
-    for seg in calib.segments:
-        _, records = forward_capture(net, seg)
-        seg_inputs = {}
-        for rec in records:
-            seg_inputs[rec.layer_index] = rec.input
-            concat.setdefault(rec.layer_index, []).append(rec.input)
+    for seg in segments:
+        seg_inputs = {rec.layer_index: _columns(rec.input, seg[:-1]) for rec in records}
+        for idx, x in seg_inputs.items():
+            concat.setdefault(idx, []).append(x)
         per_segment.append(seg_inputs)
     stacked = {i: np.concatenate(chunks, axis=1) for i, chunks in concat.items()}
     return per_segment, stacked
+
+
+def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``x[:, cols]`` in the memory order of ``x``, as ``forward_capture``
+    leaves it: the sensitivity noise reductions round differently on C and
+    Fortran order, and plain ``x[:, cols]`` is always Fortran order."""
+    return np.take(x, cols, axis=1, out=np.empty_like(x, shape=(x.shape[0], len(cols))))
 
 
 def prune_step(

@@ -68,6 +68,20 @@ class TestConfig:
             assert cfg.sparsity_sweep == (0.3,)
             assert cfg.samples_sweep == (8, 16)
 
+    @pytest.mark.parametrize(
+        "field, value, repeated",
+        [
+            ("criteria", "magnitude,wanda,magnitude", "'magnitude'"),
+            ("sparsities", [0.5, "0.50"], "0.5"),
+            ("nm_patterns", ["2:4", [2, 4]], r"\(2, 4\)"),
+            ("sparsity_sweep", "0.3,0.6,0.3", "0.3"),
+            ("samples_sweep", [8, "8"], "8"),
+        ],
+    )
+    def test_repeated_value_rejected(self, tiny_cfg_kwargs, field, value, repeated):
+        with pytest.raises(UsageError, match=f"{field} repeats the value {repeated}$"):
+            H.ExperimentConfig(**tiny_cfg_kwargs, **{field: value})
+
 
 class TestNoUnreachableKnobs:
     def test_every_experiment_field_is_a_grid_flag_dest(self):
@@ -384,8 +398,9 @@ class TestCli:
             ["run-grid", "--criteria", "magnitude,bogus"],
             ["ablate-sparsity", "--criteria", "magnitude", "--sparsity-sweep", "0.5,1"],
             ["ablate-samples", "--ablate-criteria", "magnitude", "--samples-sweep", "2,0"],
+            ["run-grid", "--criteria", "magnitude", "--sparsity", "0.5,0.5"],
         ],
-        ids=["sparsity", "criterion", "sparsity-sweep", "samples-sweep"],
+        ids=["sparsity", "criterion", "sparsity-sweep", "samples-sweep", "repeated-sparsity"],
     )
     def test_bad_later_value_fails_before_any_evaluation(
         self, tiny_cfg_kwargs, tmp_path, monkeypatch, argv

@@ -21,6 +21,14 @@ def small_matrices(max_dim=6):
     )
 
 
+def fro(x):
+    """Frobenius norm that cannot overflow: the pseudoinverse of a matrix of
+    tiny entries (say 1e-283) has entries near the float64 maximum, whose
+    squares overflow in ``np.linalg.norm``."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    return peak * float(np.linalg.norm(x / peak)) if peak else 0.0
+
+
 class TestPseudoinverse:
     def test_identity(self):
         np.testing.assert_allclose(linalg.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)
@@ -38,15 +46,15 @@ class TestPseudoinverse:
     @settings(max_examples=30, deadline=None)
     @given(a=small_matrices())
     def test_penrose_conditions_property(self, a):
-        norm = np.linalg.norm(a)
+        norm = fro(a)
         p = linalg.pseudoinverse(a)
         scale = max(norm, 1.0)
-        assert np.linalg.norm(a @ p @ a - a) <= 1e-6 * scale
-        assert np.linalg.norm(p @ a @ p - p) <= 1e-6 * max(np.linalg.norm(p), 1.0)
+        assert fro(a @ p @ a - a) <= 1e-6 * scale
+        assert fro(p @ a @ p - p) <= 1e-6 * max(fro(p), 1.0)
         ap = a @ p
         pa = p @ a
-        assert np.linalg.norm(ap - ap.T) <= 1e-6 * max(np.linalg.norm(ap), 1.0)
-        assert np.linalg.norm(pa - pa.T) <= 1e-6 * max(np.linalg.norm(pa), 1.0)
+        assert fro(ap - ap.T) <= 1e-6 * max(fro(ap), 1.0)
+        assert fro(pa - pa.T) <= 1e-6 * max(fro(pa), 1.0)
 
     def test_involution_on_full_rank(self, rng):
         a = rng.standard_normal((4, 3))

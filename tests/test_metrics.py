@@ -8,7 +8,7 @@ import pytest
 from contprune import corpus as C
 from contprune import metrics as X
 from contprune import model as M
-from contprune.errors import CompletenessError, InputError
+from contprune.errors import CompletenessError, InputError, NumericalError, UsageError
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +65,86 @@ class TestPerplexity:
 
     def test_at_least_one(self, tiny_model, tiny_corpora):
         assert X.perplexity(tiny_model, tiny_corpora["prose"], seq_len=48) >= 1.0
+
+
+def window_loop_perplexity(net, tokens, seq_len):
+    """The reference: one ``forward`` per eval window."""
+    ppls = []
+    for w in range(len(tokens) // seq_len):
+        window = tokens[w * seq_len : (w + 1) * seq_len]
+        logits = M.forward(net, window)
+        zmax = logits.max(axis=1, keepdims=True)
+        logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+        logp = logits[np.arange(seq_len - 1), window[1:]] - logz
+        ppls.append(np.exp(-logp.mean()))
+    return float(np.mean(ppls))
+
+
+def with_nonfinite_row(monkeypatch, token):
+    """Make row ``token`` of every vocabulary table infinite."""
+    real = X.forward
+
+    def forward(net, tokens):
+        logits = real(net, tokens)
+        logits[token] = np.inf
+        return logits
+
+    monkeypatch.setattr(X, "forward", forward)
+
+
+class TestVocabularyTable:
+    """``perplexity`` gathers from one vocabulary table; the window loop over
+    ``model.forward`` is the oracle, and every check of that loop holds."""
+
+    @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
+    def test_matches_window_loop_over_forward(self, rng, act):
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=2, act=act, seed=4)
+        corpus = C.Corpus(name="r", tokens=rng.integers(0, 64, size=3003))
+        ev = corpus.eval_tokens()
+        seq_len = 37
+        assert len(ev) % seq_len != 0
+        got = X.perplexity(net, corpus, seq_len=seq_len)
+        assert got == pytest.approx(window_loop_perplexity(net, ev, seq_len), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_out_of_range_eval_token_rejected(self, rng, bad):
+        # a gather would wrap -1 to the last row instead of failing
+        tokens = rng.integers(0, 64, size=2000)
+        tokens[-10] = bad
+        net = M.make_decoder(vocab_size=64, d=4, hidden=4, blocks=1)
+        with pytest.raises(InputError, match="out of range"):
+            X.perplexity(net, C.Corpus(name="b", tokens=tokens), seq_len=16)
+
+    @pytest.mark.parametrize("seq_len", [1, 0])
+    def test_seq_len_below_two_rejected(self, seq_len):
+        net = M.make_decoder(vocab_size=64, d=4, hidden=4, blocks=1)
+        corpus = C.Corpus(name="s", tokens=np.arange(1000) % 64)
+        with pytest.raises(InputError, match="seq_len"):
+            X.perplexity(net, corpus, seq_len=seq_len)
+
+    def test_nonfinite_row_names_the_first_window_reading_it(self, monkeypatch):
+        net = M.make_decoder(vocab_size=64, d=4, hidden=4, blocks=1)
+        ev = np.zeros(40, dtype=np.int64)
+        ev[9] = 7  # last token of window 0: predicted, never read
+        ev[22] = 7  # inside window 2
+        corpus = C.Corpus(name="n", tokens=np.concatenate([np.zeros(160, np.int64), ev]))
+        assert np.array_equal(corpus.eval_tokens(), ev)
+        with_nonfinite_row(monkeypatch, 7)
+        with pytest.raises(NumericalError, match="window 2 of 'n'"):
+            X.perplexity(net, corpus, seq_len=10)
+
+    def test_nonfinite_row_no_window_reads_is_ignored(self, monkeypatch, rng):
+        net = M.make_decoder(vocab_size=64, d=4, hidden=4, blocks=1)
+        tokens = rng.integers(0, 63, size=2000)
+        corpus = C.Corpus(name="i", tokens=tokens)
+        want = X.perplexity(net, corpus, seq_len=16)
+        with_nonfinite_row(monkeypatch, 63)
+        assert X.perplexity(net, corpus, seq_len=16) == want
+
+    def test_layer_kind_outside_positionwise_kinds_raises(self, monkeypatch, tiny_model, tiny_corpora):
+        monkeypatch.setattr(M, "POSITIONWISE_KINDS", M.POSITIONWISE_KINDS - {"layer_norm"})
+        with pytest.raises(UsageError, match="not positionwise"):
+            X.perplexity(tiny_model, tiny_corpora["prose"], seq_len=48)
 
 
 class TestBwtCell:

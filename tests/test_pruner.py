@@ -12,7 +12,7 @@ from contprune import metrics as X
 from contprune import model as M
 from contprune import pruner as P
 from contprune import sensitivity as S
-from contprune.errors import ShapeError, UsageError
+from contprune.errors import InputError, ShapeError, UsageError
 from contprune.seeding import derive_seed
 
 
@@ -325,6 +325,70 @@ class TestPruneStep:
             P.PruneConfig(criterion="magnitude", nm=(3, 4))
         with pytest.raises(UsageError):
             P.PruneConfig(criterion="magnitude", sparsity=1.0)
+
+
+class TestVocabularyCaptures:
+    """``_capture_inputs`` gathers from one capture on the vocabulary;
+    ``forward_capture`` on each segment is the oracle."""
+
+    @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
+    def test_segment_and_stacked_inputs_match_forward_capture(self, rng, act):
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=2, act=act, seed=6)
+        calib = make_calib(rng.integers(0, 64, size=2000), "A", n_samples=3, seq_len=21)
+        per_segment, stacked = P._capture_inputs(net, calib)
+        want = [
+            {rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
+            for seg in calib.segments
+        ]
+        assert len(per_segment) == 3
+        assert sorted(stacked) == sorted(want[0]) == net.prunable_indices()
+        for got, oracle in zip(per_segment, want):
+            assert sorted(got) == sorted(oracle)
+            for idx, x in oracle.items():
+                np.testing.assert_allclose(got[idx], x, rtol=1e-12)
+        for idx, x in stacked.items():
+            np.testing.assert_allclose(x, np.concatenate([w[idx] for w in want], axis=1), rtol=1e-12)
+
+    def test_sensitivity_state_bit_identical_to_per_segment_captures(self, prune_setup, monkeypatch):
+        def per_segment_captures(net, calib):
+            # the reference: one forward_capture per segment
+            per_segment = [
+                {rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
+                for seg in calib.segments
+            ]
+            stacked = {i: np.concatenate([s[i] for s in per_segment], axis=1) for i in per_segment[0]}
+            return per_segment, stacked
+
+        net, calib_a, _ = prune_setup
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=3)
+        states = []
+        for capture in (P._capture_inputs, per_segment_captures):
+            monkeypatch.setattr(P, "_capture_inputs", capture)
+            states.append(I.init_state(net))
+            P.prune_step(net, states[-1], cfg, calib_a)
+        for idx in net.prunable_indices():
+            np.testing.assert_array_equal(states[0].per_layer[idx], states[1].per_layer[idx])
+
+    @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_out_of_range_calibration_token_rejected(self, rng, criterion, bad):
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=1, seed=6)
+        segments = rng.integers(0, 64, size=(2, 16))
+        segments[1, 3] = bad
+        calib = C.CalibrationSet(corpus_name="A", segments=segments, offsets=np.zeros(2), seed=0)
+        state = I.init_state(net) if criterion == "sensitivity" else None
+        cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, seed=0)
+        with pytest.raises(InputError, match="out of range"):
+            P.prune_step(net, state, cfg, calib)
+
+    @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
+    def test_layer_kind_outside_positionwise_kinds_raises(self, prune_setup, monkeypatch, criterion):
+        net, calib_a, _ = prune_setup
+        monkeypatch.setattr(M, "POSITIONWISE_KINDS", M.POSITIONWISE_KINDS - {"activation"})
+        state = I.init_state(net) if criterion == "sensitivity" else None
+        cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, seed=0)
+        with pytest.raises(UsageError, match="not positionwise"):
+            P.prune_step(net, state, cfg, calib_a)
 
 
 class TestMonotoneDegradation:
