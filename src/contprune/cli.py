@@ -160,8 +160,7 @@ def cmd_ablate_sparsity(args) -> int:
 
 def cmd_ablate_samples(args) -> int:
     cfg = _experiment_config(args)
-    criteria = tuple(args.ablate_criteria.split(",")) if args.ablate_criteria else ("sensitivity",)
-    rows = harness.run_ablation_samples(cfg, criteria=criteria)
+    rows = harness.run_ablation_samples(cfg, criteria=args.ablate_criteria or ("sensitivity",))
     for row in rows:
         print(row)
     return 0

@@ -55,17 +55,9 @@ class ExperimentConfig:
     samples_sweep: tuple[int, ...] = DEFAULT_SAMPLES_SWEEP
 
     def __post_init__(self) -> None:
-        # lists come from JSON configs, comma-separated strings from flags
-        self.criteria = _items(self.criteria, str)
-        self.sparsities = _items(self.sparsities, float)
-        self.nm_patterns = _items(self.nm_patterns, _nm_pair)
-        self.sparsity_sweep = _items(self.sparsity_sweep, float)
-        self.samples_sweep = _items(self.samples_sweep, int)
-        for name in ("criteria", "sparsities", "nm_patterns", "sparsity_sweep", "samples_sweep"):
-            values = getattr(self, name)
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise UsageError(f"{name} repeats the value {repeated[0]!r}")
+        for name, parse in (("criteria", str), ("sparsities", float), ("nm_patterns", _nm_pair),
+                            ("sparsity_sweep", float), ("samples_sweep", int)):
+            setattr(self, name, _items(name, getattr(self, name), parse))
         if not self.corpora:
             raise UsageError("need at least one corpus")
         if not self.criteria:
@@ -75,10 +67,16 @@ class ExperimentConfig:
             raise InputError(f"missing input files: {missing}")
 
 
-def _items(value, parse) -> tuple:
+def _items(name: str, value, parse) -> tuple:
+    """A list from a JSON config, or a comma-separated string from a flag, as
+    a tuple of parsed values; UsageError names the first repeated value."""
     if isinstance(value, str):
         value = value.split(",")
-    return tuple(parse(v) for v in value)
+    values = tuple(parse(v) for v in value)
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise UsageError(f"{name} repeats the value {repeated[0]!r}")
+    return values
 
 
 def _nm_pair(value) -> tuple[int, int]:
@@ -330,8 +328,10 @@ def run_ablation_sparsity(cfg: ExperimentConfig) -> list[dict]:
     return _ablation(cfg, "ablation_sparsity.csv", "sparsity", runs)
 
 
-def run_ablation_samples(cfg: ExperimentConfig, criteria: tuple[str, ...] = ("sensitivity",)) -> list[dict]:
-    """Sweep calibration sample counts at fixed 0.5 unstructured sparsity."""
+def run_ablation_samples(cfg: ExperimentConfig, criteria=("sensitivity",)) -> list[dict]:
+    """Sweep calibration sample counts at fixed 0.5 unstructured sparsity.
+    ``criteria`` is parsed and checked like the config's list fields."""
+    criteria = _items("ablate_criteria", criteria, str)
     runs = [(n, (c, 0.5, n)) for n in cfg.samples_sweep for c in criteria]
     return _ablation(cfg, "ablation_samples.csv", "n_samples", runs)
 

@@ -34,14 +34,21 @@ def pseudoinverse(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
 
     Singular values at or below ``tol`` times the largest singular value are
     treated as zero. The result satisfies the four Penrose conditions to
-    numerical accuracy.
+    numerical accuracy. Raises NumericalError when a kept singular value is
+    so small (below 1 / float64 max) that its reciprocal overflows.
     """
     a = as_matrix(a)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     u, s, vt = _svd(a)
     cutoff = tol * s[0] if s.size else 0.0
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    keep = s > cutoff
+    with np.errstate(over="ignore"):
+        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    if not np.all(np.isfinite(inv)):
+        raise NumericalError(
+            f"pseudoinverse overflows: singular value {s[keep][-1]:.3g} has no finite reciprocal"
+        )
     return (vt.T * inv) @ u.T
 
 

@@ -13,9 +13,13 @@ position's column on its own. The logits at a position then depend only on
 the token at that position, and the network is a map from the ``V`` token
 ids to ``V`` logits. ``forward`` on ``vocabulary_tokens(net)`` evaluates that
 map once: a (V, V) vocabulary table whose row ``a`` holds the logits that
-follow token ``a``. Perplexity and calibration captures gather from it
-instead of running the stack per window. A layer kind that mixes positions
-must stay out of ``POSITIONWISE_KINDS``; ``vocabulary_tokens`` then raises.
+follow token ``a``. Three consumers run the stack only on that sequence:
+perplexity and calibration captures gather from the table instead of running
+the stack per window, and the trainer takes a batch's loss from the table and
+backpropagates through ``layer_inputs`` on it. A layer kind that mixes
+positions must stay out of ``POSITIONWISE_KINDS``; ``vocabulary_tokens`` then
+raises. The table holds V x V float64 logits, so ``vocabulary_tokens`` also
+refuses a vocabulary above ``MAX_TABLE_VOCAB`` (4096 tokens, a 128 MiB table).
 
 Convention: activations are stored column-wise. A matrix ``x`` of shape
 ``(dim, n)`` holds ``n`` feature vectors; a linear layer computes
@@ -36,6 +40,7 @@ POSITIONWISE_KINDS = frozenset({"linear", "activation", "layer_norm"})
 ACTIVATION_KINDS = ("relu", "gelu", "tanh")
 
 LAYER_NORM_EPS = 1e-5
+MAX_TABLE_VOCAB = 4096
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -132,10 +137,15 @@ def layer_forward(
     # layer_norm, per column
     if x.shape[0] != layer.gain.shape[0]:
         raise ShapeError(f"layer_norm: dim {layer.gain.shape[0]} != input {x.shape}")
-    mu = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LAYER_NORM_EPS)
+    xhat, _ = standardize(x)
     return xhat * layer.gain[:, None] + layer.bias[:, None]
+
+
+def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """layer_norm's per-column ``(x - mean) / std`` and the (1, n) ``std``."""
+    mu = x.mean(axis=0, keepdims=True)
+    std = np.sqrt(x.var(axis=0, keepdims=True) + LAYER_NORM_EPS)
+    return (x - mu) / std, std
 
 
 @dataclass
@@ -219,37 +229,41 @@ def forward(net: Network, tokens) -> np.ndarray:
     (see the module docstring), so row t depends on tokens[t] alone: it is
     row ``tokens[t]`` of ``forward(net, vocabulary_tokens(net))``.
     """
-    logits, _ = _forward_impl(net, tokens, capture=False)
-    return logits
+    return (net.embed @ layer_inputs(net, tokens)[-1]).T
 
 
 def forward_capture(net: Network, tokens) -> tuple[np.ndarray, list[CaptureRecord]]:
     """Like forward, additionally returning one CaptureRecord per linear layer."""
-    return _forward_impl(net, tokens, capture=True)
+    xs = layer_inputs(net, tokens)
+    records = [CaptureRecord(layer_index=i, input=xs[i], output=xs[i + 1])
+               for i in net.prunable_indices()]
+    return (net.embed @ xs[-1]).T, records
+
+
+def layer_inputs(net: Network, tokens) -> list[np.ndarray]:
+    """Entry ``i`` is the (dim, len(tokens) - 1) input of ``net.layers[i]``;
+    the last entry is the input of the tied head, ``logits = (embed @ it).T``."""
+    toks = check_tokens(net, tokens)
+    xs = [net.embed[toks[:-1]].T]
+    for layer in net.layers:
+        xs.append(layer_forward(layer, xs[-1]))
+    return xs
 
 
 def vocabulary_tokens(net: Network) -> np.ndarray:
     """``[0, 1, ..., V-1, 0]``: ``forward`` on it is the vocabulary table, and
-    column ``a`` of each captured input is that layer's input for token ``a``
+    column ``a`` of each layer input is that layer's input for token ``a``
     (the trailing 0 is never an input). Raises UsageError when a layer kind
-    is not in ``POSITIONWISE_KINDS``."""
+    is not in ``POSITIONWISE_KINDS`` or V exceeds ``MAX_TABLE_VOCAB``."""
     mixing = sorted({layer.kind for layer in net.layers} - POSITIONWISE_KINDS)
     if mixing:
         raise UsageError(f"layer kinds {mixing} are not positionwise; no vocabulary table")
+    if net.vocab_size > MAX_TABLE_VOCAB:
+        raise UsageError(
+            f"vocabulary of {net.vocab_size} tokens exceeds the table bound "
+            f"MAX_TABLE_VOCAB={MAX_TABLE_VOCAB}"
+        )
     return np.append(np.arange(net.vocab_size), 0)
-
-
-def _forward_impl(net: Network, tokens, capture: bool):
-    toks = check_tokens(net, tokens)
-    x = net.embed[toks[:-1]].T  # (d, len-1)
-    records: list[CaptureRecord] = []
-    for idx, layer in enumerate(net.layers):
-        y = layer_forward(layer, x)
-        if capture and layer.kind == "linear":
-            records.append(CaptureRecord(layer_index=idx, input=x, output=y))
-        x = y
-    logits = (net.embed @ x).T  # (len-1, vocab)
-    return logits, records
 
 
 # --- checkpoint format ------------------------------------------------------

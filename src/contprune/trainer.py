@@ -4,6 +4,11 @@ Plain stochastic gradient descent with global-norm clipping; reverse-mode
 gradients exist only here (the pruning criteria never backpropagate).
 Batches are windows drawn uniformly from the calibration ranges of the
 given corpora, so the evaluation splits stay unseen.
+
+The forward pass is the model's: every layer is positionwise, so a batch's
+loss is a sum over its bigram counts of the vocabulary table, and one
+``model.layer_inputs`` call on ``model.vocabulary_tokens`` gives every
+input the backward pass needs. Only the derivatives live here.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import TrainingError, UsageError
-from .model import Network, LAYER_NORM_EPS, _GELU_A, _GELU_C
+from .model import Network, _GELU_A, _GELU_C, check_tokens, layer_inputs, standardize, vocabulary_tokens
 
 CLIP_NORM = 1.0
 
@@ -35,26 +40,14 @@ class TrainConfig:
             raise UsageError("need batch >= 1 and seq_len >= 2")
 
 
-def _activation_forward(kind: str, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Activation output plus the cache its backward pass needs."""
+def _activation_grad(kind: str, x: np.ndarray) -> np.ndarray:
+    """Derivative of ``model.apply_activation(kind, x)`` with respect to ``x``."""
     if kind == "relu":
-        return np.maximum(x, 0.0), (x > 0,)
+        return (x > 0).astype(np.float64)
     if kind == "tanh":
         t = np.tanh(x)
-        return t, (t,)
-    if kind == "gelu":
-        t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-        return 0.5 * x * (1.0 + t), (x, t)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def _activation_grad(kind: str, cache: tuple) -> np.ndarray:
-    if kind == "relu":
-        return cache[0].astype(np.float64)
-    if kind == "tanh":
-        t = cache[0]
         return 1.0 - t * t
-    x, t = cache
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
 
 
@@ -74,63 +67,49 @@ def _sample_batch(corpora: list[Corpus], batch: int, seq_len: int, rng) -> np.nd
 
 
 def _loss_and_grads(net: Network, windows: np.ndarray):
-    """Mean cross-entropy over all next-token positions plus gradients."""
-    inputs = windows[:, :-1].ravel()
-    targets = windows[:, 1:].ravel()
-    n = inputs.size
+    """Mean cross-entropy over all next-token positions plus gradients.
 
-    x = net.embed[inputs].T  # (d, n)
-    caches = []
-    for layer in net.layers:
-        if layer.kind == "linear":
-            caches.append(("linear", x))
-            x = layer.weight @ x
-        elif layer.kind == "activation":
-            x, cache = _activation_forward(layer.activation_kind, x)
-            caches.append(("activation", cache))
-        else:
-            mu = x.mean(axis=0, keepdims=True)
-            var = x.var(axis=0, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-            xhat = (x - mu) * inv_std
-            caches.append(("layer_norm", (xhat, inv_std)))
-            x = xhat * layer.gain[:, None] + layer.bias[:, None]
-    h = x
+    Position ``(a, b)`` (previous token, target) reads row ``a`` of the
+    vocabulary table, so with the batch's bigram counts ``C[a, b]`` over
+    ``n`` positions the loss is ``-sum(C * logp) / n`` and the logit
+    gradient of row ``a`` is ``(rowcount[a] * softmax[a] - C[a]) / n``.
+    A non-finite table entry makes the loss non-finite, read or not.
+    """
+    windows = check_tokens(net, windows.ravel()).reshape(windows.shape)
+    prev, targets = windows[:, :-1].ravel(), windows[:, 1:].ravel()
+    n = prev.size
+    counts = np.zeros((net.vocab_size, net.vocab_size))
+    np.add.at(counts, (prev, targets), 1.0)
 
-    logits = net.embed @ h  # (vocab, n)
-    zmax = logits.max(axis=0, keepdims=True)
-    expz = np.exp(logits - zmax)
-    probs = expz / expz.sum(axis=0, keepdims=True)
-    cols = np.arange(n)
-    loss = float(-np.mean(np.log(probs[targets, cols])))
+    xs = layer_inputs(net, vocabulary_tokens(net))  # column a: token a
+    h = xs[-1]
+    logits = (net.embed @ h).T  # (vocab, vocab), row a: logits after token a
+    z = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    sumz = expz.sum(axis=1, keepdims=True)
+    loss = float(-(counts * (z - np.log(sumz))).sum() / n)
+    dlogits = (counts.sum(axis=1, keepdims=True) * (expz / sumz) - counts) / n
 
-    dlogits = probs
-    dlogits[targets, cols] -= 1.0
-    dlogits /= n
-
-    d_embed = dlogits @ h.T  # head side
-    dx = net.embed.T @ dlogits
+    d_embed = dlogits.T @ h.T  # head side
+    dx = net.embed.T @ dlogits.T
 
     grads: dict[int, dict[str, np.ndarray]] = {}
     for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        kind, cache = caches[idx]
-        if kind == "linear":
-            grads[idx] = {"weight": dx @ cache.T}
+        layer, x = net.layers[idx], xs[idx]
+        if layer.kind == "linear":
+            grads[idx] = {"weight": dx @ x.T}
             dx = layer.weight.T @ dx
-        elif kind == "activation":
-            dx = dx * _activation_grad(layer.activation_kind, cache)
+        elif layer.kind == "activation":
+            dx = dx * _activation_grad(layer.activation_kind, x)
         else:
-            xhat, inv_std = cache
-            dgain = (dx * xhat).sum(axis=1)
-            dbias = dx.sum(axis=1)
+            xhat, std = standardize(x)
+            grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}
             dxhat = dx * layer.gain[:, None]
             m1 = dxhat.mean(axis=0, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
-            dx = inv_std * (dxhat - m1 - xhat * m2)
-            grads[idx] = {"gain": dgain, "bias": dbias}
+            dx = (dxhat - m1 - xhat * m2) / std
 
-    np.add.at(d_embed, inputs, dx.T)  # lookup side, tied with the head
+    d_embed += dx.T  # lookup side, tied with the head: row a looked up once
     return loss, d_embed, grads
 
 

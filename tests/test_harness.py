@@ -399,8 +399,10 @@ class TestCli:
             ["ablate-sparsity", "--criteria", "magnitude", "--sparsity-sweep", "0.5,1"],
             ["ablate-samples", "--ablate-criteria", "magnitude", "--samples-sweep", "2,0"],
             ["run-grid", "--criteria", "magnitude", "--sparsity", "0.5,0.5"],
+            ["ablate-samples", "--ablate-criteria", "magnitude,magnitude", "--samples-sweep", "2"],
         ],
-        ids=["sparsity", "criterion", "sparsity-sweep", "samples-sweep", "repeated-sparsity"],
+        ids=["sparsity", "criterion", "sparsity-sweep", "samples-sweep", "repeated-sparsity",
+             "repeated-ablate-criteria"],
     )
     def test_bad_later_value_fails_before_any_evaluation(
         self, tiny_cfg_kwargs, tmp_path, monkeypatch, argv

@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contprune import corpus as C
+from contprune import metrics as X
 from contprune import model as M
-from contprune.errors import FormatError, InputError, ShapeError
+from contprune import pruner as P
+from contprune import trainer as T
+from contprune.errors import FormatError, InputError, ShapeError, UsageError
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,6 +167,39 @@ class TestForwardCapture:
         for a, b in zip(rec1, rec2):
             assert a.input.tobytes() == b.input.tobytes()
             assert a.output.tobytes() == b.output.tobytes()
+
+
+class TestVocabularyBound:
+    """Perplexity, captures and the trainer all run the stack on
+    ``vocabulary_tokens``, so its bound stops each of them before a forward."""
+
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda net, corpus: X.perplexity(net, corpus, seq_len=16),
+            lambda net, corpus: P.prune_step(
+                net, None, P.PruneConfig(criterion="wanda", sparsity=0.5, seed=0),
+                C.sample_calibration(corpus, 2, 16, seed=0),
+            ),
+            lambda net, corpus: T.train(
+                net, [corpus], T.TrainConfig(steps=1, batch=2, seq_len=16, seed=0)
+            ),
+        ],
+        ids=["perplexity", "wanda", "train"],
+    )
+    def test_vocabulary_above_bound_raises_before_any_forward(self, rng, monkeypatch, consumer):
+        vocab = M.MAX_TABLE_VOCAB + 1
+        layers = [M.linear([[1.0]]), M.activation("relu"), M.linear([[1.0]]),
+                  M.layer_norm([1.0], [0.0])]
+        net = M.Network(layers=layers, vocab_size=vocab, embed=rng.standard_normal((vocab, 1)))
+        corpus = C.Corpus(name="big", tokens=rng.integers(0, vocab, size=2000))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a layer ran")
+
+        monkeypatch.setattr(M, "layer_forward", no_forward)
+        with pytest.raises(UsageError, match="MAX_TABLE_VOCAB=4096"):
+            consumer(net, corpus)
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ from contprune import corpus as C
 from contprune import metrics as X
 from contprune import model as M
 from contprune import trainer as T
-from contprune.errors import TrainingError, UsageError
+from contprune.errors import InputError, TrainingError, UsageError
 
 
 def byte_corpus(rng, n=6000, name="t"):
@@ -86,8 +86,134 @@ class TestTrain:
         with pytest.raises(UsageError):
             T.train(net, [], T.TrainConfig(steps=1))
 
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_out_of_range_corpus_token_rejected(self, rng, bad):
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=1, seed=0)
+        corpus = byte_corpus(rng)
+        corpus.tokens[::8] = bad  # every window of 16 holds one
+        with pytest.raises(InputError, match="out of range"):
+            T.train(net, [corpus], T.TrainConfig(steps=1, batch=4, seq_len=16, seed=0))
+
+
+def _oracle_activation_forward(kind, x):
+    if kind == "relu":
+        return np.maximum(x, 0.0), (x > 0,)
+    if kind == "tanh":
+        t = np.tanh(x)
+        return t, (t,)
+    t = np.tanh(M._GELU_C * (x + M._GELU_A * x * x * x))
+    return 0.5 * x * (1.0 + t), (x, t)
+
+
+def _oracle_activation_grad(kind, cache):
+    if kind == "relu":
+        return cache[0].astype(np.float64)
+    if kind == "tanh":
+        t = cache[0]
+        return 1.0 - t * t
+    x, t = cache
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * M._GELU_C * (1.0 + 3.0 * M._GELU_A * x * x)
+
+
+def oracle_loss_and_grads(net, windows):
+    """The per-position trainer: its own forward over every batch position,
+    then the backward pass from the cached activations."""
+    inputs = windows[:, :-1].ravel()
+    targets = windows[:, 1:].ravel()
+    n = inputs.size
+
+    x = net.embed[inputs].T  # (d, n)
+    caches = []
+    for layer in net.layers:
+        if layer.kind == "linear":
+            caches.append(("linear", x))
+            x = layer.weight @ x
+        elif layer.kind == "activation":
+            x, cache = _oracle_activation_forward(layer.activation_kind, x)
+            caches.append(("activation", cache))
+        else:
+            mu = x.mean(axis=0, keepdims=True)
+            var = x.var(axis=0, keepdims=True)
+            inv_std = 1.0 / np.sqrt(var + M.LAYER_NORM_EPS)
+            xhat = (x - mu) * inv_std
+            caches.append(("layer_norm", (xhat, inv_std)))
+            x = xhat * layer.gain[:, None] + layer.bias[:, None]
+    h = x
+
+    logits = net.embed @ h  # (vocab, n)
+    zmax = logits.max(axis=0, keepdims=True)
+    expz = np.exp(logits - zmax)
+    probs = expz / expz.sum(axis=0, keepdims=True)
+    cols = np.arange(n)
+    loss = float(-np.mean(np.log(probs[targets, cols])))
+
+    dlogits = probs
+    dlogits[targets, cols] -= 1.0
+    dlogits /= n
+
+    d_embed = dlogits @ h.T  # head side
+    dx = net.embed.T @ dlogits
+
+    grads = {}
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[idx]
+        kind, cache = caches[idx]
+        if kind == "linear":
+            grads[idx] = {"weight": dx @ cache.T}
+            dx = layer.weight.T @ dx
+        elif kind == "activation":
+            dx = dx * _oracle_activation_grad(layer.activation_kind, cache)
+        else:
+            xhat, inv_std = cache
+            dgain = (dx * xhat).sum(axis=1)
+            dbias = dx.sum(axis=1)
+            dxhat = dx * layer.gain[:, None]
+            m1 = dxhat.mean(axis=0, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
+            dx = inv_std * (dxhat - m1 - xhat * m2)
+            grads[idx] = {"gain": dgain, "bias": dbias}
+
+    np.add.at(d_embed, inputs, dx.T)  # lookup side, tied with the head
+    return loss, d_embed, grads
+
+
+def flat(loss, d_embed, grads):
+    return [loss, d_embed] + [g[k] for _, g in sorted(grads.items()) for k in sorted(g)]
+
+
+def parameters(net):
+    return [net.embed] + [a for layer in net.layers for a in (layer.weight, layer.gain, layer.bias)
+                          if a is not None]
+
 
 class TestBackprop:
+    @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
+    def test_matches_per_position_oracle(self, act):
+        rng = np.random.default_rng(5)
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=2, act=act, seed=1)
+        # 44 positions over 20 previous tokens: rows repeat, and rows 20..63 are never read
+        windows = rng.integers(0, 20, size=(4, 12))
+        loss, *got = flat(*T._loss_and_grads(net, windows))
+        want_loss, *want = flat(*oracle_loss_and_grads(net, windows))
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_training_drift_from_oracle_is_bounded(self, monkeypatch, tiny_corpora):
+        """The tiny-fixture training run, through the oracle and the trainer.
+        Only the summation order differs, so each parameter array agrees to
+        1e-12 relative to its own scale (single entries near zero can differ
+        more relative to themselves)."""
+        net = M.make_decoder(d=32, hidden=64, blocks=1, seed=3)
+        cfg = T.TrainConfig(steps=300, batch=8, seq_len=48, learning_rate=0.3, seed=11)
+        corpora = list(tiny_corpora.values())
+        got = T.train(net, corpora, cfg)
+        monkeypatch.setattr(T, "_loss_and_grads", oracle_loss_and_grads)
+        want = T.train(net, corpora, cfg)
+        for a, b in zip(parameters(got), parameters(want)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(7)
         net = M.make_decoder(vocab_size=31, d=8, hidden=12, blocks=2, act="gelu", seed=3)
