@@ -27,3 +27,11 @@ class TrainingError(RuntimeError):
 
 class CompletenessError(ValueError):
     """An aggregate was requested over an incomplete cell grid."""
+
+
+# What a failed grid ordering records as an ``errors`` entry, the run going
+# on; any other exception is a programming error and ends the run.
+RECOVERABLE_ERRORS = (
+    ShapeError, InputError, FormatError, UsageError, NumericalError, TrainingError,
+    CompletenessError, FloatingPointError,
+)

@@ -14,21 +14,52 @@ in the backward-transfer columns.
 Everything is deterministic in (config, seed): calibration windows and
 perturbation seeds are derived from stable label hashes, reports carry no
 timestamps, and rerunning a grid reproduces its output files byte for byte.
+
+One command (``run_continual`` or an ablation sweep) computes each of these
+at most once, in a ``Memo`` shared by the dense row and every grid:
+
+- a calibration set per (corpus, ``n_samples``);
+- a dataset's scores (``pruner.score_step``) per (criterion, scored network,
+  corpus, ``n_samples``). Sensitivity always scores the base, and so do the
+  baselines under global initialization, so all orderings and specs share a
+  few scores. A (criterion, ``n_samples``) pair's scores are dropped after
+  its last grid;
+- a perplexity per (network, corpus): magnitude under global initialization,
+  for one, prunes the base to the same network whatever the dataset.
+
+Networks are keyed by the sha256 of their bytes, which is exact under every
+init mode. Each ordering replays the cached sensitivity contributions into
+its own state in visit order (``pruner.mask_step``). A key on the set of
+seen datasets would not be exact: float sums depend on the order of their
+terms, so two orders of one set give states that differ in their last bits.
+Only successes are memoized: a score or evaluation that raises raises again
+in every ordering that reaches it.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import Corpus, load_corpus, permutations, sample_calibration
-from .errors import InputError, UsageError
+import numpy as np
+
+from .corpus import CalibrationSet, Corpus, load_corpus, permutations, sample_calibration
+from .errors import RECOVERABLE_ERRORS, InputError, UsageError
 from .importance import init_state
 from .metrics import EvalCell, aggregate, perplexity, report_to_dict
 from .model import Network, load_checkpoint
-from .pruner import PruneConfig, detect_stasis, prune_step
+from .pruner import (  # noqa: F401  prune_step: perfbench's tracer patches it by this name
+    DatasetScores,
+    PruneConfig,
+    detect_stasis,
+    mask_step,
+    prune_step,
+    score_step,
+    scored_network,
+)
 from .seeding import derive_seed
 
 DEFAULT_CRITERIA = ("sensitivity", "magnitude", "wanda")
@@ -84,9 +115,10 @@ def _nm_pair(value) -> tuple[int, int]:
     return tuple(int(v) for v in (value.split(":") if isinstance(value, str) else value))
 
 
-def _load_inputs(cfg: ExperimentConfig, runs) -> tuple[Network, dict[str, Corpus]]:
-    """Load the model and corpora, after checking every ``(criterion, spec,
-    n_samples)`` run, so that a bad later value cannot discard finished grids."""
+def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
+    """Load the model and corpora into the command's ``Memo``, after checking
+    every ``(criterion, spec, n_samples)`` run, so that a bad later value
+    cannot discard finished grids."""
     for criterion, spec, n_samples in runs:
         _prune_config(cfg, criterion, spec)
         if n_samples < 1:
@@ -96,7 +128,66 @@ def _load_inputs(cfg: ExperimentConfig, runs) -> tuple[Network, dict[str, Corpus
         name: load_corpus(path, name, eval_fraction=cfg.eval_fraction)
         for name, path in cfg.corpora.items()
     }
-    return net, corpora
+    return Memo(cfg, net, corpora)
+
+
+class Memo:
+    """One command's base network and corpora, and what it computes from
+    them at most once (see the module docstring)."""
+
+    def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus]):
+        self.cfg = cfg
+        self.base = base  # never modified: mask_step re-masks a copy
+        self.corpora = corpora
+        self._base_digest = _sha256(base)
+        self._calib: dict[tuple, CalibrationSet] = {}
+        self._scores: dict[tuple, DatasetScores] = {}
+        self._ppl: dict[tuple, float] = {}
+
+    def calibration(self, name: str, n_samples: int) -> CalibrationSet:
+        key = (name, n_samples)
+        if key not in self._calib:
+            self._calib[key] = sample_calibration(
+                self.corpora[name], n_samples, self.cfg.seq_len,
+                derive_seed(self.cfg.seed, "calib", name),
+            )
+        return self._calib[key]
+
+    def scores(self, net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
+        """``score_step(net, config, calib)``. The rest of ``config`` (seed,
+        epsilon, draws) comes from the command's one ``ExperimentConfig``."""
+        key = (config.criterion, self._digest(net), calib.corpus_name, calib.n_samples)
+        if key not in self._scores:
+            self._scores[key] = score_step(net, config, calib)
+        return self._scores[key]
+
+    def drop_scores(self, criterion: str, n_samples: int) -> None:
+        for key in [k for k in self._scores if (k[0], k[3]) == (criterion, n_samples)]:
+            del self._scores[key]
+
+    def _digest(self, net: Network) -> bytes:
+        return self._base_digest if net is self.base else _sha256(net)
+
+    def perplexities(self, net: Network) -> dict[str, float]:
+        """Perplexity of ``net`` on every corpus, in name order."""
+        digest = self._digest(net)
+        out = {}
+        for name in sorted(self.corpora):
+            if (digest, name) not in self._ppl:
+                self._ppl[digest, name] = perplexity(net, self.corpora[name], self.cfg.seq_len)
+            out[name] = self._ppl[digest, name]
+        return out
+
+
+def _sha256(net: Network) -> bytes:
+    """sha256 of the network's layer kinds, parameter shapes and bytes."""
+    h = hashlib.sha256(repr([(layer.kind, layer.activation_kind) for layer in net.layers]).encode())
+    params = [net.embed, *(p for layer in net.layers for p in (layer.weight, layer.gain, layer.bias)
+                           if p is not None)]
+    for p in params:
+        h.update(repr(p.shape).encode())
+        h.update(np.ascontiguousarray(p))
+    return h.digest()
 
 
 def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
@@ -112,24 +203,13 @@ def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
     )
 
 
-def run_grid_cell(
-    cfg: ExperimentConfig,
-    base: Network,
-    corpora: dict[str, Corpus],
-    criterion: str,
-    spec,
-    n_samples: int,
-) -> dict:
+def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     """Full permutation grid for one (criterion, sparsity spec) pair, as its
     ``grid.json`` entry. A failed ordering adds only an ``errors`` entry."""
-    calib_sets = {  # one calibration set per dataset, shared across orderings
-        name: sample_calibration(
-            corpus, n_samples, cfg.seq_len, derive_seed(cfg.seed, "calib", name)
-        )
-        for name, corpus in corpora.items()
-    }
-    names = sorted(corpora)
-    pconfig = _prune_config(cfg, criterion, spec)
+    base = memo.base
+    names = sorted(memo.corpora)
+    calib_sets = {name: memo.calibration(name, n_samples) for name in names}
+    pconfig = _prune_config(memo.cfg, criterion, spec)
 
     cells: list[EvalCell] = []
     completed: list[tuple[str, ...]] = []
@@ -140,16 +220,16 @@ def run_grid_cell(
         perm_cells: list[EvalCell] = []
         perm_stats: list[dict] = []
         try:
-            current = base.copy()
+            current = base
             state = init_state(base) if criterion == "sensitivity" else None
             prev_masks = None
             transitions_stasis: list[bool] = []
             for step, ds_name in enumerate(pi, start=1):
                 if criterion == "sensitivity" and pconfig.init_mode == "global":
                     state = init_state(base)
-                current, masks, frag = prune_step(
-                    current, state, pconfig, calib_sets[ds_name], base_net=base
-                )
+                scored = scored_network(current, pconfig, base)
+                scores = memo.scores(scored, pconfig, calib_sets[ds_name])
+                current, masks, frag = mask_step(scored, state, pconfig, scores)
                 hamming_total = None
                 if prev_masks is not None:
                     per_layer = [detect_stasis(prev_masks[i], masks[i]) for i in sorted(masks)]
@@ -165,16 +245,11 @@ def run_grid_cell(
                         "hamming_vs_prev": hamming_total,
                     }
                 )
-                for ds in names:
+                for ds, ppl in memo.perplexities(current).items():
                     perm_cells.append(
-                        EvalCell(
-                            permutation=pi,
-                            step=step,
-                            eval_dataset=ds,
-                            perplexity=perplexity(current, corpora[ds], cfg.seq_len),
-                        )
+                        EvalCell(permutation=pi, step=step, eval_dataset=ds, perplexity=ppl)
                     )
-        except Exception as exc:  # keep other orderings running
+        except RECOVERABLE_ERRORS as exc:  # keep other orderings running
             errors.append({"permutation": ">".join(pi), "error": f"{type(exc).__name__}: {exc}"})
             continue
         cells += perm_cells
@@ -194,8 +269,17 @@ def run_grid_cell(
     }
 
 
-def dense_row(base: Network, corpora: dict[str, Corpus], seq_len: int) -> dict:
-    ppls = {name: perplexity(base, c, seq_len) for name, c in sorted(corpora.items())}
+def _grid_entries(memo: Memo, runs):
+    """Each ``(criterion, spec, n_samples)`` run's grid entry, in order. A
+    (criterion, n_samples) pair's scores are dropped after its last run."""
+    for i, (criterion, spec, n_samples) in enumerate(runs):
+        yield run_grid_cell(memo, criterion, spec, n_samples)
+        if (criterion, n_samples) not in {(c, n) for c, _, n in runs[i + 1:]}:
+            memo.drop_scores(criterion, n_samples)
+
+
+def dense_row(memo: Memo) -> dict:
+    ppls = memo.perplexities(memo.base)
     values = list(ppls.values())
     return {
         "per_dataset": ppls,
@@ -208,12 +292,9 @@ def run_continual(cfg: ExperimentConfig) -> dict:
     """Run the full grid; returns the result dict and writes report files."""
     specs = [*cfg.sparsities, *cfg.nm_patterns]
     runs = [(criterion, spec, cfg.n_samples) for criterion in cfg.criteria for spec in specs]
-    base, corpora = _load_inputs(cfg, runs)
-    dense = dense_row(base, corpora, cfg.seq_len)
-    grids = {}
-    for run in runs:
-        entry = run_grid_cell(cfg, base, corpora, *run)
-        grids[f"{entry['criterion']}:{entry['spec']}"] = entry
+    memo = _load_inputs(cfg, runs)
+    dense = dense_row(memo)
+    grids = {f"{e['criterion']}:{e['spec']}": e for e in _grid_entries(memo, runs)}
     out = {
         "schema_version": 1,
         "config": _config_echo(cfg),
@@ -339,10 +420,10 @@ def run_ablation_samples(cfg: ExperimentConfig, criteria=("sensitivity",)) -> li
 def _ablation(cfg: ExperimentConfig, filename: str, sweep_key: str, runs) -> list[dict]:
     """One grid per ``(sweep value, (criterion, spec, n_samples))`` run and
     one row per grid, also written to ``filename``."""
-    base, corpora = _load_inputs(cfg, [run for _, run in runs])
+    memo = _load_inputs(cfg, [run for _, run in runs])
     rows: list[dict] = []
-    for value, run in runs:
-        summary = _summary(run_grid_cell(cfg, base, corpora, *run))
+    for (value, run), entry in zip(runs, _grid_entries(memo, [run for _, run in runs])):
+        summary = _summary(entry)
         row = {"criterion": run[0], sweep_key: value}
         if summary is None:
             row.update({"a_bwt": None, "m_bwt": None, "error": True})

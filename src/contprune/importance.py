@@ -2,10 +2,13 @@
 
 The accumulator holds one nonnegative matrix per prunable layer. Every
 sample adds ``|W * grad|`` elementwise (W is the base, unmasked weight), so
-entries only ever grow, and the total after a sequence of datasets is the
-same regardless of the order in which they were visited. Masks derived from
-the accumulator at intermediate steps still depend on what has been seen so
-far, which is the whole point of keeping the state.
+entries only ever grow, and the total after a sequence of datasets sums the
+same terms whatever the order in which they were visited. It is not the same
+bit for bit: float addition is not associative. On the desk model with 16
+calibration samples per corpus, the final states of bracket>numeric>prose
+and prose>numeric>bracket differ in 75% of their entries, by at most 1.1e-15
+relative. Masks derived from the accumulator at intermediate steps depend on
+what has been seen so far, which is the whole point of keeping the state.
 
 The state is the only artifact carried between datasets; its size depends
 on the model, never on how much data has been consumed.

@@ -10,7 +10,17 @@ sensitivity  the accumulated importance state built from finite-difference
              sensitivity records; this is the continual criterion. Scores
              and gradients are always taken against the base (unmasked)
              weights, so previously pruned positions can re-enter, and the
-             final accumulated state is independent of dataset order.
+             final state sums the same terms in any dataset order. Float
+             addition is not associative, though: two orders give states
+             that agree only to rounding (see ``importance``).
+
+A prune step is the composition of two halves. ``score_step`` does the work
+that depends only on the scored network and one calibration set: sensitivity
+contributions in the order they enter the state, wanda's activation-scaled
+``|W|``, or magnitude's ``|W|``. ``mask_step`` does the rest under one
+sparsity spec: it replays sensitivity contributions into the state through
+``accumulate`` and builds the masks. A harness may therefore score a dataset
+once and mask it under many specs and orderings.
 
 Selection is exact rank-based: the ``floor(s * N)`` lowest-scoring entries
 are pruned, ties resolved toward the lowest flat index. This realizes the
@@ -30,13 +40,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import CalibrationSet
-from .errors import ShapeError, UsageError
+from .errors import NumericalError, ShapeError, UsageError
 from .importance import ImportanceState, accumulate, finish_dataset
 from .model import Network, check_tokens, forward_capture, vocabulary_tokens
 from .seeding import derive_seed
@@ -90,8 +100,8 @@ class PruneConfig:
             self.nm = tuple(int(v) for v in self.nm)
             if self.nm not in NM_PATTERNS:
                 raise UsageError(f"nm pattern must be one of {NM_PATTERNS}, got {self.nm}")
-        if self.epsilon <= 0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise UsageError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def spec_label(self) -> str:
         if self.sparsity is not None:
@@ -149,9 +159,18 @@ def threshold_for_sparsity(scores: np.ndarray, s: float) -> float:
     return float(np.sort(scores.ravel())[k])
 
 
+def _finite(scores) -> np.ndarray:
+    """``scores`` as float64; NumericalError if any entry is NaN or infinite,
+    which no ranking can order meaningfully."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise NumericalError(f"{int(np.sum(~np.isfinite(scores)))} non-finite score(s)")
+    return scores
+
+
 def build_mask_unstructured(scores: np.ndarray, s: float) -> Mask:
     """Zero out exactly ``floor(s * N)`` lowest-scoring entries."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite(scores)
     if not 0.0 <= s < 1.0:
         raise UsageError(f"sparsity must be in [0, 1), got {s}")
     k = int(math.floor(s * scores.size))
@@ -169,7 +188,7 @@ def build_mask_nm(scores: np.ndarray, n: int, m: int) -> Mask:
     Ties keep the lowest index. A trailing short group of length r keeps
     ``ceil(n * r / m)`` entries.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _finite(scores)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-D, got {scores.shape}")
     n, m = int(n), int(m)
@@ -219,23 +238,17 @@ def _build_mask(scores: np.ndarray, config: PruneConfig) -> Mask:
     return build_mask_nm(scores, *config.nm)
 
 
-def _capture_inputs(net: Network, calib: CalibrationSet):
-    """Per-layer inputs of each segment, and the same inputs concatenated.
+def _segment_inputs(net: Network, calib: CalibrationSet):
+    """Per-layer inputs of each calibration segment, one segment at a time.
 
     A segment's inputs are the columns of its tokens but the last in one
-    capture on the vocabulary (``model.vocabulary_tokens``).
+    capture on the vocabulary (``model.vocabulary_tokens``). Every segment's
+    tokens are checked before the first one is yielded.
     """
     segments = [check_tokens(net, seg) for seg in calib.segments]
     _, records = forward_capture(net, vocabulary_tokens(net))
-    per_segment: list[dict[int, np.ndarray]] = []
-    concat: dict[int, list[np.ndarray]] = {}
     for seg in segments:
-        seg_inputs = {rec.layer_index: _columns(rec.input, seg[:-1]) for rec in records}
-        for idx, x in seg_inputs.items():
-            concat.setdefault(idx, []).append(x)
-        per_segment.append(seg_inputs)
-    stacked = {i: np.concatenate(chunks, axis=1) for i, chunks in concat.items()}
-    return per_segment, stacked
+        yield {rec.layer_index: _columns(rec.input, seg[:-1]) for rec in records}
 
 
 def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -245,72 +258,102 @@ def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take(x, cols, axis=1, out=np.empty_like(x, shape=(x.shape[0], len(cols))))
 
 
-def prune_step(
-    net: Network,
-    state: ImportanceState | None,
-    config: PruneConfig,
-    calib: CalibrationSet,
-    base_net: Network | None = None,
-) -> tuple[Network, dict[int, Mask], dict]:
-    """One pruning pass on one dataset's calibration set.
+@dataclass(frozen=True, eq=False)
+class DatasetScores:
+    """What ``score_step`` computes from one calibration set.
 
-    Returns the re-masked network, per-layer masks, and a report fragment
-    with per-layer sparsity statistics.
-
-    For the sensitivity criterion, captures, sensitivity records, and the
-    re-masked weights all come from the base network (``base_net``, falling
-    back to ``net``); the importance state must be the one carried across
-    datasets. For the other criteria the scored weights are ``net`` as
-    passed under sequential initialization, or the restored base under
-    global initialization.
+    ``layers`` maps each prunable layer to its score matrix (wanda,
+    magnitude). ``contributions`` maps each prunable layer to its
+    sensitivity contributions, stacked along axis 0 in the order
+    ``mask_step`` adds them to the state: segment-major, then draw. One
+    preallocated stack per layer keeps the held contributions contiguous.
     """
-    if config.criterion == "sensitivity":
-        if state is None:
-            raise UsageError("sensitivity criterion requires an importance state")
-        ref_net = base_net if base_net is not None else net
-    elif config.init_mode == "global" and base_net is not None:
-        ref_net = base_net
-    else:
-        ref_net = net
 
-    prunable = ref_net.prunable_indices()
-    need_captures = config.criterion in ("sensitivity", "wanda")
-    per_segment: list[dict[int, np.ndarray]] = []
-    stacked: dict[int, np.ndarray] = {}
-    if need_captures:
-        per_segment, stacked = _capture_inputs(ref_net, calib)
+    corpus_name: str
+    n_samples: int
+    layers: dict[int, np.ndarray] = field(default_factory=dict)
+    contributions: dict[int, np.ndarray] = field(default_factory=dict)
 
+
+def scored_network(net: Network, config: PruneConfig, base_net: Network | None = None) -> Network:
+    """The network a prune step scores and masks: the base (``base_net``,
+    falling back to ``net``) for sensitivity, and for the other criteria
+    under global initialization; ``net`` as passed otherwise."""
+    if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
+        return base_net
+    return net
+
+
+def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
+    """The half of a prune step that depends only on the scored network
+    ``net``, the criterion's settings and one calibration set; neither the
+    importance state nor the sparsity spec enters it."""
+    prunable = net.prunable_indices()
+    scores = DatasetScores(calib.corpus_name, calib.n_samples)
     if config.criterion == "sensitivity":
+        draws = config.w_draws
+        for idx in prunable:
+            shape = (calib.n_samples * draws, *net.layers[idx].weight.shape)
+            scores.contributions[idx] = np.empty(shape)
         # every position is one input; weight perturbations are shared
         # across a segment, input perturbations are per token
-        for j, seg_inputs in enumerate(per_segment):
+        for j, seg_inputs in enumerate(_segment_inputs(net, calib)):
             for idx in prunable:
-                layer = ref_net.layers[idx]
+                layer = net.layers[idx]
                 w = layer.weight
                 x_batch = seg_inputs[idx]
                 seed = derive_seed(config.seed, "pert", calib.corpus_name, j, idx)
                 rng = np.random.default_rng(seed)
                 w_rms = config.epsilon * float(np.sqrt(np.mean(w * w)))
-                for _ in range(config.w_draws):
+                for d in range(draws):
                     delta_w = scaled_gaussian(w.shape, w_rms, rng)
                     delta_x = batch_input_perturbation(x_batch, config.epsilon, rng)
-                    contrib = batch_gradient_magnitude(layer, x_batch, delta_w, delta_x)
-                    accumulate(state, idx, w, contrib)
-        finish_dataset(state, calib.corpus_name, calib.n_samples)
-
-    masks: dict[int, Mask] = {}
-    pruned = ref_net.copy()
-    frag: dict = {"corpus": calib.corpus_name, "criterion": config.criterion, "layers": {}}
+                    scores.contributions[idx][j * draws + d] = batch_gradient_magnitude(
+                        layer, x_batch, delta_w, delta_x
+                    )
+        return scores
+    per_segment = list(_segment_inputs(net, calib)) if config.criterion == "wanda" else []
     for idx in prunable:
-        weight = ref_net.layers[idx].weight
-        scores = criterion_scores(
-            config.criterion,
-            weight,
-            state=state,
-            activations=stacked.get(idx),
-            layer_index=idx,
-        )
-        mask = _build_mask(scores, config)
+        acts = np.concatenate([s[idx] for s in per_segment], axis=1) if per_segment else None
+        scores.layers[idx] = criterion_scores(config.criterion, net.layers[idx].weight,
+                                              activations=acts)
+    return scores
+
+
+def mask_step(
+    net: Network,
+    state: ImportanceState | None,
+    config: PruneConfig,
+    scores: DatasetScores,
+) -> tuple[Network, dict[int, Mask], dict]:
+    """The half of a prune step that applies one sparsity spec: masks for
+    ``net`` (the scored network) from ``scores``, the re-masked network, and
+    a report fragment with per-layer sparsity statistics.
+
+    For sensitivity the contributions are first added to ``state`` in their
+    recorded order, through ``accumulate``, and the dataset is marked as
+    seen; the masks then rank the state. Layers have separate accumulators,
+    so only the order within a layer shapes the state's bytes.
+    """
+    if config.criterion == "sensitivity":
+        if state is None:
+            raise UsageError("sensitivity criterion requires an importance state")
+        for idx, stack in scores.contributions.items():
+            for contrib in stack:
+                accumulate(state, idx, net.layers[idx].weight, contrib)
+        finish_dataset(state, scores.corpus_name, scores.n_samples)
+
+    prunable = net.prunable_indices()
+    masks: dict[int, Mask] = {}
+    pruned = net.copy()
+    frag: dict = {"corpus": scores.corpus_name, "criterion": config.criterion, "layers": {}}
+    for idx in prunable:
+        weight = net.layers[idx].weight
+        if config.criterion == "sensitivity":
+            layer_scores = criterion_scores("sensitivity", weight, state=state, layer_index=idx)
+        else:
+            layer_scores = scores.layers[idx]
+        mask = _build_mask(layer_scores, config)
         masks[idx] = mask
         pruned.layers[idx].weight = apply_mask(weight, mask)
         frag["layers"][idx] = {
@@ -322,6 +365,22 @@ def prune_step(
     zeros = sum(int(masks[i].bits.size - masks[i].bits.sum()) for i in prunable)
     frag["overall_sparsity"] = zeros / total if total else 0.0
     return pruned, masks, frag
+
+
+def prune_step(
+    net: Network,
+    state: ImportanceState | None,
+    config: PruneConfig,
+    calib: CalibrationSet,
+    base_net: Network | None = None,
+) -> tuple[Network, dict[int, Mask], dict]:
+    """One pruning pass on one dataset's calibration set: ``score_step``
+    then ``mask_step`` on ``scored_network(net, config, base_net)``. Returns
+    the re-masked network, per-layer masks, and a report fragment with
+    per-layer sparsity statistics. A sensitivity ``state`` must be the one
+    carried across datasets."""
+    ref_net = scored_network(net, config, base_net)
+    return mask_step(ref_net, state, config, score_step(ref_net, config, calib))
 
 
 def export_masks(masks: dict[int, Mask], out_dir):

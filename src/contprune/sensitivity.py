@@ -63,8 +63,8 @@ def make_perturbation(
     epsilon: float = DEFAULT_EPSILON,
     seed: int = 0,
 ) -> Perturbation:
-    if epsilon <= 0:
-        raise UsageError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise UsageError(f"epsilon must be positive and finite, got {epsilon}")
     rng = np.random.default_rng(seed)
     delta_w = None
     if weight is not None:

@@ -11,7 +11,7 @@ from contprune import cli
 from contprune import harness as H
 from contprune import pruner as P
 from contprune import trainer as T
-from contprune.errors import InputError, UsageError
+from contprune.errors import InputError, NumericalError, UsageError
 
 
 @pytest.fixture()
@@ -200,7 +200,7 @@ class TestRunContinual:
         def flaky(net, corpus, seq_len):
             calls["n"] += 1
             if calls["n"] == 3:  # the first grid cell, after the two dense evals
-                raise RuntimeError("synthetic failure")
+                raise NumericalError("synthetic failure")
             return real(net, corpus, seq_len)
 
         monkeypatch.setattr(hmod, "perplexity", flaky)
@@ -209,24 +209,26 @@ class TestRunContinual:
         assert not g["complete"]
         assert len(g["errors"]) == 1
         assert "synthetic failure" in g["errors"][0]["error"]
-        # the other permutation still produced its half of the grid
+        # the other permutation still produced its half of the grid: the
+        # failed evaluation was not memoized, so it ran again there
         assert len(g["report"]["cells"]) == 4
 
     def test_failed_ordering_adds_no_cells(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
         cfg = H.ExperimentConfig(
             **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)
         )
-        real = H.perplexity
+        real = H.score_step
         calls = {"n": 0}
 
-        def flaky(net, corpus, seq_len):
+        def flaky(net, config, calib):
             calls["n"] += 1
-            # two dense evals and step 1 of the first ordering pass; its step 2 fails
-            if calls["n"] == 5:
-                raise RuntimeError("synthetic failure")
-            return real(net, corpus, seq_len)
+            # step 1 of the first ordering scores numeric; its step 2, the
+            # first score of prose, fails, and the next ordering scores prose anew
+            if calls["n"] == 2:
+                raise NumericalError("synthetic failure")
+            return real(net, config, calib)
 
-        monkeypatch.setattr(H, "perplexity", flaky)
+        monkeypatch.setattr(H, "score_step", flaky)
         g = H.run_continual(cfg)["grids"]["magnitude:unstructured-0.5"]
         assert [e["permutation"] for e in g["errors"]] == ["numeric>prose"]
         cells = g["report"]["cells"]
@@ -240,14 +242,14 @@ class TestRunContinual:
         assert rows[1:] == cells_csv_rows(cells)
 
     def test_failed_grid_renders_as_error(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
-        real = H.prune_step
+        real = H.score_step
 
-        def failing_wanda(net, state, config, calib, base_net=None):
+        def failing_wanda(net, config, calib):
             if config.criterion == "wanda":
-                raise RuntimeError("synthetic failure")
-            return real(net, state, config, calib, base_net=base_net)
+                raise NumericalError("synthetic failure")
+            return real(net, config, calib)
 
-        monkeypatch.setattr(H, "prune_step", failing_wanda)
+        monkeypatch.setattr(H, "score_step", failing_wanda)
         run_dir = tmp_path / "runs"
         cfg = H.ExperimentConfig(
             **tiny_cfg_kwargs, output_dir=str(run_dir),
@@ -271,6 +273,18 @@ class TestRunContinual:
             "criterion": "wanda", "sparsity": 0.5, "a_bwt": None, "m_bwt": None, "error": True
         }
         assert read_csv(run_dir / "ablation_sparsity.csv")[2] == ["wanda", "0.5", "", ""]
+
+    def test_programming_error_ends_the_run(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
+        def broken(net, config, calib):
+            raise KeyError("not a package error")
+
+        monkeypatch.setattr(H, "score_step", broken)
+        cfg = H.ExperimentConfig(
+            **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)
+        )
+        with pytest.raises(KeyError, match="not a package error"):
+            H.run_continual(cfg)
+        assert not (tmp_path / "runs").exists()
 
     def test_init_mode_override_forces_sequential(self, tiny_cfg_kwargs, tmp_path):
         cfg = H.ExperimentConfig(
@@ -400,9 +414,11 @@ class TestCli:
             ["ablate-samples", "--ablate-criteria", "magnitude", "--samples-sweep", "2,0"],
             ["run-grid", "--criteria", "magnitude", "--sparsity", "0.5,0.5"],
             ["ablate-samples", "--ablate-criteria", "magnitude,magnitude", "--samples-sweep", "2"],
+            ["run-grid", "--criteria", "magnitude,sensitivity", "--epsilon", "nan"],
+            ["run-grid", "--criteria", "magnitude,sensitivity", "--epsilon", "inf"],
         ],
         ids=["sparsity", "criterion", "sparsity-sweep", "samples-sweep", "repeated-sparsity",
-             "repeated-ablate-criteria"],
+             "repeated-ablate-criteria", "nan-epsilon", "inf-epsilon"],
     )
     def test_bad_later_value_fails_before_any_evaluation(
         self, tiny_cfg_kwargs, tmp_path, monkeypatch, argv

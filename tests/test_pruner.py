@@ -12,7 +12,7 @@ from contprune import metrics as X
 from contprune import model as M
 from contprune import pruner as P
 from contprune import sensitivity as S
-from contprune.errors import InputError, ShapeError, UsageError
+from contprune.errors import InputError, NumericalError, ShapeError, UsageError
 from contprune.seeding import derive_seed
 
 
@@ -143,6 +143,23 @@ class TestNmMask:
             P.build_mask_nm(rng.random((2, 8)), 4, 4)
         with pytest.raises(UsageError):
             P.build_mask_nm(rng.random((2, 8)), 0, 4)
+
+
+class TestNonFiniteScores:
+    """A NaN sorts last and an infinity sorts first or last, so a mask built
+    from them would prune by flat index; both builders refuse them."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda s: P.build_mask_unstructured(s, 0.5), lambda s: P.build_mask_nm(s, 2, 4)],
+        ids=["unstructured", "2of4"],
+    )
+    def test_mask_builders_reject_non_finite_scores(self, rng, build, bad):
+        scores = rng.random((4, 8))
+        scores[2, 5] = bad
+        with pytest.raises(NumericalError, match="1 non-finite score"):
+            build(scores)
 
 
 class TestApplyAndStasis:
@@ -314,6 +331,27 @@ class TestPruneStep:
             assert acc.min() > 0
             np.testing.assert_allclose(state.per_layer[idx], acc, rtol=1e-12)
 
+    def test_replayed_state_bit_identical_to_interleaved_accumulation(self, prune_setup):
+        # the reference adds each contribution to the state as soon as the
+        # kernel returns it, segment by segment, layer by layer, draw by draw
+        net, calib_a, calib_b = prune_setup
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=5, w_draws=2)
+        state, expected = I.init_state(net), I.init_state(net)
+        for calib in (calib_a, calib_b):
+            P.prune_step(net, state, cfg, calib)
+            for j, seg_inputs in enumerate(P._segment_inputs(net, calib)):
+                for idx, x in seg_inputs.items():
+                    layer = net.layers[idx]
+                    pert_rng = np.random.default_rng(derive_seed(5, "pert", calib.corpus_name, j, idx))
+                    for _ in range(2):
+                        rms = 1e-3 * float(np.sqrt(np.mean(layer.weight ** 2)))
+                        delta_w = S.scaled_gaussian(layer.weight.shape, rms, pert_rng)
+                        delta_x = S.batch_input_perturbation(x, 1e-3, pert_rng)
+                        grad = S.batch_gradient_magnitude(layer, x, delta_w, delta_x)
+                        I.accumulate(expected, idx, layer.weight, grad)
+        for idx in net.prunable_indices():
+            np.testing.assert_array_equal(state.per_layer[idx], expected.per_layer[idx])
+
     def test_config_validation(self):
         with pytest.raises(UsageError):
             P.PruneConfig(criterion="hessian", sparsity=0.5)
@@ -328,42 +366,44 @@ class TestPruneStep:
 
 
 class TestVocabularyCaptures:
-    """``_capture_inputs`` gathers from one capture on the vocabulary;
+    """``_segment_inputs`` gathers from one capture on the vocabulary;
     ``forward_capture`` on each segment is the oracle."""
 
     @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
     def test_segment_and_stacked_inputs_match_forward_capture(self, rng, act):
         net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=2, act=act, seed=6)
         calib = make_calib(rng.integers(0, 64, size=2000), "A", n_samples=3, seq_len=21)
-        per_segment, stacked = P._capture_inputs(net, calib)
+        per_segment = list(P._segment_inputs(net, calib))
         want = [
             {rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
             for seg in calib.segments
         ]
         assert len(per_segment) == 3
-        assert sorted(stacked) == sorted(want[0]) == net.prunable_indices()
         for got, oracle in zip(per_segment, want):
             assert sorted(got) == sorted(oracle)
             for idx, x in oracle.items():
                 np.testing.assert_allclose(got[idx], x, rtol=1e-12)
-        for idx, x in stacked.items():
-            np.testing.assert_allclose(x, np.concatenate([w[idx] for w in want], axis=1), rtol=1e-12)
+        # wanda scores every segment's inputs stacked in segment order
+        wanda = P.score_step(net, P.PruneConfig(criterion="wanda", sparsity=0.5), calib)
+        assert sorted(wanda.layers) == sorted(want[0]) == net.prunable_indices()
+        for idx, scores in wanda.layers.items():
+            stacked = np.concatenate([w[idx] for w in want], axis=1)
+            oracle = P.criterion_scores("wanda", net.layers[idx].weight, activations=stacked)
+            np.testing.assert_allclose(scores, oracle, rtol=1e-12)
 
     def test_sensitivity_state_bit_identical_to_per_segment_captures(self, prune_setup, monkeypatch):
         def per_segment_captures(net, calib):
             # the reference: one forward_capture per segment
-            per_segment = [
+            return [
                 {rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
                 for seg in calib.segments
             ]
-            stacked = {i: np.concatenate([s[i] for s in per_segment], axis=1) for i in per_segment[0]}
-            return per_segment, stacked
 
         net, calib_a, _ = prune_setup
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=3)
         states = []
-        for capture in (P._capture_inputs, per_segment_captures):
-            monkeypatch.setattr(P, "_capture_inputs", capture)
+        for capture in (P._segment_inputs, per_segment_captures):
+            monkeypatch.setattr(P, "_segment_inputs", capture)
             states.append(I.init_state(net))
             P.prune_step(net, states[-1], cfg, calib_a)
         for idx in net.prunable_indices():

@@ -47,6 +47,11 @@ class TestPerturbation:
         with pytest.raises(UsageError):
             S.make_perturbation(np.eye(2), None, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(UsageError, match="positive and finite"):
+            S.make_perturbation(np.eye(2), None, epsilon=epsilon)
+
 
 class TestSensitivityW:
     def test_linear_equals_dw_x_exactly(self, rng):
