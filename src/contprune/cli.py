@@ -76,8 +76,10 @@ def cmd_train(args) -> int:
     losses: list[float] = []
     net = trainer.train(net, corpora, cfg, loss_log=losses)
     model.save_checkpoint(net, args.out)
-    first = sum(losses[:50]) / max(len(losses[:50]), 1) if losses else float("nan")
-    last = sum(losses[-50:]) / max(len(losses[-50:]), 1) if losses else float("nan")
+    # up to 50 steps at each end, and never the same steps at both ends
+    span = max(1, min(50, len(losses) // 2))
+    first = sum(losses[:span]) / span if losses else float("nan")
+    last = sum(losses[-span:]) / span if losses else float("nan")
     print(f"trained {args.steps} steps: loss {first:.4f} -> {last:.4f}; saved {args.out}")
     return 0
 

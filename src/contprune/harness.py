@@ -24,8 +24,10 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
   baselines under global initialization, so all orderings and specs share a
   few scores. A (criterion, ``n_samples``) pair's scores are dropped after
   its last grid;
-- a perplexity per (network, corpus): magnitude under global initialization,
-  for one, prunes the base to the same network whatever the dataset.
+- the perplexities of a network on every corpus (``metrics.perplexities``,
+  one vocabulary table per network): magnitude under global
+  initialization, for one, prunes the base to the same network whatever the
+  dataset.
 
 Networks are keyed by the sha256 of their bytes, which is exact under every
 init mode. Each ordering replays the cached sensitivity contributions into
@@ -49,7 +51,8 @@ import numpy as np
 from .corpus import CalibrationSet, Corpus, load_corpus, permutations, sample_calibration
 from .errors import RECOVERABLE_ERRORS, InputError, UsageError
 from .importance import init_state
-from .metrics import EvalCell, aggregate, perplexity, report_to_dict
+from .metrics import EvalCell, aggregate, perplexities, report_to_dict
+from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
 from .pruner import (  # noqa: F401  prune_step: perfbench's tracer patches it by this name
     DatasetScores,
@@ -142,7 +145,7 @@ class Memo:
         self._base_digest = _sha256(base)
         self._calib: dict[tuple, CalibrationSet] = {}
         self._scores: dict[tuple, DatasetScores] = {}
-        self._ppl: dict[tuple, float] = {}
+        self._ppl: dict[bytes, dict[str, float]] = {}
 
     def calibration(self, name: str, n_samples: int) -> CalibrationSet:
         key = (name, n_samples)
@@ -169,14 +172,12 @@ class Memo:
         return self._base_digest if net is self.base else _sha256(net)
 
     def perplexities(self, net: Network) -> dict[str, float]:
-        """Perplexity of ``net`` on every corpus, in name order."""
+        """Perplexity of ``net`` on every corpus, in name order, from one
+        vocabulary table per distinct network."""
         digest = self._digest(net)
-        out = {}
-        for name in sorted(self.corpora):
-            if (digest, name) not in self._ppl:
-                self._ppl[digest, name] = perplexity(net, self.corpora[name], self.cfg.seq_len)
-            out[name] = self._ppl[digest, name]
-        return out
+        if digest not in self._ppl:
+            self._ppl[digest] = perplexities(net, self.corpora, self.cfg.seq_len)
+        return dict(self._ppl[digest])
 
 
 def _sha256(net: Network) -> bytes:

@@ -35,8 +35,46 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
     log-softmax of the vocabulary table (``model.vocabulary_tokens``), so
     row ``a`` is the next-token distribution after token ``a``. That is
     exactly what ``forward`` gives on the window, because every layer is
-    positionwise; the table is computed once and every window is a gather.
+    positionwise. This is the one-corpus case of ``perplexities``.
     """
+    return perplexities(net, {corpus.name: corpus}, seq_len)[corpus.name]
+
+
+def perplexities(net: Network, corpora: dict[str, Corpus], seq_len: int = 128) -> dict[str, float]:
+    """``perplexity`` of ``net`` on each corpus, by name in name order.
+
+    The vocabulary table and its log-softmax are computed once, and every
+    window of every corpus is a gather from them. Errors are those of the
+    ``perplexity`` calls in name order: a corpus's tokens are checked
+    (InputError) before its windows are checked against the table
+    (NumericalError), and the table is computed before the first window check.
+    """
+    out: dict[str, float] = {}
+    finite = None
+    for name in sorted(corpora):
+        corpus = corpora[name]
+        windows = _eval_windows(net, corpus, seq_len)
+        if finite is None:
+            logits = forward(net, vocabulary_tokens(net))  # row a: logits after token a
+            finite = np.all(np.isfinite(logits), axis=1)
+            logits[~finite] = 0.0  # rows that no window reads
+            # log-softmax via log-sum-exp, row by row; no token can hit
+            # probability zero
+            zmax = logits.max(axis=1, keepdims=True)
+            logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+        prev, targets = windows[:, :-1], windows[:, 1:]
+        bad = ~np.all(finite[prev], axis=1)
+        if bad.any():
+            raise NumericalError(
+                f"non-finite logits on window {int(np.argmax(bad))} of {corpus.name!r}"
+            )
+        logp = logits[prev, targets] - logz[prev]
+        out[name] = float(np.exp(-logp.mean(axis=1)).mean())
+    return out
+
+
+def _eval_windows(net: Network, corpus: Corpus, seq_len: int) -> np.ndarray:
+    """The eval split's checked tokens as (n_windows, seq_len) windows."""
     if seq_len < 2:
         raise InputError(f"seq_len must be >= 2, got {seq_len}")
     tokens = corpus.eval_tokens()
@@ -46,21 +84,7 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
             f"eval split of {corpus.name!r} has {len(tokens)} tokens, "
             f"fewer than one window of {seq_len}"
         )
-    windows = check_tokens(net, tokens[: n_windows * seq_len]).reshape(n_windows, seq_len)
-    prev, targets = windows[:, :-1], windows[:, 1:]
-    logits = forward(net, vocabulary_tokens(net))  # row a: logits after token a
-    finite = np.all(np.isfinite(logits), axis=1)
-    bad = ~np.all(finite[prev], axis=1)
-    if bad.any():
-        raise NumericalError(
-            f"non-finite logits on window {int(np.argmax(bad))} of {corpus.name!r}"
-        )
-    logits[~finite] = 0.0  # rows that no window reads
-    # log-softmax via log-sum-exp; no token can hit probability zero
-    zmax = logits.max(axis=1, keepdims=True)
-    logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    logp = logits[prev, targets] - logz[prev]
-    return float(np.exp(-logp.mean(axis=1)).mean())
+    return check_tokens(net, tokens[: n_windows * seq_len]).reshape(n_windows, seq_len)
 
 
 @dataclass(frozen=True)

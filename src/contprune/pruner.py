@@ -1,5 +1,4 @@
-"""Pruning criteria, threshold automation, mask construction, and the
-per-dataset prune step.
+"""Pruning criteria, mask selection, and the per-dataset prune step.
 
 Criteria
 --------
@@ -22,11 +21,12 @@ sparsity spec: it replays sensitivity contributions into the state through
 ``accumulate`` and builds the masks. A harness may therefore score a dataset
 once and mask it under many specs and orderings.
 
-Selection is exact rank-based: the ``floor(s * N)`` lowest-scoring entries
-are pruned, ties resolved toward the lowest flat index. This realizes the
-percentile-threshold intent while guaranteeing the sparsity exactly even
-when scores tie; the literal percentile threshold is kept as a cross-check
-utility (``threshold_for_sparsity``).
+Unstructured selection prunes exactly the ``floor(s * N)`` lowest-scoring
+entries, ties resolved toward the lowest flat index, so the sparsity is exact
+even when scores tie. It takes linear time: a partition finds the k-th
+smallest score, every entry below it is pruned, and then the first entries
+equal to it in flat order until k are pruned. ``-0.0`` equals ``0.0``. This
+is the selection a stable argsort of the flat scores makes, without the sort.
 
 Initialization modes
 --------------------
@@ -63,12 +63,12 @@ class Mask:
     structure: str | tuple[int, int] = "unstructured"
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = np.asarray(self.bits)
         if bits.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {bits.shape}")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("mask entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
 
     @property
     def sparsity(self) -> float:
@@ -143,22 +143,6 @@ def criterion_scores(
     raise UsageError(f"unknown criterion {criterion!r}")
 
 
-def threshold_for_sparsity(scores: np.ndarray, s: float) -> float:
-    """Percentile threshold: the value at rank ``floor(s * N)`` ascending.
-
-    With strict-less masking this prunes at most ``floor(s * N)`` entries;
-    ties at the boundary are resolved by the rank-based mask builders, which
-    this function cross-checks.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ShapeError("scores must be nonempty")
-    if not 0.0 <= s < 1.0:
-        raise UsageError(f"sparsity must be in [0, 1), got {s}")
-    k = int(math.floor(s * scores.size))
-    return float(np.sort(scores.ravel())[k])
-
-
 def _finite(scores) -> np.ndarray:
     """``scores`` as float64; NumericalError if any entry is NaN or infinite,
     which no ranking can order meaningfully."""
@@ -169,15 +153,20 @@ def _finite(scores) -> np.ndarray:
 
 
 def build_mask_unstructured(scores: np.ndarray, s: float) -> Mask:
-    """Zero out exactly ``floor(s * N)`` lowest-scoring entries."""
+    """Zero out exactly ``floor(s * N)`` lowest-scoring entries; among equal
+    scores, the lowest flat indices first."""
     scores = _finite(scores)
     if not 0.0 <= s < 1.0:
         raise UsageError(f"sparsity must be in [0, 1), got {s}")
     k = int(math.floor(s * scores.size))
-    bits = np.ones(scores.size, dtype=np.uint8)
+    flat = scores.ravel()
+    bits = np.ones(flat.size, dtype=np.uint8)
     if k > 0:
-        order = np.argsort(scores.ravel(), kind="stable")
-        bits[order[:k]] = 0
+        kth = np.partition(flat, k - 1)[k - 1]
+        below = flat < kth
+        bits[below] = 0
+        ties = np.flatnonzero(flat == kth)
+        bits[ties[: k - int(below.sum())]] = 0
     return Mask(bits=bits.reshape(scores.shape), structure="unstructured")
 
 

@@ -194,16 +194,16 @@ class TestRunContinual:
         )
         from contprune import harness as hmod
 
-        real = hmod.perplexity
+        real = hmod.perplexities
         calls = {"n": 0}
 
-        def flaky(net, corpus, seq_len):
+        def flaky(net, corpora, seq_len):
             calls["n"] += 1
-            if calls["n"] == 3:  # the first grid cell, after the two dense evals
+            if calls["n"] == 2:  # the first grid network, after the dense one
                 raise NumericalError("synthetic failure")
-            return real(net, corpus, seq_len)
+            return real(net, corpora, seq_len)
 
-        monkeypatch.setattr(hmod, "perplexity", flaky)
+        monkeypatch.setattr(hmod, "perplexities", flaky)
         out = H.run_continual(cfg)
         g = out["grids"]["magnitude:unstructured-0.5"]
         assert not g["complete"]
@@ -346,6 +346,31 @@ class TestCli:
         ]) == 0
         assert pruned.exists() and state.exists()
         assert (tmp_path / "masks" / "masks.json").exists()
+
+    def test_train_loss_line_averages_disjoint_ends(self, tmp_path, capsys, monkeypatch):
+        # under 100 steps each end averages steps // 2 losses, so the two
+        # ends never overlap and the line shows the loss moving
+        logged = []
+        real = cli.trainer.train
+
+        def train(net, corpora, cfg, loss_log):
+            out = real(net, corpora, cfg, loss_log=loss_log)
+            logged.append(list(loss_log))
+            return out
+
+        monkeypatch.setattr(cli.trainer, "train", train)
+        data = tmp_path / "data"
+        assert cli.main(["gen-corpora", "--out", str(data), "--tokens", "12000", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "train", "--corpora-dir", str(data), "--out", str(tmp_path / "m.ckpt"),
+            "--steps", "7", "--batch", "4", "--seq-len", "24",
+            "--dim", "16", "--hidden", "24", "--blocks", "1", "--seed", "3",
+        ]) == 0
+        (losses,) = logged
+        first, last = sum(losses[:3]) / 3, sum(losses[-3:]) / 3
+        assert f"{first:.4f}" != f"{last:.4f}"
+        assert f"trained 7 steps: loss {first:.4f} -> {last:.4f};" in capsys.readouterr().out
 
     def test_run_grid_with_config_file_and_flag_override(self, tiny_cfg_kwargs, tmp_path, capsys):
         config = {

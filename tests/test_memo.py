@@ -148,19 +148,22 @@ def counting(monkeypatch, name):
 
 def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypatch):
     scores = counting(monkeypatch, "score_step")
-    evals = counting(monkeypatch, "perplexity")
+    evals = counting(monkeypatch, "perplexities")
     cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"))
     out = H.run_continual(cfg)
     assert all(g["complete"] for g in out["grids"].values())
     # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 prune steps and
     # 54 x 3 + 3 dense = 165 evaluations. Memoized, every criterion scores
-    # the base once per corpus, and each distinct network is evaluated on
-    # the 3 corpora once: the base; magnitude prunes it to one network
-    # whatever the corpus, wanda to one per corpus, and sensitivity to one
-    # per ordering prefix (15) at most. On this data, prefixes that have seen
-    # the same set of datasets reach equal masks: 7 networks.
+    # the base once per corpus, and each distinct network is evaluated once,
+    # on all 3 corpora from one vocabulary table: the base; magnitude prunes
+    # it to one network whatever the corpus, wanda to one per corpus, and
+    # sensitivity to one per ordering prefix (15) at most. On this data,
+    # prefixes that have seen the same set of datasets reach equal masks:
+    # 7 networks, so 12 tables give the 3 * 12 = 36 distinct values.
     assert len(scores) == 3 * 3
-    assert len(evals) == 3 * (1 + 1 + 3 + 7)
+    assert len(evals) == 1 + 1 + 3 + 7
+    assert len({H._sha256(net) for net, _, _ in evals}) == len(evals)
+    assert all(sorted(corpora) == list(CORPORA) for _, corpora, _ in evals)
 
 
 def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(

@@ -147,6 +147,75 @@ class TestVocabularyTable:
             X.perplexity(tiny_model, tiny_corpora["prose"], seq_len=48)
 
 
+def per_corpus_loop(net, corpora, seq_len):
+    """The reference for ``perplexities``: one ``perplexity`` call per
+    corpus, in name order."""
+    return {name: X.perplexity(net, corpora[name], seq_len) for name in sorted(corpora)}
+
+
+def outcome(fn):
+    """``fn()``'s value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # compared, never swallowed: both sides must match
+        return (type(exc), str(exc))
+
+
+class TestPerplexities:
+    """``perplexities`` computes one vocabulary table for all corpora and
+    must return and raise exactly what the per-corpus loop does."""
+
+    @pytest.fixture()
+    def three(self, tiny_dir):
+        return {n: C.load_corpus(tiny_dir / f"{n}.bin", n) for n in ("prose", "numeric", "bracket")}
+
+    def test_bit_equal_to_per_corpus_perplexity_with_one_table(self, monkeypatch, tiny_model, three):
+        want = per_corpus_loop(tiny_model, three, 48)
+        tables = []
+        real = X.forward
+        monkeypatch.setattr(X, "forward", lambda net, tokens: tables.append(1) or real(net, tokens))
+        got = X.perplexities(tiny_model, three, 48)
+        assert list(got) == ["bracket", "numeric", "prose"]
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        assert len(tables) == 1
+
+    @staticmethod
+    def corpora_with(evals):
+        """Corpora whose eval splits are ``evals`` (name -> 40 tokens)."""
+        return {
+            name: C.Corpus(name=name, tokens=np.concatenate([np.zeros(160, np.int64), ev]))
+            for name, ev in evals.items()
+        }
+
+    def test_nonfinite_row_read_by_the_second_corpus_only(self, monkeypatch):
+        net = M.make_decoder(vocab_size=64, d=4, hidden=4, blocks=1)
+        second = np.zeros(40, dtype=np.int64)
+        second[25] = 7  # inside window 2
+        corpora = self.corpora_with({"a": np.zeros(40, np.int64) + 3, "b": second})
+        with_nonfinite_row(monkeypatch, 7)
+        want = outcome(lambda: per_corpus_loop(net, corpora, 10))
+        assert want == (NumericalError, "non-finite logits on window 2 of 'b'")
+        assert outcome(lambda: X.perplexities(net, corpora, 10)) == want
+
+    @pytest.mark.parametrize("bad_token", [-1, 64])
+    def test_bad_token_in_later_corpus_behind_a_nonfinite_row(self, monkeypatch, bad_token):
+        net = M.make_decoder(vocab_size=64, d=4, hidden=4, blocks=1)
+        first = np.zeros(40, dtype=np.int64)
+        first[3] = 7
+        later = np.zeros(40, dtype=np.int64)
+        later[5] = bad_token
+        corpora = self.corpora_with({"a": first, "b": later})
+        with_nonfinite_row(monkeypatch, 7)
+        want = outcome(lambda: per_corpus_loop(net, corpora, 10))
+        assert want == (NumericalError, "non-finite logits on window 0 of 'a'")
+        assert outcome(lambda: X.perplexities(net, corpora, 10)) == want
+        # with the earlier corpus clean, the later corpus's token is the error
+        corpora["a"] = self.corpora_with({"a": np.zeros(40, np.int64)})["a"]
+        want = outcome(lambda: per_corpus_loop(net, corpora, 10))
+        assert want[0] is InputError
+        assert outcome(lambda: X.perplexities(net, corpora, 10)) == want
+
+
 class TestBwtCell:
     def test_equal_inputs_zero(self):
         assert X.bwt_cell(12.5, 12.5) == 0.0

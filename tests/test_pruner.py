@@ -51,16 +51,36 @@ class TestCriterionScores:
             P.criterion_scores("sensitivity", w)
 
 
+def threshold_for_sparsity(scores: np.ndarray, s: float) -> float:
+    """Percentile threshold: the value at rank ``floor(s * N)`` ascending.
+
+    With strict-less masking this prunes at most ``floor(s * N)`` entries;
+    ties at the boundary are resolved by the rank-based mask builders, which
+    this function cross-checks.
+    """
+    k = int(math.floor(s * np.size(scores)))
+    return float(np.sort(np.ravel(scores))[k])
+
+
+def argsort_mask_bits(scores: np.ndarray, s: float) -> np.ndarray:
+    """The reference unstructured selection: a stable argsort of the flat
+    scores, whose first ``floor(s * N)`` entries are pruned."""
+    k = int(math.floor(s * scores.size))
+    bits = np.ones(scores.size, dtype=np.uint8)
+    bits[np.argsort(scores.ravel(), kind="stable")[:k]] = 0
+    return bits.reshape(scores.shape)
+
+
 class TestThreshold:
     def test_brute_force_selection_oracle(self):
         scores = np.array([[0.1, 0.2], [0.3, 0.4]])
-        t = P.threshold_for_sparsity(scores, 0.5)
+        t = threshold_for_sparsity(scores, 0.5)
         assert t == pytest.approx(0.3)
         assert int((scores < t).sum()) == 2  # prunes exactly 0.1 and 0.2
 
     def test_s_zero_prunes_nothing(self):
         scores = np.array([[0.5, 0.9]])
-        t = P.threshold_for_sparsity(scores, 0.0)
+        t = threshold_for_sparsity(scores, 0.0)
         assert int((scores < t).sum()) == 0
 
     def test_ties_resolved_by_rank_selection(self):
@@ -75,7 +95,7 @@ class TestThreshold:
         rng = np.random.default_rng(seed)
         scores = rng.random((5, 7))
         k = math.floor(s * scores.size)
-        t = P.threshold_for_sparsity(scores, s)
+        t = threshold_for_sparsity(scores, s)
         # distinct scores: strict-less masking at the threshold prunes floor(s N)
         assert int((scores < t).sum()) == k
 
@@ -108,6 +128,57 @@ class TestUnstructuredMask:
         scores = rng.permutation(36).reshape(6, 6).astype(float)
         mask = P.build_mask_unstructured(scores, 0.5)
         assert set(scores[mask.bits == 0].astype(int)) == set(range(18))
+
+
+class TestSelectionMatchesArgsort:
+    """``build_mask_unstructured`` selects in linear time; the stable
+    argsort it replaced is the oracle, bit for bit."""
+
+    @staticmethod
+    def check(scores, s):
+        got = P.build_mask_unstructured(scores, s).bits
+        want = argsort_mask_bits(scores, s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        values=st.sampled_from(["continuous", "ties", "signed_zeros", "constant"]),
+        s_kind=st.sampled_from(["zero", "one_entry", "half", "0.99", "any"]),
+        s_any=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bit_equal_to_stable_argsort(self, shape, values, s_kind, s_any, seed):
+        rng = np.random.default_rng(seed)
+        if values == "continuous":
+            scores = rng.standard_normal(shape)
+        elif values == "ties":  # integer-valued, so most entries tie
+            scores = rng.integers(0, 4, size=shape).astype(np.float64)
+        elif values == "signed_zeros":  # -0.0 == 0.0 ties too
+            scores = rng.choice([-0.0, 0.0, 1.0], size=shape)
+        else:
+            scores = np.full(shape, rng.standard_normal())
+        n = scores.size
+        s = {"zero": 0.0, "one_entry": 1.0 / n if n > 1 else 0.0, "half": 0.5,
+             "0.99": 0.99, "any": s_any}[s_kind]
+        self.check(scores, s)
+
+    def test_one_by_one(self):
+        for s in (0.0, 0.5, 0.99):
+            self.check(np.array([[3.0]]), s)
+
+    def test_signed_zeros_go_in_flat_order(self):
+        scores = np.array([[0.0, -0.0, 1.0, -0.0]])
+        self.check(scores, 0.5)
+        np.testing.assert_array_equal(P.build_mask_unstructured(scores, 0.5).bits, [[0, 0, 1, 1]])
+
+    def test_desk_layer_shapes(self, rng):
+        for shape in [(128, 64), (64, 128)]:
+            scores = np.abs(rng.standard_normal(shape))
+            scores.ravel()[::7] = scores.ravel()[0]  # a block of ties at one value
+            for s in (0.3, 0.5, 0.7):
+                self.check(scores, s)
 
 
 class TestNmMask:
@@ -178,6 +249,13 @@ class TestApplyAndStasis:
         mask = P.build_mask_unstructured(rng.random((10, 10)), 0.3)
         pruned = P.apply_mask(w, mask)
         assert (pruned == 0).mean() == pytest.approx(mask.sparsity)
+
+    @pytest.mark.parametrize("bad", [257, 0.5, -1])
+    def test_mask_rejects_non_binary_entries(self, bad):
+        # checked as given: a cast to uint8 first would read 257 as 1,
+        # 0.5 as 0 and -1 as 255
+        with pytest.raises(ValueError, match="0 or 1"):
+            P.Mask(bits=np.array([[bad, 1], [0, 1]]))
 
     def test_detect_stasis(self):
         a = P.Mask(bits=np.array([[1, 0], [0, 1]], dtype=np.uint8))
