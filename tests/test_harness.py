@@ -448,14 +448,14 @@ class TestCli:
     def test_bad_later_value_fails_before_any_evaluation(
         self, tiny_cfg_kwargs, tmp_path, monkeypatch, argv
     ):
-        real = H.perplexity
+        real = H.perplexities
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(H, "perplexity", counting)
+        monkeypatch.setattr(H, "perplexities", counting)
         corpora = [f"--corpus={n}={p}" for n, p in tiny_cfg_kwargs["corpora"].items()]
         with pytest.raises(UsageError):
             cli.main([
