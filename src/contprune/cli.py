@@ -122,7 +122,13 @@ def cmd_eval(args) -> int:
 def _experiment_config(args) -> harness.ExperimentConfig:
     """Config file values, overridden by every flag given; each grid flag's
     ``dest`` is the name of the ExperimentConfig field it sets."""
-    values: dict = json.loads(Path(args.config).read_text()) if args.config else {}
+    try:
+        values = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read config {args.config}: {exc}") from None
+    if not isinstance(values, dict):
+        kind = type(values).__name__
+        raise SystemExit(f"config {args.config} must hold a JSON object, got {kind}")
     names = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
     unknown = sorted(set(values) - names)
     if unknown:
@@ -130,12 +136,14 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     for name in names:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
-    entries = dict(values.get("corpora") or {})
-    try:
-        entries.update(_collect_corpora(args))
-    except SystemExit:
-        if not entries:
-            raise
+    entries = values.get("corpora") or {}
+    if isinstance(entries, dict):  # ExperimentConfig names any other type
+        entries = dict(entries)
+        try:
+            entries.update(_collect_corpora(args))
+        except SystemExit:
+            if not entries:
+                raise
     values["corpora"] = entries
     if values.get("seed") is None:
         raise SystemExit("--seed is required")

@@ -19,21 +19,20 @@ One command (``run_continual`` or an ablation sweep) computes each of these
 at most once, in a ``Memo`` shared by the dense row and every grid:
 
 - a calibration set per (corpus, ``n_samples``);
-- a dataset's scores (``pruner.score_step``) per (criterion, scored network,
-  corpus, ``n_samples``). Sensitivity always scores the base, and so do the
-  baselines under global initialization, so all orderings and specs share a
-  few scores. A (criterion, ``n_samples``) pair's scores are dropped after
-  its last grid;
+- a dataset's scores (``pruner.score_step``), one matrix per prunable layer,
+  per (criterion, scored network, corpus, ``n_samples``). Sensitivity always
+  scores the base, and so do the baselines under global initialization, so
+  all orderings and specs share a few scores;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one vocabulary table per network): magnitude under global
   initialization, for one, prunes the base to the same network whatever the
   dataset.
 
 Networks are keyed by the sha256 of their bytes, which is exact under every
-init mode. Each ordering replays the cached sensitivity contributions into
-its own state in visit order (``pruner.mask_step``). A key on the set of
-seen datasets would not be exact: float sums depend on the order of their
-terms, so two orders of one set give states that differ in their last bits.
+init mode. Each ordering adds the cached sensitivity scores of the datasets
+it visits to its own state (``pruner.mask_step``); states are not shared,
+because two orders of one set of datasets give sums that differ in their
+last bits.
 Only successes are memoized: a score or evaluation that raises raises again
 in every ordering that reaches it.
 """
@@ -89,9 +88,15 @@ class ExperimentConfig:
     samples_sweep: tuple[int, ...] = DEFAULT_SAMPLES_SWEEP
 
     def __post_init__(self) -> None:
-        for name, parse in (("criteria", str), ("sparsities", float), ("nm_patterns", _nm_pair),
-                            ("sparsity_sweep", float), ("samples_sweep", int)):
-            setattr(self, name, _items(name, getattr(self, name), parse))
+        for name, types, parse in _FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                kinds = " or ".join(t.__name__ for t in types)
+                raise UsageError(f"{name} must be of type {kinds}, got {value!r}")
+            if parse is not None:
+                setattr(self, name, _items(name, value, parse))
+        if not all(isinstance(v, str) for v in self.corpora.values()):
+            raise UsageError(f"corpora must map names to paths, got {self.corpora!r}")
         if not self.corpora:
             raise UsageError("need at least one corpus")
         if not self.criteria:
@@ -103,19 +108,40 @@ class ExperimentConfig:
 
 def _items(name: str, value, parse) -> tuple:
     """A list from a JSON config, or a comma-separated string from a flag, as
-    a tuple of parsed values; UsageError names the first repeated value."""
+    a tuple of parsed values; UsageError names the first item that does not
+    parse or the first repeated value."""
     if isinstance(value, str):
         value = value.split(",")
-    values = tuple(parse(v) for v in value)
+    values = []
+    for v in value:
+        try:
+            values.append(parse(v))
+        except (TypeError, ValueError):
+            raise UsageError(f"{name} has an item that does not parse: {v!r}") from None
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise UsageError(f"{name} repeats the value {repeated[0]!r}")
-    return values
+    return tuple(values)
 
 
 def _nm_pair(value) -> tuple[int, int]:
     """``"2:4"`` or ``[2, 4]`` as the pair ``(2, 4)``."""
     return tuple(int(v) for v in (value.split(":") if isinstance(value, str) else value))
+
+
+_NUMBER = (int, float)
+_LIST = (str, list, tuple)  # a comma-separated flag, a JSON list, a default
+
+# Every ExperimentConfig field, the types it may have (a bool is no number)
+# and a list field's item parser; checked, not coerced, so configs echo as given.
+_FIELDS = (
+    ("model_path", (str,), None), ("corpora", (dict,), None), ("seed", (int,), None),
+    ("output_dir", (str,), None), ("criteria", _LIST, str), ("sparsities", _LIST, float),
+    ("nm_patterns", _LIST, _nm_pair), ("n_samples", (int,), None), ("seq_len", (int,), None),
+    ("epsilon", _NUMBER, None), ("w_draws", (int,), None), ("eval_fraction", _NUMBER, None),
+    ("init_mode_override", (str, type(None)), None), ("sparsity_sweep", _LIST, float),
+    ("samples_sweep", _LIST, int),
+)
 
 
 def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
@@ -163,10 +189,6 @@ class Memo:
         if key not in self._scores:
             self._scores[key] = score_step(net, config, calib)
         return self._scores[key]
-
-    def drop_scores(self, criterion: str, n_samples: int) -> None:
-        for key in [k for k in self._scores if (k[0], k[3]) == (criterion, n_samples)]:
-            del self._scores[key]
 
     def _digest(self, net: Network) -> bytes:
         return self._base_digest if net is self.base else _sha256(net)
@@ -270,15 +292,6 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     }
 
 
-def _grid_entries(memo: Memo, runs):
-    """Each ``(criterion, spec, n_samples)`` run's grid entry, in order. A
-    (criterion, n_samples) pair's scores are dropped after its last run."""
-    for i, (criterion, spec, n_samples) in enumerate(runs):
-        yield run_grid_cell(memo, criterion, spec, n_samples)
-        if (criterion, n_samples) not in {(c, n) for c, _, n in runs[i + 1:]}:
-            memo.drop_scores(criterion, n_samples)
-
-
 def dense_row(memo: Memo) -> dict:
     ppls = memo.perplexities(memo.base)
     values = list(ppls.values())
@@ -295,7 +308,8 @@ def run_continual(cfg: ExperimentConfig) -> dict:
     runs = [(criterion, spec, cfg.n_samples) for criterion in cfg.criteria for spec in specs]
     memo = _load_inputs(cfg, runs)
     dense = dense_row(memo)
-    grids = {f"{e['criterion']}:{e['spec']}": e for e in _grid_entries(memo, runs)}
+    entries = [run_grid_cell(memo, *run) for run in runs]
+    grids = {f"{e['criterion']}:{e['spec']}": e for e in entries}
     out = {
         "schema_version": 1,
         "config": _config_echo(cfg),
@@ -423,7 +437,8 @@ def _ablation(cfg: ExperimentConfig, filename: str, sweep_key: str, runs) -> lis
     one row per grid, also written to ``filename``."""
     memo = _load_inputs(cfg, [run for _, run in runs])
     rows: list[dict] = []
-    for (value, run), entry in zip(runs, _grid_entries(memo, [run for _, run in runs])):
+    for value, run in runs:
+        entry = run_grid_cell(memo, *run)
         summary = _summary(entry)
         row = {"criterion": run[0], sweep_key: value}
         if summary is None:

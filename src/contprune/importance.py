@@ -1,14 +1,16 @@
 """Continual accumulation of per-weight importance across datasets.
 
-The accumulator holds one nonnegative matrix per prunable layer. Every
-sample adds ``|W * grad|`` elementwise (W is the base, unmasked weight), so
-entries only ever grow, and the total after a sequence of datasets sums the
-same terms whatever the order in which they were visited. It is not the same
-bit for bit: float addition is not associative. On the desk model with 16
-calibration samples per corpus, the final states of bracket>numeric>prose
-and prose>numeric>bracket differ in 75% of their entries, by at most 1.1e-15
-relative. Masks derived from the accumulator at intermediate steps depend on
-what has been seen so far, which is the whole point of keeping the state.
+The accumulator holds one nonnegative matrix per prunable layer. A dataset's
+importance sums its samples' ``|W * grad|`` terms (W is the base, unmasked
+weight) into zero matrices, and the carried state adds each dataset's
+importance in visit order. Entries only ever grow, and the final state sums
+the same per-dataset sums whatever the visit order, though not bit for bit:
+float addition is not associative. On the benchmark's ``calib-heavy`` seed-1
+inputs (desk model, 16 calibration samples per corpus), the final states of
+bracket>numeric>prose and prose>numeric>bracket differ in 25% of their
+entries, by at most 3.2e-16 relative. Masks derived from the accumulator at
+intermediate steps depend on what has been seen so far, which is the whole
+point of keeping the state.
 
 The state is the only artifact carried between datasets; its size depends
 on the model, never on how much data has been consumed.
@@ -131,7 +133,7 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
         sample_count=manifest["sample_count"],
     )
     if net is not None:
-        _check_against(state, net)
+        check_against(state, net)
     return state
 
 
@@ -161,7 +163,8 @@ def _check_manifest(manifest) -> None:
         raise FormatError(f"state manifest sample_count must map names to counts, got {counts!r}")
 
 
-def _check_against(state: ImportanceState, net: Network) -> None:
+def check_against(state: ImportanceState, net: Network) -> None:
+    """ShapeError unless ``state`` tracks exactly the prunable layers of ``net``."""
     expected = set(net.prunable_indices())
     if set(state.per_layer) != expected:
         raise ShapeError(

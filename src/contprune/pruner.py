@@ -14,12 +14,14 @@ sensitivity  the accumulated importance state built from finite-difference
              that agree only to rounding (see ``importance``).
 
 A prune step is the composition of two halves. ``score_step`` does the work
-that depends only on the scored network and one calibration set: sensitivity
-contributions in the order they enter the state, wanda's activation-scaled
-``|W|``, or magnitude's ``|W|``. ``mask_step`` does the rest under one
-sparsity spec: it replays sensitivity contributions into the state through
-``accumulate`` and builds the masks. A harness may therefore score a dataset
-once and mask it under many specs and orderings.
+that depends only on the scored network and one calibration set: one score
+matrix per prunable layer, for every criterion. For sensitivity that matrix
+is the dataset's importance, the sum of its samples' ``|W * grad|`` terms;
+for wanda it is the activation-scaled ``|W|``, for magnitude ``|W|``.
+``mask_step`` does the rest under one sparsity spec: sensitivity adds the
+dataset's importance to the carried state and ranks the state, the baselines
+rank their scores. A harness may therefore score a dataset once and mask it
+under many specs and orderings.
 
 Unstructured selection prunes exactly the ``floor(s * N)`` lowest-scoring
 entries, ties resolved toward the lowest flat index, so the sparsity is exact
@@ -47,7 +49,7 @@ import numpy as np
 
 from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
-from .importance import ImportanceState, accumulate, finish_dataset
+from .importance import ImportanceState, accumulate, check_against, finish_dataset, init_state
 from .model import Network, check_tokens, forward_capture, vocabulary_tokens
 from .seeding import derive_seed
 from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian
@@ -110,13 +112,10 @@ class PruneConfig:
 
 
 def criterion_scores(
-    criterion: str,
-    weight: np.ndarray,
-    state: ImportanceState | None = None,
-    activations: np.ndarray | None = None,
-    layer_index: int | None = None,
+    criterion: str, weight: np.ndarray, activations: np.ndarray | None = None
 ) -> np.ndarray:
-    """Nonnegative score matrix congruent to ``weight`` for one layer."""
+    """Nonnegative score matrix of a baseline criterion, congruent to
+    ``weight``, for one layer."""
     weight = np.asarray(weight, dtype=np.float64)
     if criterion == "magnitude":
         return np.abs(weight)
@@ -131,15 +130,6 @@ def criterion_scores(
             )
         feature_norms = np.linalg.norm(acts, axis=1)
         return np.abs(weight) * feature_norms[None, :]
-    if criterion == "sensitivity":
-        if state is None or layer_index is None:
-            raise UsageError("sensitivity criterion requires an importance state and layer index")
-        scores = state.per_layer.get(layer_index)
-        if scores is None:
-            raise UsageError(f"importance state does not track layer {layer_index}")
-        if scores.shape != weight.shape:
-            raise ShapeError(f"state shape {scores.shape} != weight shape {weight.shape}")
-        return scores.copy()
     raise UsageError(f"unknown criterion {criterion!r}")
 
 
@@ -184,24 +174,20 @@ def build_mask_nm(scores: np.ndarray, n: int, m: int) -> Mask:
     if not 0 < n < m:
         raise UsageError(f"need 0 < n < m, got ({n}, {m})")
     rows, cols = scores.shape
-    bits = np.zeros_like(scores, dtype=np.uint8)
     full = (cols // m) * m
-    if full:
-        grouped = scores[:, :full].reshape(rows * (full // m), m)
-        # stable argsort of the negation keeps the lowest index first on ties
-        order = np.argsort(-grouped, axis=1, kind="stable")
-        gbits = np.zeros_like(grouped, dtype=np.uint8)
-        np.put_along_axis(gbits, order[:, :n], 1, axis=1)
-        bits[:, :full] = gbits.reshape(rows, full)
-    rem = cols - full
-    if rem:
-        keep = math.ceil(n * rem / m)
-        tail = scores[:, full:]
-        order = np.argsort(-tail, axis=1, kind="stable")
-        tbits = np.zeros_like(tail, dtype=np.uint8)
-        np.put_along_axis(tbits, order[:, :keep], 1, axis=1)
-        bits[:, full:] = tbits
+    bits = np.empty_like(scores, dtype=np.uint8)
+    bits[:, :full] = _top_k_bits(scores[:, :full].reshape(-1, m), n).reshape(rows, full)
+    bits[:, full:] = _top_k_bits(scores[:, full:], math.ceil(n * (cols - full) / m))
     return Mask(bits=bits, structure=(n, m))
+
+
+def _top_k_bits(scores: np.ndarray, k: int) -> np.ndarray:
+    """uint8 bits keeping the ``k`` highest scores of each row; a stable
+    argsort of the negation keeps the lowest index first on ties."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    bits = np.zeros_like(scores, dtype=np.uint8)
+    np.put_along_axis(bits, order[:, :k], 1, axis=1)
+    return bits
 
 
 def apply_mask(weight: np.ndarray, mask: Mask) -> np.ndarray:
@@ -249,19 +235,12 @@ def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DatasetScores:
-    """What ``score_step`` computes from one calibration set.
-
-    ``layers`` maps each prunable layer to its score matrix (wanda,
-    magnitude). ``contributions`` maps each prunable layer to its
-    sensitivity contributions, stacked along axis 0 in the order
-    ``mask_step`` adds them to the state: segment-major, then draw. One
-    preallocated stack per layer keeps the held contributions contiguous.
-    """
+    """What ``score_step`` computes from one calibration set: ``layers``
+    maps each prunable layer to its score matrix."""
 
     corpus_name: str
     n_samples: int
     layers: dict[int, np.ndarray] = field(default_factory=dict)
-    contributions: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def scored_network(net: Network, config: PruneConfig, base_net: Network | None = None) -> Network:
@@ -276,14 +255,11 @@ def scored_network(net: Network, config: PruneConfig, base_net: Network | None =
 def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
     """The half of a prune step that depends only on the scored network
     ``net``, the criterion's settings and one calibration set; neither the
-    importance state nor the sparsity spec enters it."""
+    importance state nor the sparsity spec enters it. Sensitivity adds its
+    terms into zero matrices segment-major, then draw by draw."""
     prunable = net.prunable_indices()
-    scores = DatasetScores(calib.corpus_name, calib.n_samples)
     if config.criterion == "sensitivity":
-        draws = config.w_draws
-        for idx in prunable:
-            shape = (calib.n_samples * draws, *net.layers[idx].weight.shape)
-            scores.contributions[idx] = np.empty(shape)
+        importance = init_state(net)
         # every position is one input; weight perturbations are shared
         # across a segment, input perturbations are per token
         for j, seg_inputs in enumerate(_segment_inputs(net, calib)):
@@ -294,18 +270,17 @@ def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> Data
                 seed = derive_seed(config.seed, "pert", calib.corpus_name, j, idx)
                 rng = np.random.default_rng(seed)
                 w_rms = config.epsilon * float(np.sqrt(np.mean(w * w)))
-                for d in range(draws):
+                for _ in range(config.w_draws):
                     delta_w = scaled_gaussian(w.shape, w_rms, rng)
                     delta_x = batch_input_perturbation(x_batch, config.epsilon, rng)
-                    scores.contributions[idx][j * draws + d] = batch_gradient_magnitude(
-                        layer, x_batch, delta_w, delta_x
-                    )
-        return scores
+                    grad = batch_gradient_magnitude(layer, x_batch, delta_w, delta_x)
+                    accumulate(importance, idx, w, grad)
+        return DatasetScores(calib.corpus_name, calib.n_samples, importance.per_layer)
     per_segment = list(_segment_inputs(net, calib)) if config.criterion == "wanda" else []
+    scores = DatasetScores(calib.corpus_name, calib.n_samples)
     for idx in prunable:
         acts = np.concatenate([s[idx] for s in per_segment], axis=1) if per_segment else None
-        scores.layers[idx] = criterion_scores(config.criterion, net.layers[idx].weight,
-                                              activations=acts)
+        scores.layers[idx] = criterion_scores(config.criterion, net.layers[idx].weight, acts)
     return scores
 
 
@@ -319,18 +294,19 @@ def mask_step(
     ``net`` (the scored network) from ``scores``, the re-masked network, and
     a report fragment with per-layer sparsity statistics.
 
-    For sensitivity the contributions are first added to ``state`` in their
-    recorded order, through ``accumulate``, and the dataset is marked as
-    seen; the masks then rank the state. Layers have separate accumulators,
-    so only the order within a layer shapes the state's bytes.
+    For sensitivity each layer's dataset importance is first added to
+    ``state`` and the dataset is marked as seen; the masks then rank the
+    state. The state is thus a running sum of per-dataset sums.
     """
+    ranked = scores.layers
     if config.criterion == "sensitivity":
         if state is None:
             raise UsageError("sensitivity criterion requires an importance state")
-        for idx, stack in scores.contributions.items():
-            for contrib in stack:
-                accumulate(state, idx, net.layers[idx].weight, contrib)
+        check_against(state, net)
+        for idx, importance in scores.layers.items():
+            state.per_layer[idx] += importance
         finish_dataset(state, scores.corpus_name, scores.n_samples)
+        ranked = state.per_layer
 
     prunable = net.prunable_indices()
     masks: dict[int, Mask] = {}
@@ -338,11 +314,7 @@ def mask_step(
     frag: dict = {"corpus": scores.corpus_name, "criterion": config.criterion, "layers": {}}
     for idx in prunable:
         weight = net.layers[idx].weight
-        if config.criterion == "sensitivity":
-            layer_scores = criterion_scores("sensitivity", weight, state=state, layer_index=idx)
-        else:
-            layer_scores = scores.layers[idx]
-        mask = _build_mask(layer_scores, config)
+        mask = _build_mask(ranked[idx], config)
         masks[idx] = mask
         pruned.layers[idx].weight = apply_mask(weight, mask)
         frag["layers"][idx] = {

@@ -431,6 +431,42 @@ class TestCli:
             self._run_grid_from_config(tiny_cfg_kwargs, tmp_path, sparsity=[0.5])
 
     @pytest.mark.parametrize(
+        "text, error, match",
+        [
+            ("[1, 2]", SystemExit, r"config .*cfg\.json must hold a JSON object, got list$"),
+            ("{bad", SystemExit, r"cannot read config .*cfg\.json: Expecting property name"),
+            ('{"corpora": [1, 2]}', UsageError, r"corpora must be of type dict, got \[1, 2\]$"),
+            ('{"n_samples": "abc"}', UsageError, r"n_samples must be of type int, got 'abc'$"),
+            ('{"n_samples": 4.0}', UsageError, r"n_samples must be of type int, got 4\.0$"),
+            ('{"epsilon": true}', UsageError, r"epsilon must be of type int or float, got True$"),
+            ('{"init_mode_override": 3}', UsageError,
+             r"init_mode_override must be of type str or NoneType, got 3$"),
+            ('{"sparsities": 0.5}', UsageError, r"sparsities must be of type str or list"),
+            ('{"sparsities": ["half"]}', UsageError,
+             r"sparsities has an item that does not parse: 'half'$"),
+            ('{"nm_patterns": [2]}', UsageError, r"nm_patterns has an item that does not parse: 2$"),
+            ('{"corpora": {"extra": 1}}', UsageError, r"corpora must map names to paths"),
+        ],
+        ids=["list", "not-json", "corpora-list", "string-count", "float-count", "bool-number",
+             "number-mode", "bare-number-list", "unparsed-item", "unparsed-pair",
+             "number-corpus-path"],
+    )
+    def test_malformed_config_is_named(self, tiny_cfg_kwargs, tmp_path, text, error, match):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        with pytest.raises(error, match=match):
+            cli.main([
+                "run-grid", "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
+                "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}", "--seed", "0",
+                "--seq-len", "48", "--out", str(tmp_path / "runs"),
+            ])
+        assert not (tmp_path / "runs").exists()
+
+    def test_every_field_has_a_type_check(self):
+        checked = [name for name, _, _ in H._FIELDS]
+        assert checked == [f.name for f in dataclasses.fields(H.ExperimentConfig)]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["run-grid", "--sparsity", "0.5,1"],

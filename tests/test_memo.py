@@ -7,6 +7,8 @@ evaluates every cell with ``perplexity``. Swapped in for
 """
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from contprune import harness as H
@@ -191,17 +193,18 @@ def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(
     assert grids["magnitude:unstructured-0.5"]["complete"]
 
 
-def test_scores_dropped_after_their_last_grid(three_corpora):
-    cfg = H.ExperimentConfig(**three_corpora, criteria=("sensitivity", "wanda"))
+def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora):
+    cfg = H.ExperimentConfig(**three_corpora, criteria=("sensitivity", "wanda", "magnitude"))
     runs = [("sensitivity", 0.5, 4), ("sensitivity", (2, 4), 4), ("wanda", 0.5, 4),
-            ("sensitivity", 0.5, 2)]
+            ("magnitude", 0.5, 4), ("sensitivity", 0.5, 2)]
     memo = H._load_inputs(cfg, runs)
-    held = [sorted({(k[0], k[3]) for k in memo._scores}) for _ in H._grid_entries(memo, runs)]
-    # as each entry is yielded: one (criterion, n_samples) pair's scores at a time
-    assert held == [
-        [("sensitivity", 4)],
-        [("sensitivity", 4)],
-        [("wanda", 4)],
-        [("sensitivity", 2)],
-    ]
-    assert memo._scores == {}
+    for run in runs:
+        H.run_grid_cell(memo, *run)
+    prunable = memo.base.prunable_indices()
+    # sensitivity at 4 and 2 samples, wanda and magnitude: each scores the base
+    assert len(memo._scores) == 4 * len(CORPORA)
+    for key, scores in memo._scores.items():
+        assert [f.name for f in fields(scores)] == ["corpus_name", "n_samples", "layers"], key
+        assert sorted(scores.layers) == prunable, key
+        for idx, matrix in scores.layers.items():
+            assert matrix.shape == memo.base.layers[idx].weight.shape, key

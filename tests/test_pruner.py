@@ -33,33 +33,9 @@ class TestCriterionScores:
         norms = np.linalg.norm(acts, axis=1)
         np.testing.assert_allclose(out, np.abs(w) * norms[None, :], rtol=1e-15)
 
-    def test_sensitivity_returns_state_entry_bit_exact(self, rng):
-        net = M.Network(
-            layers=[M.linear(rng.standard_normal((4, 3)))], vocab_size=8,
-            embed=rng.standard_normal((8, 3)),
-        )
-        state = I.init_state(net)
-        I.accumulate(state, 0, rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
-        out = P.criterion_scores("sensitivity", net.layers[0].weight, state=state, layer_index=0)
-        assert out.tobytes() == state.per_layer[0].tobytes()
-
     def test_missing_aux_inputs(self, rng):
-        w = rng.standard_normal((2, 2))
         with pytest.raises(UsageError):
-            P.criterion_scores("wanda", w)
-        with pytest.raises(UsageError):
-            P.criterion_scores("sensitivity", w)
-
-
-def threshold_for_sparsity(scores: np.ndarray, s: float) -> float:
-    """Percentile threshold: the value at rank ``floor(s * N)`` ascending.
-
-    With strict-less masking this prunes at most ``floor(s * N)`` entries;
-    ties at the boundary are resolved by the rank-based mask builders, which
-    this function cross-checks.
-    """
-    k = int(math.floor(s * np.size(scores)))
-    return float(np.sort(np.ravel(scores))[k])
+            P.criterion_scores("wanda", rng.standard_normal((2, 2)))
 
 
 def argsort_mask_bits(scores: np.ndarray, s: float) -> np.ndarray:
@@ -69,35 +45,6 @@ def argsort_mask_bits(scores: np.ndarray, s: float) -> np.ndarray:
     bits = np.ones(scores.size, dtype=np.uint8)
     bits[np.argsort(scores.ravel(), kind="stable")[:k]] = 0
     return bits.reshape(scores.shape)
-
-
-class TestThreshold:
-    def test_brute_force_selection_oracle(self):
-        scores = np.array([[0.1, 0.2], [0.3, 0.4]])
-        t = threshold_for_sparsity(scores, 0.5)
-        assert t == pytest.approx(0.3)
-        assert int((scores < t).sum()) == 2  # prunes exactly 0.1 and 0.2
-
-    def test_s_zero_prunes_nothing(self):
-        scores = np.array([[0.5, 0.9]])
-        t = threshold_for_sparsity(scores, 0.0)
-        assert int((scores < t).sum()) == 0
-
-    def test_ties_resolved_by_rank_selection(self):
-        scores = np.ones((2, 2))
-        mask = P.build_mask_unstructured(scores, 0.5)
-        # lowest flat indices pruned first among equal scores
-        np.testing.assert_array_equal(mask.bits, [[0, 0], [1, 1]])
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**31), s=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
-    def test_threshold_consistent_with_rank_selection(self, seed, s):
-        rng = np.random.default_rng(seed)
-        scores = rng.random((5, 7))
-        k = math.floor(s * scores.size)
-        t = threshold_for_sparsity(scores, s)
-        # distinct scores: strict-less masking at the threshold prunes floor(s N)
-        assert int((scores < t).sum()) == k
 
 
 class TestUnstructuredMask:
@@ -128,6 +75,12 @@ class TestUnstructuredMask:
         scores = rng.permutation(36).reshape(6, 6).astype(float)
         mask = P.build_mask_unstructured(scores, 0.5)
         assert set(scores[mask.bits == 0].astype(int)) == set(range(18))
+
+    def test_ties_resolved_by_rank_selection(self):
+        scores = np.ones((2, 2))
+        mask = P.build_mask_unstructured(scores, 0.5)
+        # lowest flat indices pruned first among equal scores
+        np.testing.assert_array_equal(mask.bits, [[0, 0], [1, 1]])
 
 
 class TestSelectionMatchesArgsort:
@@ -409,26 +362,50 @@ class TestPruneStep:
             assert acc.min() > 0
             np.testing.assert_allclose(state.per_layer[idx], acc, rtol=1e-12)
 
-    def test_replayed_state_bit_identical_to_interleaved_accumulation(self, prune_setup):
-        # the reference adds each contribution to the state as soon as the
-        # kernel returns it, segment by segment, layer by layer, draw by draw
+    def test_state_is_the_running_sum_of_per_dataset_sums(self, prune_setup):
+        # every |W * grad| term of a dataset, segment by segment, layer by
+        # layer, draw by draw
         net, calib_a, calib_b = prune_setup
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=5, w_draws=2)
-        state, expected = I.init_state(net), I.init_state(net)
-        for calib in (calib_a, calib_b):
-            P.prune_step(net, state, cfg, calib)
+
+        def terms(calib):
             for j, seg_inputs in enumerate(P._segment_inputs(net, calib)):
                 for idx, x in seg_inputs.items():
                     layer = net.layers[idx]
-                    pert_rng = np.random.default_rng(derive_seed(5, "pert", calib.corpus_name, j, idx))
+                    seed = derive_seed(5, "pert", calib.corpus_name, j, idx)
+                    pert_rng = np.random.default_rng(seed)
                     for _ in range(2):
                         rms = 1e-3 * float(np.sqrt(np.mean(layer.weight ** 2)))
                         delta_w = S.scaled_gaussian(layer.weight.shape, rms, pert_rng)
                         delta_x = S.batch_input_perturbation(x, 1e-3, pert_rng)
                         grad = S.batch_gradient_magnitude(layer, x, delta_w, delta_x)
-                        I.accumulate(expected, idx, layer.weight, grad)
+                        yield idx, layer.weight, grad
+
+        state, running, interleaved = I.init_state(net), I.init_state(net), I.init_state(net)
+        for calib in (calib_a, calib_b):
+            P.prune_step(net, state, cfg, calib)
+            dataset = I.init_state(net)  # this dataset's terms on their own
+            for idx, w, grad in terms(calib):
+                I.accumulate(dataset, idx, w, grad)
+                I.accumulate(interleaved, idx, w, grad)  # the flat per-sample sum
+            for idx, total in dataset.per_layer.items():
+                running.per_layer[idx] += total
         for idx in net.prunable_indices():
-            np.testing.assert_array_equal(state.per_layer[idx], expected.per_layer[idx])
+            np.testing.assert_array_equal(state.per_layer[idx], running.per_layer[idx])
+            # the association differs from the flat sum only in rounding
+            np.testing.assert_allclose(state.per_layer[idx], interleaved.per_layer[idx], rtol=1e-12)
+
+    def test_state_not_matching_the_network_is_a_shape_error(self, prune_setup):
+        net, calib_a, _ = prune_setup
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=0)
+        scores = P.score_step(net, cfg, calib_a)
+        first = net.prunable_indices()[0]
+        missing, transposed = I.init_state(net), I.init_state(net)
+        del missing.per_layer[first]
+        transposed.per_layer[first] = transposed.per_layer[first].T.copy()
+        for state in (missing, transposed):
+            with pytest.raises(ShapeError):
+                P.mask_step(net, state, cfg, scores)
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
