@@ -9,7 +9,8 @@ Typical workflow:
     contprune report --run-dir runs
 
 Every run-grid option can also come from a JSON config file (--config);
-explicit flags override file values.
+explicit flags override file values. A command that fails on a package error
+or an OSError prints one line, ``contprune: <Type>: <message>``, and exits 1.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import harness, importance, metrics, model, pruner, trainer
+from .errors import PACKAGE_ERRORS, UsageError
 from .seeding import derive_seed
 
 
@@ -39,6 +41,7 @@ def _add_corpora_args(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_corpora(args) -> dict[str, str]:
+    """The corpora the flags name, by name; possibly none."""
     entries: dict[str, str] = {}
     if args.corpora_dir:
         for path in sorted(Path(args.corpora_dir).glob("*.bin")):
@@ -46,10 +49,8 @@ def _collect_corpora(args) -> dict[str, str]:
     for spec in args.corpus:
         name, _, path = spec.partition("=")
         if not path:
-            raise SystemExit(f"--corpus expects NAME=PATH, got {spec!r}")
+            raise UsageError(f"--corpus expects NAME=PATH, got {spec!r}")
         entries[name] = path
-    if not entries:
-        raise SystemExit("no corpora given; use --corpora-dir or --corpus")
     return entries
 
 
@@ -62,6 +63,8 @@ def cmd_gen_corpora(args) -> int:
 
 def cmd_train(args) -> int:
     entries = _collect_corpora(args)
+    if not entries:
+        raise UsageError("no corpora given; use --corpora-dir or --corpus")
     corpora = [corpus_mod.load_corpus(p, n) for n, p in sorted(entries.items())]
     net = model.make_decoder(
         d=args.dim, hidden=args.hidden, blocks=args.blocks, seed=derive_seed(args.seed, "init")
@@ -90,7 +93,10 @@ def cmd_prune(args) -> int:
     calib = corpus_mod.sample_calibration(
         corpus, args.n_samples, args.seq_len, derive_seed(args.seed, "calib", corpus.name)
     )
-    kwargs = {"nm": tuple(int(v) for v in args.nm.split(":"))} if args.nm else {"sparsity": args.sparsity}
+    if args.nm:  # one pattern, so no comma split
+        kwargs = {"nm": harness._items("--nm", [args.nm], harness._nm_pair)[0]}
+    else:
+        kwargs = {"sparsity": args.sparsity}
     config = pruner.PruneConfig(
         criterion=args.criterion,
         init_mode=args.init_mode,
@@ -125,30 +131,25 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     try:
         values = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read config {args.config}: {exc}") from None
+        raise UsageError(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(values, dict):
         kind = type(values).__name__
-        raise SystemExit(f"config {args.config} must hold a JSON object, got {kind}")
+        raise UsageError(f"config {args.config} must hold a JSON object, got {kind}")
     names = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
     unknown = sorted(set(values) - names)
     if unknown:
-        raise SystemExit(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+        raise UsageError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
     for name in names:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
     entries = values.get("corpora") or {}
     if isinstance(entries, dict):  # ExperimentConfig names any other type
-        entries = dict(entries)
-        try:
-            entries.update(_collect_corpora(args))
-        except SystemExit:
-            if not entries:
-                raise
+        entries = {**entries, **_collect_corpora(args)}
     values["corpora"] = entries
     if values.get("seed") is None:
-        raise SystemExit("--seed is required")
+        raise UsageError("--seed is required")
     if "model_path" not in values:
-        raise SystemExit("--model is required")
+        raise UsageError("--model is required")
     return harness.ExperimentConfig(**values)
 
 
@@ -275,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (*PACKAGE_ERRORS, OSError) as exc:
+        print(f"contprune: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

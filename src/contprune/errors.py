@@ -29,9 +29,12 @@ class CompletenessError(ValueError):
     """An aggregate was requested over an incomplete cell grid."""
 
 
+# The package's own errors: the command line prints one line for each.
+PACKAGE_ERRORS = (
+    ShapeError, InputError, FormatError, UsageError, NumericalError, TrainingError,
+    CompletenessError,
+)
+
 # What a failed grid ordering records as an ``errors`` entry, the run going
 # on; any other exception is a programming error and ends the run.
-RECOVERABLE_ERRORS = (
-    ShapeError, InputError, FormatError, UsageError, NumericalError, TrainingError,
-    CompletenessError, FloatingPointError,
-)
+RECOVERABLE_ERRORS = (*PACKAGE_ERRORS, FloatingPointError)

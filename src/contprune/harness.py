@@ -50,7 +50,7 @@ import numpy as np
 from .corpus import CalibrationSet, Corpus, load_corpus, permutations, sample_calibration
 from .errors import RECOVERABLE_ERRORS, InputError, UsageError
 from .importance import init_state
-from .metrics import EvalCell, aggregate, perplexities, report_to_dict
+from .metrics import EvalCell, aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
 from .pruner import (  # noqa: F401  prune_step: perfbench's tracer patches it by this name
@@ -285,7 +285,7 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
         "spec": pconfig.spec_label(),
         "ws": bool(completed) and len(ws_perms) == len(completed),
         "ws_permutations": ws_perms,
-        "report": report_to_dict(aggregate(cells, completed, names)) if completed else None,
+        "report": aggregate(cells, completed, names) if completed else None,
         "step_stats": step_stats,
         "errors": errors,
         "complete": not errors,

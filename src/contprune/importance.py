@@ -120,11 +120,12 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
             data = fh.read(8 * n)
             if len(data) != 8 * n:
                 raise FormatError(f"state payload truncated at layer {entry['index']}")
-            per_layer[entry["index"]] = (
-                np.frombuffer(data, dtype="<f8")
-                .astype(np.float64)
-                .reshape(entry["rows"], entry["cols"])
-            )
+            matrix = np.frombuffer(data, dtype="<f8").astype(np.float64)
+            if not (np.isfinite(matrix).all() and (matrix >= 0).all()):  # sums of |W * grad|
+                raise FormatError(
+                    f"state layer {entry['index']} holds non-finite or negative entries"
+                )
+            per_layer[entry["index"]] = matrix.reshape(entry["rows"], entry["cols"])
         if fh.read(1):
             raise FormatError("trailing bytes after the state payload")
     state = ImportanceState(

@@ -12,11 +12,13 @@ so positive values mean forgetting. Values can legitimately be negative
 
 Aggregates: A-PPL / M-PPL are the mean / max perplexity over all cells,
 A-BWT / M-BWT the mean / max over all backward-transfer entries, plus
-per-dataset mean and (population) standard deviation blocks.
+per-dataset mean and (population) standard deviation blocks. ``aggregate``
+returns them, with the cells and backward-transfer entries, as the plain
+dict that each ``grid.json`` entry stores as its ``report``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,25 +108,6 @@ def bwt_cell(p_after: float, p_immediate: float) -> float:
     return float(p_after - p_immediate)
 
 
-@dataclass(frozen=True)
-class BwtEntry:
-    permutation: tuple[str, ...]
-    step: int  # the later step whose pruning is being charged
-    eval_dataset: str  # a dataset pruned at an earlier step
-    value: float
-
-
-@dataclass
-class RunReport:
-    cells: list[EvalCell]
-    bwt_entries: list[BwtEntry]
-    a_ppl: float
-    m_ppl: float
-    a_bwt: float | None  # None when the grid has no backward pairs
-    m_bwt: float | None
-    per_dataset: dict[str, dict] = field(default_factory=dict)
-
-
 def _required_coords(perms, datasets):
     for pi in perms:
         for step in range(1, len(pi) + 1):
@@ -136,8 +119,11 @@ def aggregate(
     cells,
     permutations: list[tuple[str, ...]] | None = None,
     datasets: list[str] | None = None,
-) -> RunReport:
-    """Fold a complete cell grid into a RunReport.
+) -> dict:
+    """Fold a complete cell grid into the report that ``grid.json`` stores:
+    ``cells`` in (permutation, step, eval dataset) order, ``bwt_entries``,
+    ``aggregates`` (``a_bwt``/``m_bwt`` None when the grid has no backward
+    pairs) and ``per_dataset``.
 
     The expected schedule is derived from the cells when not given
     explicitly: every permutation present must have one cell per
@@ -160,7 +146,9 @@ def aggregate(
             f"{len(missing)} missing cell(s) in the evaluation grid: {desc}"
         )
 
-    bwt_entries: list[BwtEntry] = []
+    # the later step is the one whose pruning is charged; the eval dataset
+    # was pruned at an earlier step
+    bwt_entries: list[dict] = []
     for pi in permutations:
         step_of = {ds: k + 1 for k, ds in enumerate(pi)}
         for step in range(2, len(pi) + 1):
@@ -168,11 +156,11 @@ def aggregate(
                 if step_of[ds] < step:
                     value = bwt_cell(index[(pi, step, ds)], index[(pi, step_of[ds], ds)])
                     bwt_entries.append(
-                        BwtEntry(permutation=pi, step=step, eval_dataset=ds, value=value)
+                        {"permutation": list(pi), "step": step, "eval_dataset": ds, "value": value}
                     )
 
     ppls = np.array([c.perplexity for c in cells])
-    bwts = np.array([b.value for b in bwt_entries]) if bwt_entries else None
+    bwts = np.array([b["value"] for b in bwt_entries]) if bwt_entries else None
     per_dataset: dict[str, dict] = {}
     for ds in datasets:
         ds_ppl = np.array([c.perplexity for c in cells if c.eval_dataset == ds])
@@ -180,24 +168,12 @@ def aggregate(
             "ppl_mean": float(ds_ppl.mean()),
             "ppl_std": float(ds_ppl.std()),
         }
-        ds_bwt = np.array([b.value for b in bwt_entries if b.eval_dataset == ds])
+        ds_bwt = np.array([b["value"] for b in bwt_entries if b["eval_dataset"] == ds])
         if ds_bwt.size:
             entry["bwt_mean"] = float(ds_bwt.mean())
             entry["bwt_std"] = float(ds_bwt.std())
         per_dataset[ds] = entry
 
-    return RunReport(
-        cells=cells,
-        bwt_entries=bwt_entries,
-        a_ppl=float(ppls.mean()),
-        m_ppl=float(ppls.max()),
-        a_bwt=float(bwts.mean()) if bwts is not None else None,
-        m_bwt=float(bwts.max()) if bwts is not None else None,
-        per_dataset=per_dataset,
-    )
-
-
-def report_to_dict(report: RunReport) -> dict:
     return {
         "cells": [
             {
@@ -207,22 +183,14 @@ def report_to_dict(report: RunReport) -> dict:
                 "eval_dataset": c.eval_dataset,
                 "perplexity": c.perplexity,
             }
-            for c in report.cells
+            for c in cells
         ],
-        "bwt_entries": [
-            {
-                "permutation": list(b.permutation),
-                "step": b.step,
-                "eval_dataset": b.eval_dataset,
-                "value": b.value,
-            }
-            for b in report.bwt_entries
-        ],
+        "bwt_entries": bwt_entries,
         "aggregates": {
-            "a_ppl": report.a_ppl,
-            "m_ppl": report.m_ppl,
-            "a_bwt": report.a_bwt,
-            "m_bwt": report.m_bwt,
+            "a_ppl": float(ppls.mean()),
+            "m_ppl": float(ppls.max()),
+            "a_bwt": float(bwts.mean()) if bwts is not None else None,
+            "m_bwt": float(bwts.max()) if bwts is not None else None,
         },
-        "per_dataset": report.per_dataset,
+        "per_dataset": per_dataset,
     }

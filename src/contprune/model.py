@@ -279,7 +279,7 @@ def vocabulary_tokens(net: Network) -> np.ndarray:
 #     activation: act u8 (0 relu, 1 gelu, 2 tanh)
 #     layer_norm: dim u32
 #   payload: float64 row-major arrays in order: embed, then each layer's
-#   parameters (linear: weight; layer_norm: gain then bias).
+#   parameters (linear: weight; layer_norm: gain then bias), all finite.
 
 CHECKPOINT_MAGIC = b"DECKPT01"
 CHECKPOINT_VERSION = 1
@@ -327,7 +327,10 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def _read_array(fh, shape, what: str) -> np.ndarray:
     n = int(np.prod(shape))
     data = _read_exact(fh, 8 * n, what)
-    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    a = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(a).all():
+        raise FormatError(f"checkpoint {what} holds non-finite entries")
+    return a
 
 
 def load_checkpoint(path) -> Network:

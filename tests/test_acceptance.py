@@ -221,7 +221,7 @@ def test_c08_dense_baseline_sanity(grid_run):
         for pi in perms for s in (1, 2, 3) for ds in CORPORA
     ]
     report = aggregate(cells, perms, list(CORPORA))
-    assert report.a_bwt == 0.0 and report.m_bwt == 0.0
+    assert report["aggregates"]["a_bwt"] == 0.0 and report["aggregates"]["m_bwt"] == 0.0
     _ok(8, "dense baseline sanity", f"(dense a-ppl {dense['a_ppl']:.4f} lowest; BWT identically 0)")
 
 
@@ -323,11 +323,11 @@ def test_c12_aggregate_metric_oracle():
     ]
     report = aggregate(cells)
     exp = fixture["expected"]
-    assert abs(report.a_bwt - exp["a_bwt"]) <= 1e-12
-    assert abs(report.m_bwt - exp["m_bwt"]) <= 1e-12
-    assert abs(report.a_ppl - exp["a_ppl"]) <= 1e-12
-    assert abs(report.m_ppl - exp["m_ppl"]) <= 1e-12
+    assert abs(report["aggregates"]["a_bwt"] - exp["a_bwt"]) <= 1e-12
+    assert abs(report["aggregates"]["m_bwt"] - exp["m_bwt"]) <= 1e-12
+    assert abs(report["aggregates"]["a_ppl"] - exp["a_ppl"]) <= 1e-12
+    assert abs(report["aggregates"]["m_ppl"] - exp["m_ppl"]) <= 1e-12
     for ds, stats in exp["per_dataset"].items():
         for key, val in stats.items():
-            assert abs(report.per_dataset[ds][key] - val) <= 1e-12
+            assert abs(report["per_dataset"][ds][key] - val) <= 1e-12
     _ok(12, "aggregate metric oracle", "(hand-computed 2x2 fixture to 1e-12)")

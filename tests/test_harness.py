@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ def tiny_cfg_kwargs(tiny_dir, tiny_model_path):
 
 def read_csv(path) -> list[list[str]]:
     return list(csv.reader(io.StringIO(path.read_text())))
+
+
+def main_error(capsys, argv) -> str:
+    """The one stderr line of ``cli.main(argv)``, which must exit 1."""
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("contprune: "), err
+    return err.rstrip("\n")
 
 
 def cells_csv_rows(cells) -> list[list[str]]:
@@ -395,7 +405,9 @@ class TestCli:
         table = capsys.readouterr().out
         assert "magnitude" in table
 
-    def _run_grid_from_config(self, tiny_cfg_kwargs, tmp_path, **values):
+    @staticmethod
+    def _config_argv(tiny_cfg_kwargs, tmp_path, **values) -> list[str]:
+        """``run-grid`` on a config file holding the tiny inputs and ``values``."""
         config = {
             "model_path": tiny_cfg_kwargs["model_path"],
             "corpora": tiny_cfg_kwargs["corpora"],
@@ -408,7 +420,10 @@ class TestCli:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        assert cli.main(["run-grid", "--config", str(cfg_path)]) == 0
+        return ["run-grid", "--config", str(cfg_path)]
+
+    def _run_grid_from_config(self, tiny_cfg_kwargs, tmp_path, **values):
+        assert cli.main(self._config_argv(tiny_cfg_kwargs, tmp_path, **values)) == 0
         return json.loads((tmp_path / "grid" / "grid.json").read_text())
 
     def test_config_integer_sparsity_and_nm_lists(self, tiny_cfg_kwargs, tmp_path):
@@ -422,44 +437,44 @@ class TestCli:
         unpruned = written["grids"]["magnitude:unstructured-0"]["report"]["aggregates"]
         assert unpruned["a_ppl"] == pytest.approx(written["dense"]["a_ppl"], rel=1e-12)
 
-    def test_config_integer_sparsity_one_is_a_usage_error(self, tiny_cfg_kwargs, tmp_path):
-        with pytest.raises(UsageError, match=r"sparsity must be in \[0, 1\), got 1.0"):
-            self._run_grid_from_config(tiny_cfg_kwargs, tmp_path, sparsities=[1])
+    def test_config_integer_sparsity_one_is_a_usage_error(self, tiny_cfg_kwargs, tmp_path, capsys):
+        line = main_error(capsys, self._config_argv(tiny_cfg_kwargs, tmp_path, sparsities=[1]))
+        assert re.search(r"UsageError: sparsity must be in \[0, 1\), got 1.0", line)
 
-    def test_config_unknown_key_is_named(self, tiny_cfg_kwargs, tmp_path):
-        with pytest.raises(SystemExit, match=r"unknown config key.*: sparsity$"):
-            self._run_grid_from_config(tiny_cfg_kwargs, tmp_path, sparsity=[0.5])
+    def test_config_unknown_key_is_named(self, tiny_cfg_kwargs, tmp_path, capsys):
+        argv = self._config_argv(tiny_cfg_kwargs, tmp_path, sparsity=[0.5])
+        assert re.search(r"UsageError: unknown config key.*: sparsity$", main_error(capsys, argv))
 
     @pytest.mark.parametrize(
-        "text, error, match",
+        "text, match",
         [
-            ("[1, 2]", SystemExit, r"config .*cfg\.json must hold a JSON object, got list$"),
-            ("{bad", SystemExit, r"cannot read config .*cfg\.json: Expecting property name"),
-            ('{"corpora": [1, 2]}', UsageError, r"corpora must be of type dict, got \[1, 2\]$"),
-            ('{"n_samples": "abc"}', UsageError, r"n_samples must be of type int, got 'abc'$"),
-            ('{"n_samples": 4.0}', UsageError, r"n_samples must be of type int, got 4\.0$"),
-            ('{"epsilon": true}', UsageError, r"epsilon must be of type int or float, got True$"),
-            ('{"init_mode_override": 3}', UsageError,
+            ("[1, 2]", r"config .*cfg\.json must hold a JSON object, got list$"),
+            ("{bad", r"cannot read config .*cfg\.json: Expecting property name"),
+            ('{"corpora": [1, 2]}', r"corpora must be of type dict, got \[1, 2\]$"),
+            ('{"n_samples": "abc"}', r"n_samples must be of type int, got 'abc'$"),
+            ('{"n_samples": 4.0}', r"n_samples must be of type int, got 4\.0$"),
+            ('{"epsilon": true}', r"epsilon must be of type int or float, got True$"),
+            ('{"init_mode_override": 3}',
              r"init_mode_override must be of type str or NoneType, got 3$"),
-            ('{"sparsities": 0.5}', UsageError, r"sparsities must be of type str or list"),
-            ('{"sparsities": ["half"]}', UsageError,
+            ('{"sparsities": 0.5}', r"sparsities must be of type str or list"),
+            ('{"sparsities": ["half"]}',
              r"sparsities has an item that does not parse: 'half'$"),
-            ('{"nm_patterns": [2]}', UsageError, r"nm_patterns has an item that does not parse: 2$"),
-            ('{"corpora": {"extra": 1}}', UsageError, r"corpora must map names to paths"),
+            ('{"nm_patterns": [2]}', r"nm_patterns has an item that does not parse: 2$"),
+            ('{"corpora": {"extra": 1}}', r"corpora must map names to paths"),
         ],
         ids=["list", "not-json", "corpora-list", "string-count", "float-count", "bool-number",
              "number-mode", "bare-number-list", "unparsed-item", "unparsed-pair",
              "number-corpus-path"],
     )
-    def test_malformed_config_is_named(self, tiny_cfg_kwargs, tmp_path, text, error, match):
+    def test_malformed_config_is_named(self, tiny_cfg_kwargs, tmp_path, capsys, text, match):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
-        with pytest.raises(error, match=match):
-            cli.main([
-                "run-grid", "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
-                "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}", "--seed", "0",
-                "--seq-len", "48", "--out", str(tmp_path / "runs"),
-            ])
+        line = main_error(capsys, [
+            "run-grid", "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
+            "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}", "--seed", "0",
+            "--seq-len", "48", "--out", str(tmp_path / "runs"),
+        ])
+        assert re.search(f"UsageError: {match}", line), line
         assert not (tmp_path / "runs").exists()
 
     def test_every_field_has_a_type_check(self):
@@ -482,7 +497,7 @@ class TestCli:
              "repeated-ablate-criteria", "nan-epsilon", "inf-epsilon"],
     )
     def test_bad_later_value_fails_before_any_evaluation(
-        self, tiny_cfg_kwargs, tmp_path, monkeypatch, argv
+        self, tiny_cfg_kwargs, tmp_path, monkeypatch, capsys, argv
     ):
         real = H.perplexities
         calls = []
@@ -493,21 +508,54 @@ class TestCli:
 
         monkeypatch.setattr(H, "perplexities", counting)
         corpora = [f"--corpus={n}={p}" for n, p in tiny_cfg_kwargs["corpora"].items()]
-        with pytest.raises(UsageError):
-            cli.main([
-                *argv, "--model", tiny_cfg_kwargs["model_path"], *corpora,
-                "--out", str(tmp_path / "runs"), "--seed", "0", "--seq-len", "48",
-            ])
+        line = main_error(capsys, [
+            *argv, "--model", tiny_cfg_kwargs["model_path"], *corpora,
+            "--out", str(tmp_path / "runs"), "--seed", "0", "--seq-len", "48",
+        ])
+        assert line.startswith("contprune: UsageError: ")
         assert len(calls) == 0
         assert not (tmp_path / "runs").exists()
 
-    def test_run_grid_requires_seed(self, tiny_cfg_kwargs, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main([
-                "run-grid", "--model", tiny_cfg_kwargs["model_path"],
-                "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}",
-                "--out", str(tmp_path / "g"),
-            ])
+    def test_run_grid_requires_seed(self, tiny_cfg_kwargs, tmp_path, capsys):
+        line = main_error(capsys, [
+            "run-grid", "--model", tiny_cfg_kwargs["model_path"],
+            "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}",
+            "--out", str(tmp_path / "g"),
+        ])
+        assert line == "contprune: UsageError: --seed is required"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["run-grid", "--corpus", "prose={prose}", "--sparsity", "1", "--seed", "0",
+              "--out", "{tmp}/runs"],
+             r"UsageError: sparsity must be in \[0, 1\), got 1\.0"),
+            (["prune", "--corpus-path", "{prose}", "--nm", "a:b", "--seed", "0",
+              "--out", "{tmp}/p.ckpt"],
+             r"UsageError: --nm has an item that does not parse: 'a:b'"),
+            (["eval", "--corpus-path", "{tmp}/missing.bin"],
+             r"FileNotFoundError: .*missing\.bin'"),
+            (["prune", "--corpus-path", "{prose}", "--state", "{model}", "--seed", "0",
+              "--out", "{tmp}/p.ckpt"],
+             r"FormatError: bad state magic b'DECKPT01'"),
+        ],
+        ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state"],
+    )
+    def test_failed_command_prints_one_line_and_exits_1(
+        self, tiny_cfg_kwargs, tmp_path, capsys, argv, want
+    ):
+        model = tiny_cfg_kwargs["model_path"]
+        paths = {"prose": tiny_cfg_kwargs["corpora"]["prose"], "tmp": tmp_path, "model": model}
+        argv = [a.format(**paths) for a in argv] + ["--model", model]
+        assert re.fullmatch(f"contprune: {want}", main_error(capsys, argv))
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def bug(args):
+            raise KeyError("not a package error")
+
+        monkeypatch.setattr(cli, "cmd_report", bug)
+        with pytest.raises(KeyError, match="not a package error"):
+            cli.main(["report", "--run-dir", "anywhere"])
 
     def test_report_rerenders_table(self, tiny_cfg_kwargs, tmp_path, capsys):
         cfg = H.ExperimentConfig(

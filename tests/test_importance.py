@@ -253,3 +253,38 @@ class TestPersistence:
         I.save_state(state, p2)
         delta = abs(p2.stat().st_size - p1.stat().st_size)
         assert delta < 64  # only the manifest entry for "B" differs
+
+
+
+# the field each reader must name; make_decoder's layers are linear,
+# activation, linear, layer_norm
+PAYLOAD_FIELDS = {
+    "embed": "checkpoint embedding", "weight": "checkpoint layer 2 weight",
+    "gain": "checkpoint layer 3 gain", "bias": "checkpoint layer 3 bias",
+    "state": "state layer 2",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [*((f, v) for f in ("embed", "weight", "gain", "bias") for v in (np.nan, np.inf)),
+     *(("state", v) for v in (np.nan, np.inf, -1.0))],
+)
+def test_reader_rejects_non_finite_or_negative_payload(tmp_path, field, value):
+    """Both artifact readers reject a non-finite entry, naming its field; the
+    state reader also rejects a negative one, as importance sums |W * grad|."""
+    net = M.make_decoder(vocab_size=8, d=4, hidden=6, blocks=1, seed=1)
+    path = tmp_path / "artifact.bin"
+    if field == "state":
+        state = I.init_state(net)
+        state.per_layer[2][1, 1] = value
+        I.save_state(state, path)
+        read = I.load_state
+    else:
+        params = {"embed": net.embed, "weight": net.layers[2].weight,
+                  "gain": net.layers[3].gain, "bias": net.layers[3].bias}
+        params[field].flat[1] = value
+        M.save_checkpoint(net, path)
+        read = M.load_checkpoint
+    with pytest.raises(FormatError, match=PAYLOAD_FIELDS[field]):
+        read(path)

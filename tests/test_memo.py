@@ -15,7 +15,7 @@ from contprune import harness as H
 from contprune.corpus import permutations, sample_calibration
 from contprune.errors import NumericalError
 from contprune.importance import init_state
-from contprune.metrics import EvalCell, aggregate, perplexity, report_to_dict
+from contprune.metrics import EvalCell, aggregate, perplexity
 from contprune.pruner import detect_stasis, prune_step
 from contprune.seeding import derive_seed
 
@@ -75,7 +75,7 @@ def oracle_grid_cell(cfg, base, corpora, criterion, spec, n_samples) -> dict:
         "spec": pconfig.spec_label(),
         "ws": bool(completed) and len(ws_perms) == len(completed),
         "ws_permutations": ws_perms,
-        "report": report_to_dict(aggregate(cells, completed, names)) if completed else None,
+        "report": aggregate(cells, completed, names) if completed else None,
         "step_stats": step_stats,
         "errors": errors,
         "complete": not errors,

@@ -231,7 +231,7 @@ class TestBwtCell:
         cells = [cell(pi, s, d, 10.0 + s + 0.1 * i)
                  for s in (1, 2, 3) for i, d in enumerate(pi)]
         report = X.aggregate(cells)
-        coords = {(b.step, b.eval_dataset) for b in report.bwt_entries}
+        coords = {(b["step"], b["eval_dataset"]) for b in report["bwt_entries"]}
         assert coords == {(2, "A"), (3, "A"), (3, "B")}
 
 
@@ -239,9 +239,9 @@ class TestAggregate:
     def test_all_equal_cells(self):
         pi1, pi2 = ("A", "B"), ("B", "A")
         cells = [cell(p, s, d, 7.5) for p in (pi1, pi2) for s in (1, 2) for d in ("A", "B")]
-        report = X.aggregate(cells)
-        assert report.a_ppl == report.m_ppl == 7.5
-        assert report.a_bwt == report.m_bwt == 0.0
+        agg = X.aggregate(cells)["aggregates"]
+        assert agg["a_ppl"] == agg["m_ppl"] == 7.5
+        assert agg["a_bwt"] == agg["m_bwt"] == 0.0
 
     def test_hand_computed_fixture(self):
         fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
@@ -250,14 +250,14 @@ class TestAggregate:
             for c in fixture["cells"]
         ]
         report = X.aggregate(cells)
-        exp = fixture["expected"]
-        assert abs(report.a_bwt - exp["a_bwt"]) <= 1e-12
-        assert abs(report.m_bwt - exp["m_bwt"]) <= 1e-12
-        assert abs(report.a_ppl - exp["a_ppl"]) <= 1e-12
-        assert abs(report.m_ppl - exp["m_ppl"]) <= 1e-12
+        agg, exp = report["aggregates"], fixture["expected"]
+        assert abs(agg["a_bwt"] - exp["a_bwt"]) <= 1e-12
+        assert abs(agg["m_bwt"] - exp["m_bwt"]) <= 1e-12
+        assert abs(agg["a_ppl"] - exp["a_ppl"]) <= 1e-12
+        assert abs(agg["m_ppl"] - exp["m_ppl"]) <= 1e-12
         for ds, stats in exp["per_dataset"].items():
             for key, val in stats.items():
-                assert abs(report.per_dataset[ds][key] - val) <= 1e-12
+                assert abs(report["per_dataset"][ds][key] - val) <= 1e-12
 
     def test_missing_cell_is_completeness_error(self):
         fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
@@ -280,9 +280,9 @@ class TestAggregate:
                 cell(p, s, d, float(rng.uniform(1, 50)))
                 for p in (pi1, pi2) for s in (1, 2) for d in ("A", "B")
             ]
-            report = X.aggregate(cells)
-            assert report.a_ppl <= report.m_ppl
-            assert report.a_bwt <= report.m_bwt
+            agg = X.aggregate(cells)["aggregates"]
+            assert agg["a_ppl"] <= agg["m_ppl"]
+            assert agg["a_bwt"] <= agg["m_bwt"]
 
     def test_dense_grid_has_identically_zero_bwt(self):
         # a model that never changes yields equal perplexities at all steps
@@ -290,36 +290,34 @@ class TestAggregate:
         fixed = {"A": 9.25, "B": 17.5}
         cells = [cell(p, s, d, fixed[d]) for p in (pi1, pi2) for s in (1, 2) for d in ("A", "B")]
         report = X.aggregate(cells)
-        assert report.a_bwt == 0.0 and report.m_bwt == 0.0
-        assert all(b.value == 0.0 for b in report.bwt_entries)
+        assert report["aggregates"]["a_bwt"] == 0.0 and report["aggregates"]["m_bwt"] == 0.0
+        assert all(b["value"] == 0.0 for b in report["bwt_entries"])
 
     def test_single_dataset_has_no_bwt(self):
-        report = X.aggregate([cell(("A",), 1, "A", 3.0)])
-        assert report.a_bwt is None and report.m_bwt is None
+        agg = X.aggregate([cell(("A",), 1, "A", 3.0)])["aggregates"]
+        assert agg["a_bwt"] is None and agg["m_bwt"] is None
 
 
 class TestSerialization:
-    def fixture_report(self):
-        fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
-        cells = [
-            cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"])
-            for c in fixture["cells"]
-        ]
-        return X.aggregate(cells)
-
     def test_roundtrip_recomputes_identical_aggregates(self):
-        # the serialized cells alone carry everything the aggregates need
-        report = self.fixture_report()
-        data = json.loads(json.dumps(X.report_to_dict(report)))
+        # the serialized cells alone carry everything the report needs
+        fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
+        report = X.aggregate(
+            [cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"])
+             for c in fixture["cells"]]
+        )
+        data = json.loads(json.dumps(report))
         back = X.aggregate(
             [cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"]) for c in data["cells"]]
         )
-        assert back.a_ppl == report.a_ppl
-        assert back.m_ppl == report.m_ppl
-        assert back.a_bwt == report.a_bwt
-        assert back.m_bwt == report.m_bwt
-        assert back.per_dataset == report.per_dataset
+        assert back == report == data
+        agg = report["aggregates"]
+        assert back["aggregates"]["a_ppl"] == agg["a_ppl"]
+        assert back["aggregates"]["m_ppl"] == agg["m_ppl"]
+        assert back["aggregates"]["a_bwt"] == agg["a_bwt"]
+        assert back["aggregates"]["m_bwt"] == agg["m_bwt"]
+        assert back["per_dataset"] == report["per_dataset"]
         assert data["aggregates"] == {
-            "a_ppl": report.a_ppl, "m_ppl": report.m_ppl,
-            "a_bwt": report.a_bwt, "m_bwt": report.m_bwt,
+            "a_ppl": agg["a_ppl"], "m_ppl": agg["m_ppl"],
+            "a_bwt": agg["a_bwt"], "m_bwt": agg["m_bwt"],
         }

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` patches functions under the names their callers look
 up, among them ``harness.perplexity``, ``harness.prune_step`` and
 ``sensitivity.layer_forward``, which nothing in ``src/`` calls under those
-names. A rename or a moved import makes ``tracer.install`` fail, or leaves a
-span that counts nothing; this test runs ``perfbench/child.py --trace-out``
+names, and ``harness.aggregate``, which ``harness`` must keep importing under
+that name. A rename or a moved import makes ``tracer.install`` fail, or leaves
+a span that counts nothing; this test runs ``perfbench/child.py --trace-out``
 on a tiny grid to catch both.
 """
 from __future__ import annotations
@@ -36,7 +37,10 @@ def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, t
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(trace.read_text())
     calls = {name: spans.get(name, {}).get("calls", 0) for name in
-             ("sensitivity.kernel", "importance.accumulate", "model.forward_capture")}
+             ("sensitivity.kernel", "importance.accumulate", "model.forward_capture",
+              "metrics.aggregate")}
     assert all(calls.values()), calls
     # each kernel result is added to its dataset's importance once
     assert calls["importance.accumulate"] == calls["sensitivity.kernel"]
+    # one report per grid entry: sensitivity and wanda at the default 0.5
+    assert calls["metrics.aggregate"] == 2
