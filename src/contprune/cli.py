@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import harness, importance, metrics, model, pruner, trainer
-from .errors import PACKAGE_ERRORS, UsageError
+from .errors import PACKAGE_ERRORS, FormatError, UsageError
 from .seeding import derive_seed
 
 
@@ -178,8 +178,12 @@ def cmd_ablate_samples(args) -> int:
 
 
 def cmd_report(args) -> int:
-    grid = json.loads((Path(args.run_dir) / "grid.json").read_text())
-    print(harness.render_table(grid))
+    path = Path(args.run_dir) / "grid.json"
+    try:
+        table = harness.render_table(json.loads(path.read_text()))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path} is not a grid report: {type(exc).__name__}: {exc}") from None
+    print(table)
     return 0
 
 

@@ -152,10 +152,14 @@ def _gen_prose(n_tokens: int, rng: np.random.Generator) -> bytes:
     ranks = np.arange(1, len(words) + 1, dtype=np.float64)
     probs = 1.0 / ranks
     probs /= probs.sum()
+    # the draws of rng.choice(words, p=probs), with its cdf built once
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     out = bytearray()
     while len(out) < n_tokens:
         n_words = int(rng.integers(4, 11))
-        sentence = " ".join(str(rng.choice(words, p=probs)) for _ in range(n_words))
+        sentence = " ".join(words[cdf.searchsorted(rng.random(), side="right")]
+                            for _ in range(n_words))
         out.extend(sentence.encode("ascii"))
         out.extend(b". " if rng.random() < 0.8 else b".\n")
     return bytes(out[:n_tokens])
@@ -164,16 +168,20 @@ def _gen_prose(n_tokens: int, rng: np.random.Generator) -> bytes:
 def _gen_bracket(n_tokens: int, rng: np.random.Generator) -> bytes:
     keys = ["MODE", "LINK", "PORT", "FLAG", "CHAN", "GRID", "NODE", "TASK"]
     vals = ["ON", "OFF", "AUTO", "HIGH", "LOW", "EXT", "INT", "SYNC"]
+
+    def pick(items: list[str]) -> str:  # draws what rng.choice(items) draws
+        return items[rng.integers(len(items))]
+
     out = bytearray()
     while len(out) < n_tokens:
-        block = str(rng.choice(keys)) + "_" + str(rng.choice(vals))
+        block = pick(keys) + "_" + pick(vals)
         entries = []
         for _ in range(int(rng.integers(2, 6))):
             if rng.random() < 0.5:
-                entries.append(f"{rng.choice(keys)}={rng.choice(vals)}")
+                entries.append(f"{pick(keys)}={pick(vals)}")
             else:
-                inner = ",".join(str(rng.choice(vals)) for _ in range(int(rng.integers(1, 4))))
-                entries.append(f"{rng.choice(keys)}=[{inner}]")
+                inner = ",".join(pick(vals) for _ in range(int(rng.integers(1, 4))))
+                entries.append(f"{pick(keys)}=[{inner}]")
         out.extend(f"{block}{{{';'.join(entries)};}}\n".encode("ascii"))
     return bytes(out[:n_tokens])
 

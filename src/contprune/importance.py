@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -106,20 +107,23 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
         version, blob_len = struct.unpack("<II", header)
         if version != STATE_VERSION:
             raise FormatError(f"unsupported state version {version}")
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
+        if blob_len > _bytes_left(fh):
             raise FormatError("state file truncated in manifest")
+        blob = fh.read(blob_len)
         try:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"state manifest unreadable: {exc}") from exc
         _check_manifest(manifest)
+        payload = 8 * sum(entry["rows"] * entry["cols"] for entry in manifest["layers"])
+        if payload > _bytes_left(fh):
+            raise FormatError(
+                f"state payload truncated: its manifest implies {payload} bytes, "
+                f"the file holds {_bytes_left(fh)}"
+            )
         per_layer: dict[int, np.ndarray] = {}
         for entry in manifest["layers"]:
-            n = entry["rows"] * entry["cols"]
-            data = fh.read(8 * n)
-            if len(data) != 8 * n:
-                raise FormatError(f"state payload truncated at layer {entry['index']}")
+            data = fh.read(8 * entry["rows"] * entry["cols"])
             matrix = np.frombuffer(data, dtype="<f8").astype(np.float64)
             if not (np.isfinite(matrix).all() and (matrix >= 0).all()):  # sums of |W * grad|
                 raise FormatError(
@@ -136,6 +140,10 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
     if net is not None:
         check_against(state, net)
     return state
+
+
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
 def _is_int(value, least: int) -> bool:

@@ -13,13 +13,13 @@ position's column on its own. The logits at a position then depend only on
 the token at that position, and the network is a map from the ``V`` token
 ids to ``V`` logits. ``forward`` on ``vocabulary_tokens(net)`` evaluates that
 map once: a (V, V) vocabulary table whose row ``a`` holds the logits that
-follow token ``a``. Three consumers run the stack only on that sequence:
-perplexity and calibration captures gather from the table instead of running
-the stack per window, and the trainer takes a batch's loss from the table and
-backpropagates through ``layer_inputs`` on it. A layer kind that mixes
-positions must stay out of ``POSITIONWISE_KINDS``; ``vocabulary_tokens`` then
-raises. The table holds V x V float64 logits, so ``vocabulary_tokens`` also
-refuses a vocabulary above ``MAX_TABLE_VOCAB`` (4096 tokens, a 128 MiB table).
+follow token ``a``. Perplexity and calibration captures run the stack only on
+that sequence and gather from the table instead of running the stack per
+window. The trainer runs ``layer_inputs`` on the table rows its batch reads
+and backpropagates through them. A layer kind that mixes positions must stay
+out of ``POSITIONWISE_KINDS``; ``vocabulary_tokens`` then raises. The table
+holds V x V float64 logits, so ``vocabulary_tokens`` also refuses a
+vocabulary above ``MAX_TABLE_VOCAB`` (4096 tokens, a 128 MiB table).
 
 Convention: activations are stored column-wise. A matrix ``x`` of shape
 ``(dim, n)`` holds ``n`` feature vectors; a linear layer computes
@@ -28,6 +28,7 @@ Convention: activations are stored column-wise. A matrix ``x`` of shape
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -280,6 +281,8 @@ def vocabulary_tokens(net: Network) -> np.ndarray:
 #     layer_norm: dim u32
 #   payload: float64 row-major arrays in order: embed, then each layer's
 #   parameters (linear: weight; layer_norm: gain then bias), all finite.
+#   The reader checks the size the header implies against the file before
+#   reading any of it.
 
 CHECKPOINT_MAGIC = b"DECKPT01"
 CHECKPOINT_VERSION = 1
@@ -364,6 +367,16 @@ def load_checkpoint(path) -> Network:
                 if dim == 0:
                     raise FormatError(f"layer {i}: zero layer_norm dim")
                 table.append((kind, dim))
+        payload = 8 * (vocab * d + sum(
+            meta[0] * meta[1] if kind == "linear" else 2 * meta
+            for kind, meta in table if kind != "activation"
+        ))
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload > left:
+            raise FormatError(
+                f"checkpoint truncated: its header implies {payload} payload bytes, "
+                f"the file holds {left}"
+            )
         embed = _read_array(fh, (vocab, d), "embedding")
         layers: list[Layer] = []
         for i, (kind, meta) in enumerate(table):

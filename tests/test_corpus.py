@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,25 @@ class TestGenerators:
                     inter = supports[a] & supports[b]
                     union = supports[a] | supports[b]
                     assert len(inter) / len(union) < 0.3
+
+    @pytest.mark.parametrize("n_tokens, seed, digests", [
+        (25_000, 1, {
+            "prose": "bafe44e64b1b72596bd9f332caa8aaaee714c2d41c5bde9334934e2ead83c569",
+            "bracket": "21cfde806b139e861800df3a7bdd9af8e0d83b2af6e9acc068f14db97b5f31d9",
+            "numeric": "18a5daaf89b326b0f8aa082fea23ac8bd62d916520e7a50225e0918f3ded9e04",
+        }),
+        (200_000, 0, {  # the desk_dir fixture
+            "prose": "f7e2ce073c0795cb97ed80e5a3872264bca30b3709d2c1514304d6f1b3590a4b",
+            "bracket": "2e37f73df99beac4b60128ec62f712f8c7e0b3d3a03fa6038aad4c46b8b0f81c",
+            "numeric": "3049296e19c6d38950520d30365929ed387da6d2d2c01a944b5a3ecfaff35d99",
+        }),
+    ], ids=["25k-seed1", "200k-seed0"])
+    def test_bytes_are_pinned(self, tmp_path, n_tokens, seed, digests):
+        """The generators' output is part of the determinism contract: a
+        rewrite must write the same bytes, not just the same bytes twice."""
+        paths = C.generate_corpora(tmp_path, n_tokens=n_tokens, seed=seed)
+        got = {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in paths}
+        assert got == digests
 
     def test_all_ids_fit_byte_vocab(self, tmp_path):
         for path in C.generate_corpora(tmp_path / "d", n_tokens=3000, seed=1).values():

@@ -557,6 +557,16 @@ class TestCli:
         with pytest.raises(KeyError, match="not a package error"):
             cli.main(["report", "--run-dir", "anywhere"])
 
+    @pytest.mark.parametrize("text, want", [
+        ("{bad", r"JSONDecodeError: Expecting property name enclosed in double quotes.*"),
+        ('{"grids": {}}', r"KeyError: 'dense'"),
+    ], ids=["not-json", "no-dense"])
+    def test_report_of_a_malformed_grid_is_a_format_error(self, tmp_path, capsys, text, want):
+        (tmp_path / "grid.json").write_text(text)
+        line = main_error(capsys, ["report", "--run-dir", str(tmp_path)])
+        path = re.escape(str(tmp_path / "grid.json"))
+        assert re.fullmatch(f"contprune: FormatError: {path} is not a grid report: {want}", line)
+
     def test_report_rerenders_table(self, tiny_cfg_kwargs, tmp_path, capsys):
         cfg = H.ExperimentConfig(
             **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)

@@ -241,6 +241,11 @@ class TestPersistence:
         with pytest.raises(FormatError, match="state manifest"):
             I.load_state(path)
 
+    def test_inflated_layer_size_is_a_format_error(self, tmp_path, rng):
+        path = self.saved_with_manifest(tmp_path, rng, lambda m: m["layers"][0].update(rows=2**40))
+        with pytest.raises(FormatError, match="state payload truncated"):
+            I.load_state(path)
+
     def test_size_depends_on_model_not_data(self, tmp_path, rng):
         net, state = self.fill(rng)
         p1 = tmp_path / "s1.bin"
@@ -287,4 +292,65 @@ def test_reader_rejects_non_finite_or_negative_payload(tmp_path, field, value):
         M.save_checkpoint(net, path)
         read = M.load_checkpoint
     with pytest.raises(FormatError, match=PAYLOAD_FIELDS[field]):
+        read(path)
+
+
+def saved_artifacts(tmp_path):
+    """A saved checkpoint and importance state of one small decoder, each with
+    the length of its leading part that holds every size field."""
+    net = M.make_decoder(vocab_size=8, d=4, hidden=6, blocks=1, seed=1)
+    state = I.init_state(net)
+    for i, acc in state.per_layer.items():
+        acc += np.arange(acc.size, dtype=np.float64).reshape(acc.shape) / (i + 1)
+    I.finish_dataset(state, "prose", 4)
+    M.save_checkpoint(net, tmp_path / "model.ckpt")
+    I.save_state(state, tmp_path / "state.bin")
+    ckpt, blob = (tmp_path / "model.ckpt").read_bytes(), (tmp_path / "state.bin").read_bytes()
+    (blob_len,) = struct.unpack("<I", blob[12:16])
+    return {"checkpoint": (ckpt, 24 + 25, M.load_checkpoint),  # header + layer table
+            "state": (blob, 16 + blob_len, I.load_state)}  # header + manifest
+
+
+def corruptions(data: bytes, head: int):
+    """A truncation, a one-bit flip (half of them in the first ``head`` bytes)
+    or one appended byte of ``data``."""
+    def flip(bit):
+        return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        (st.integers(0, 8 * head - 1) | st.integers(0, 8 * len(data) - 1)).map(flip),
+        st.integers(0, 255).map(lambda byte: data + bytes([byte])),
+    )
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "state"])
+def test_corrupted_artifact_loads_or_is_a_format_error(tmp_path, artifact):
+    data, head, read = saved_artifacts(tmp_path)[artifact]
+    path = tmp_path / "corrupted.bin"
+
+    @settings(max_examples=400, deadline=None)
+    @given(corruptions(data, head))
+    def check(blob):
+        path.write_bytes(blob)
+        try:
+            read(path)
+        except FormatError:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "artifact, offset, value",
+    [("checkpoint", 25, 0x40000000), ("checkpoint", 12, 0x7FFFFFFF), ("state", 12, 0xFFFFFFFF)],
+    ids=["checkpoint-rows", "checkpoint-vocab", "state-manifest-length"],
+)
+def test_inflated_size_field_is_a_format_error(tmp_path, artifact, offset, value):
+    """A size field far beyond the file is rejected before anything that large
+    is allocated or read."""
+    data, _, read = saved_artifacts(tmp_path)[artifact]
+    path = tmp_path / "inflated.bin"
+    path.write_bytes(data[:offset] + struct.pack("<I", value) + data[offset + 4 :])
+    with pytest.raises(FormatError, match="truncated"):
         read(path)

@@ -177,6 +177,48 @@ def oracle_loss_and_grads(net, windows):
     return loss, d_embed, grads
 
 
+def table_loss_and_grads(net, windows):
+    """The full-table trainer: ``layer_inputs`` on the whole vocabulary,
+    a (V, V) bigram count and logit table, and a lookup-side gradient for
+    every embedding row, read or not."""
+    windows = M.check_tokens(net, windows.ravel()).reshape(windows.shape)
+    prev, targets = windows[:, :-1].ravel(), windows[:, 1:].ravel()
+    n = prev.size
+    counts = np.zeros((net.vocab_size, net.vocab_size))
+    np.add.at(counts, (prev, targets), 1.0)
+
+    xs = M.layer_inputs(net, M.vocabulary_tokens(net))  # column a: token a
+    h = xs[-1]
+    logits = (net.embed @ h).T  # (vocab, vocab), row a: logits after token a
+    z = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    sumz = expz.sum(axis=1, keepdims=True)
+    loss = float(-(counts * (z - np.log(sumz))).sum() / n)
+    dlogits = (counts.sum(axis=1, keepdims=True) * (expz / sumz) - counts) / n
+
+    d_embed = dlogits.T @ h.T  # head side
+    dx = net.embed.T @ dlogits.T
+
+    grads = {}
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer, x = net.layers[idx], xs[idx]
+        if layer.kind == "linear":
+            grads[idx] = {"weight": dx @ x.T}
+            dx = layer.weight.T @ dx
+        elif layer.kind == "activation":
+            dx = dx * T._activation_grad(layer.activation_kind, x)
+        else:
+            xhat, std = M.standardize(x)
+            grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}
+            dxhat = dx * layer.gain[:, None]
+            m1 = dxhat.mean(axis=0, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
+            dx = (dxhat - m1 - xhat * m2) / std
+
+    d_embed += dx.T  # lookup side, tied with the head: row a looked up once
+    return loss, d_embed, grads
+
+
 def flat(loss, d_embed, grads):
     return [loss, d_embed] + [g[k] for _, g in sorted(grads.items()) for k in sorted(g)]
 
@@ -184,6 +226,17 @@ def flat(loss, d_embed, grads):
 def parameters(net):
     return [net.embed] + [a for layer in net.layers for a in (layer.weight, layer.gain, layer.bias)
                           if a is not None]
+
+
+def assert_training_drift_bounded(monkeypatch, tiny_corpora, oracle):
+    net = M.make_decoder(d=32, hidden=64, blocks=1, seed=3)
+    cfg = T.TrainConfig(steps=300, batch=8, seq_len=48, learning_rate=0.3, seed=11)
+    corpora = list(tiny_corpora.values())
+    got = T.train(net, corpora, cfg)
+    monkeypatch.setattr(T, "_loss_and_grads", oracle)
+    want = T.train(net, corpora, cfg)
+    for a, b in zip(parameters(got), parameters(want)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
 class TestBackprop:
@@ -200,19 +253,40 @@ class TestBackprop:
         for a, b in zip(got, want):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
+    def test_matches_full_table_oracle(self, act):
+        rng = np.random.default_rng(6)
+        net = M.make_decoder(vocab_size=256, d=8, hidden=12, blocks=2, act=act, seed=2)
+        # 16 x 64 batch over 40 spread-out tokens: 216 of the 256 rows are never read
+        windows = rng.choice(256, size=40, replace=False)[rng.integers(0, 40, size=(16, 64))]
+        loss, *got = flat(*T._loss_and_grads(net, windows))
+        want_loss, *want = flat(*table_loss_and_grads(net, windows))
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
     def test_training_drift_from_oracle_is_bounded(self, monkeypatch, tiny_corpora):
-        """The tiny-fixture training run, through the oracle and the trainer.
-        Only the summation order differs, so each parameter array agrees to
-        1e-12 relative to its own scale (single entries near zero can differ
-        more relative to themselves)."""
-        net = M.make_decoder(d=32, hidden=64, blocks=1, seed=3)
-        cfg = T.TrainConfig(steps=300, batch=8, seq_len=48, learning_rate=0.3, seed=11)
-        corpora = list(tiny_corpora.values())
-        got = T.train(net, corpora, cfg)
-        monkeypatch.setattr(T, "_loss_and_grads", oracle_loss_and_grads)
-        want = T.train(net, corpora, cfg)
-        for a, b in zip(parameters(got), parameters(want)):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        """The tiny-fixture training run, through the per-position oracle and
+        the trainer. Only the summation order differs, so each parameter
+        array agrees to 1e-12 relative to its own scale (single entries near
+        zero can differ more relative to themselves)."""
+        assert_training_drift_bounded(monkeypatch, tiny_corpora, oracle_loss_and_grads)
+
+    def test_training_drift_from_table_oracle_is_bounded(self, monkeypatch, tiny_corpora):
+        """As above against the full-table trainer. The position sums
+        (``dx @ x.T``, the layer-norm gain and bias sums, ``dlogits.T @ h.T``)
+        run over the active tokens instead of all V columns; the dropped
+        columns are exact zeros, but BLAS and numpy's pairwise sums group the
+        rest differently."""
+        assert_training_drift_bounded(monkeypatch, tiny_corpora, table_loss_and_grads)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_in_an_unread_embedding_row_poisons_the_loss(self):
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=1, seed=0)
+        windows = np.random.default_rng(3).integers(0, 20, size=(4, 12))
+        net.embed[50, 3] = np.nan  # no batch token is 50; the tied head still reads the row
+        assert not np.isfinite(T._loss_and_grads(net, windows)[0])
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(7)
