@@ -88,6 +88,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    if args.criterion != "sensitivity" and (args.state or args.save_state):
+        flag = "--state" if args.state else "--save-state"
+        raise UsageError(f"{flag} needs --criterion sensitivity, got {args.criterion}")
     net = model.load_checkpoint(args.model)
     corpus = corpus_mod.load_corpus(args.corpus_path, args.corpus_name)
     calib = corpus_mod.sample_calibration(

@@ -77,12 +77,7 @@ class CalibrationSet:
         return self.segments.shape[1]
 
 
-def load_corpus(
-    path,
-    name: str,
-    eval_fraction: float = DEFAULT_EVAL_FRACTION,
-    vocab_size: int = DEFAULT_VOCAB,
-) -> Corpus:
+def load_corpus(path, name: str, eval_fraction: float = DEFAULT_EVAL_FRACTION) -> Corpus:
     """Load a corpus from a raw byte file, or 16-bit LE token ids for ``.tok``."""
     path = Path(path)
     raw = path.read_bytes()
@@ -94,10 +89,8 @@ def load_corpus(
         tokens = np.frombuffer(raw, dtype="<u2").astype(np.int64)
     else:
         tokens = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if tokens.max() >= vocab_size:
-        raise InputError(
-            f"{path}: token id {tokens.max()} exceeds vocab size {vocab_size}"
-        )
+    if tokens.max() >= DEFAULT_VOCAB:
+        raise InputError(f"{path}: token id {tokens.max()} exceeds vocab size {DEFAULT_VOCAB}")
     return Corpus(name=name, tokens=tokens, eval_fraction=eval_fraction)
 
 

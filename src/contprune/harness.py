@@ -28,8 +28,9 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
   initialization, for one, prunes the base to the same network whatever the
   dataset.
 
-Networks are keyed by the sha256 of their bytes, which is exact under every
-init mode. Each ordering adds the cached sensitivity scores of the datasets
+Every network a command meets is the base times a {0, 1} mask per prunable
+layer, so a network is keyed by its zero pattern (``Memo._key``), the base
+included. Each ordering adds the cached sensitivity scores of the datasets
 it visits to its own state (``pruner.mask_step``); states are not shared,
 because two orders of one set of datasets give sums that differ in their
 last bits.
@@ -39,7 +40,6 @@ in every ordering that reaches it.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass, fields
@@ -168,7 +168,6 @@ class Memo:
         self.cfg = cfg
         self.base = base  # never modified: mask_step re-masks a copy
         self.corpora = corpora
-        self._base_digest = _sha256(base)
         self._calib: dict[tuple, CalibrationSet] = {}
         self._scores: dict[tuple, DatasetScores] = {}
         self._ppl: dict[bytes, dict[str, float]] = {}
@@ -185,32 +184,30 @@ class Memo:
     def scores(self, net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
         """``score_step(net, config, calib)``. The rest of ``config`` (seed,
         epsilon, draws) comes from the command's one ``ExperimentConfig``."""
-        key = (config.criterion, self._digest(net), calib.corpus_name, calib.n_samples)
+        key = (config.criterion, self._key(net), calib.corpus_name, calib.n_samples)
         if key not in self._scores:
             self._scores[key] = score_step(net, config, calib)
         return self._scores[key]
 
-    def _digest(self, net: Network) -> bytes:
-        return self._base_digest if net is self.base else _sha256(net)
-
     def perplexities(self, net: Network) -> dict[str, float]:
         """Perplexity of ``net`` on every corpus, in name order, from one
         vocabulary table per distinct network."""
-        digest = self._digest(net)
-        if digest not in self._ppl:
-            self._ppl[digest] = perplexities(net, self.corpora, self.cfg.seq_len)
-        return dict(self._ppl[digest])
+        key = self._key(net)
+        if key not in self._ppl:
+            self._ppl[key] = perplexities(net, self.corpora, self.cfg.seq_len)
+        return dict(self._ppl[key])
 
-
-def _sha256(net: Network) -> bytes:
-    """sha256 of the network's layer kinds, parameter shapes and bytes."""
-    h = hashlib.sha256(repr([(layer.kind, layer.activation_kind) for layer in net.layers]).encode())
-    params = [net.embed, *(p for layer in net.layers for p in (layer.weight, layer.gain, layer.bias)
-                           if p is not None)]
-    for p in params:
-        h.update(repr(p.shape).encode())
-        h.update(np.ascontiguousarray(p))
-    return h.digest()
+    def _key(self, net: Network) -> bytes:
+        """The packed zero pattern of each prunable weight, joined. Exact
+        while ``net`` is the base times a {0, 1} mask: a masked entry is then
+        ``+0.0`` or ``-0.0`` by the sign of the base entry, so equal patterns
+        mean equal bytes. RuntimeError when ``net`` is not such a network."""
+        idx = self.base.prunable_indices()
+        same = net.prunable_indices() == idx and np.array_equal(net.embed, self.base.embed)
+        pairs = [(net.layers[i].weight, self.base.layers[i].weight) for i in idx] if same else []
+        if not (same and all(w.shape == b.shape and np.all((w == b) | (w == 0)) for w, b in pairs)):
+            raise RuntimeError("the memo keys only its base network times a mask")
+        return b"".join(np.packbits(w == 0).tobytes() for w, _ in pairs)
 
 
 def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:

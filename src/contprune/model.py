@@ -281,8 +281,9 @@ def vocabulary_tokens(net: Network) -> np.ndarray:
 #     layer_norm: dim u32
 #   payload: float64 row-major arrays in order: embed, then each layer's
 #   parameters (linear: weight; layer_norm: gain then bias), all finite.
-#   The reader checks the size the header implies against the file before
-#   reading any of it.
+#   The reader checks the size the header implies against the file, and that
+#   the layer widths chain from d back to d (the tied head), before reading
+#   any of it.
 
 CHECKPOINT_MAGIC = b"DECKPT01"
 CHECKPOINT_VERSION = 1
@@ -377,6 +378,14 @@ def load_checkpoint(path) -> Network:
                 f"checkpoint truncated: its header implies {payload} payload bytes, "
                 f"the file holds {left}"
             )
+        width = d  # a linear maps its cols to its rows; the other kinds keep the width
+        for i, (kind, meta) in enumerate(table):
+            takes = meta[1] if kind == "linear" else meta if kind == "layer_norm" else width
+            if takes != width:
+                raise FormatError(f"layer {i}: {kind} takes width {takes}, gets {width}")
+            width = meta[0] if kind == "linear" else width
+        if width != d:
+            raise FormatError(f"the layers end at width {width}, the tied head takes d={d}")
         embed = _read_array(fh, (vocab, d), "embedding")
         layers: list[Layer] = []
         for i, (kind, meta) in enumerate(table):

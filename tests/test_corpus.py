@@ -37,16 +37,16 @@ class TestLoadCorpus:
 
     def test_tok_format(self, tmp_path):
         path = tmp_path / "t.tok"
-        ids = np.array([0, 513, 90, 1023], dtype="<u2")
+        ids = np.array([0, 255, 90, 17], dtype="<u2")  # as bytes: 0, 0, 255, 0, ...
         path.write_bytes(ids.tobytes())
-        c = C.load_corpus(path, "t", vocab_size=1024)
-        np.testing.assert_array_equal(c.tokens, [0, 513, 90, 1023])
+        c = C.load_corpus(path, "t")
+        np.testing.assert_array_equal(c.tokens, [0, 255, 90, 17])
 
     def test_vocab_limit(self, tmp_path):
         path = tmp_path / "v.tok"
         path.write_bytes(np.array([300], dtype="<u2").tobytes())
         with pytest.raises(InputError):
-            C.load_corpus(path, "v", vocab_size=256)
+            C.load_corpus(path, "v")
 
 
 class TestSampleCalibration:

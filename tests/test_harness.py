@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,8 +539,15 @@ class TestCli:
             (["prune", "--corpus-path", "{prose}", "--state", "{model}", "--seed", "0",
               "--out", "{tmp}/p.ckpt"],
              r"FormatError: bad state magic b'DECKPT01'"),
+            (["prune", "--corpus-path", "{prose}", "--criterion", "magnitude",
+              "--save-state", "{tmp}/s.bin", "--seed", "0", "--out", "{tmp}/p.ckpt"],
+             r"UsageError: --save-state needs --criterion sensitivity, got magnitude"),
+            (["prune", "--corpus-path", "{prose}", "--criterion", "wanda",
+              "--state", "{tmp}/missing.bin", "--seed", "0", "--out", "{tmp}/p.ckpt"],
+             r"UsageError: --state needs --criterion sensitivity, got wanda"),
         ],
-        ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state"],
+        ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state", "save-state-magnitude",
+             "state-wanda"],
     )
     def test_failed_command_prints_one_line_and_exits_1(
         self, tiny_cfg_kwargs, tmp_path, capsys, argv, want
@@ -548,6 +556,8 @@ class TestCli:
         paths = {"prose": tiny_cfg_kwargs["corpora"]["prose"], "tmp": tmp_path, "model": model}
         argv = [a.format(**paths) for a in argv] + ["--model", model]
         assert re.fullmatch(f"contprune: {want}", main_error(capsys, argv))
+        if "--out" in argv:
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
     def test_other_exceptions_propagate(self, monkeypatch):
         def bug(args):

@@ -4,10 +4,15 @@
 draws its own calibration sets, runs ``prune_step`` at every step and
 evaluates every cell with ``perplexity``. Swapped in for
 ``harness.run_grid_cell``, it must give byte-identical output files.
+``sha256`` hashes every parameter byte of a network, against which the
+memo's zero-pattern key is pinned.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields
+
+import numpy as np
 
 import pytest
 
@@ -20,6 +25,17 @@ from contprune.pruner import detect_stasis, prune_step
 from contprune.seeding import derive_seed
 
 CORPORA = ("bracket", "numeric", "prose")
+
+
+def sha256(net) -> bytes:
+    """sha256 of the network's layer kinds, parameter shapes and bytes."""
+    h = hashlib.sha256(repr([(layer.kind, layer.activation_kind) for layer in net.layers]).encode())
+    params = [net.embed, *(p for layer in net.layers for p in (layer.weight, layer.gain, layer.bias)
+                           if p is not None)]
+    for p in params:
+        h.update(repr(p.shape).encode())
+        h.update(np.ascontiguousarray(p))
+    return h.digest()
 
 
 def oracle_grid_cell(cfg, base, corpora, criterion, spec, n_samples) -> dict:
@@ -164,7 +180,7 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     # 7 networks, so 12 tables give the 3 * 12 = 36 distinct values.
     assert len(scores) == 3 * 3
     assert len(evals) == 1 + 1 + 3 + 7
-    assert len({H._sha256(net) for net, _, _ in evals}) == len(evals)
+    assert len({sha256(net) for net, _, _ in evals}) == len(evals)
     assert all(sorted(corpora) == list(CORPORA) for _, corpora, _ in evals)
 
 
@@ -208,3 +224,61 @@ def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora):
         assert sorted(scores.layers) == prunable, key
         for idx, matrix in scores.layers.items():
             assert matrix.shape == memo.base.layers[idx].weight.shape, key
+
+
+@pytest.mark.parametrize("init_mode", [None, "sequential", "global"])
+def test_key_is_equal_exactly_when_all_parameter_bytes_are(three_corpora, monkeypatch, init_mode):
+    cfg = H.ExperimentConfig(
+        **three_corpora, criteria=("sensitivity", "magnitude", "wanda"), sparsities=(0.5,),
+        nm_patterns=((2, 4),), w_draws=2, init_mode_override=init_mode,
+    )
+    runs = [(c, spec, cfg.n_samples) for c in cfg.criteria for spec in (0.5, (2, 4))]
+    memo = H._load_inputs(cfg, runs)
+    nets = []  # every network the grid scores or evaluates
+
+    def recording(real):
+        def record(net, *args):
+            nets.append(net)
+            return real(net, *args)
+        return record
+
+    for name in ("scores", "perplexities"):
+        monkeypatch.setattr(memo, name, recording(getattr(memo, name)))
+    H.dense_row(memo)
+    for run in runs:
+        assert H.run_grid_cell(memo, *run)["complete"]
+    keys = [memo._key(net) for net in nets]
+    digests = [sha256(net) for net in nets]
+    assert len(set(digests)) > 2  # the base and several masked networks
+    for k1, d1 in zip(keys, digests):
+        for k2, d2 in zip(keys, digests):
+            assert (k1 == k2) == (d1 == d2)
+
+
+def perturbed(base, where):
+    net = base.copy()
+    if where == "embedding":
+        net.embed[0, 0] += 1e-12
+    else:
+        w = net.layers[net.prunable_indices()[-1]].weight
+        w[np.unravel_index(np.argmax(np.abs(w)), w.shape)] *= 1 + 1e-12
+    return net
+
+
+@pytest.mark.parametrize("where", ["embedding", "nonzero-weight"])
+def test_key_refuses_a_network_that_is_not_the_base_times_a_mask(three_corpora, where):
+    memo = H._load_inputs(H.ExperimentConfig(**three_corpora), [])
+    net = perturbed(memo.base, where)
+    with pytest.raises(RuntimeError, match="base network times a mask"):
+        memo.perplexities(net)
+
+
+def test_key_tells_apart_one_pruned_entry_in_each_layer(three_corpora):
+    memo = H._load_inputs(H.ExperimentConfig(**three_corpora), [])
+    nets = [memo.base]
+    for idx in memo.base.prunable_indices():
+        for entry in (0, -1):
+            net = memo.base.copy()
+            net.layers[idx].weight.flat[entry] = 0.0
+            nets.append(net)
+    assert len({memo._key(net) for net in nets}) == len(nets)

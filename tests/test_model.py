@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,25 @@ class TestCheckpoint:
         M.save_checkpoint(net, path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("layers, want", [
+        ([M.linear(np.ones((6, 4))), M.linear(np.ones((3, 5)))],
+         "layer 1: linear takes width 5, gets 6"),
+        ([M.linear(np.ones((4, 4))), M.layer_norm(np.ones(3), np.zeros(3))],
+         "layer 1: layer_norm takes width 3, gets 4"),
+        ([M.linear(np.ones((6, 4)))], "the layers end at width 6, the tied head takes d=4"),
+    ], ids=["linear", "layer-norm", "head"])
+    def test_layer_widths_that_do_not_chain(self, tmp_path, monkeypatch, layers, want):
+        """Checked on the layer table, before any payload is read."""
+        path = tmp_path / "w.ckpt"
+        M.save_checkpoint(M.Network(layers, vocab_size=8, embed=np.ones((8, 4))), path)
+
+        def no_read(*args):
+            raise AssertionError("payload read")
+
+        monkeypatch.setattr(M, "_read_array", no_read)
+        with pytest.raises(FormatError, match=re.escape(want)):
             M.load_checkpoint(path)
 
     def test_golden_fixture_stays_stable(self):
