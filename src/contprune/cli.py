@@ -54,6 +54,12 @@ def _collect_corpora(args) -> dict[str, str]:
     return entries
 
 
+def _load_named_corpus(args) -> corpus_mod.Corpus:
+    """``--corpus-path``, named ``--corpus-name`` or, like ``--corpora-dir``, its stem."""
+    path = Path(args.corpus_path)
+    return corpus_mod.load_corpus(path, args.corpus_name or path.stem)
+
+
 def cmd_gen_corpora(args) -> int:
     paths = corpus_mod.generate_corpora(args.out, n_tokens=args.tokens, seed=args.seed)
     for name, path in sorted(paths.items()):
@@ -92,7 +98,7 @@ def cmd_prune(args) -> int:
         flag = "--state" if args.state else "--save-state"
         raise UsageError(f"{flag} needs --criterion sensitivity, got {args.criterion}")
     net = model.load_checkpoint(args.model)
-    corpus = corpus_mod.load_corpus(args.corpus_path, args.corpus_name)
+    corpus = _load_named_corpus(args)
     calib = corpus_mod.sample_calibration(
         corpus, args.n_samples, args.seq_len, derive_seed(args.seed, "calib", corpus.name)
     )
@@ -101,11 +107,7 @@ def cmd_prune(args) -> int:
     else:
         kwargs = {"sparsity": args.sparsity}
     config = pruner.PruneConfig(
-        criterion=args.criterion,
-        init_mode=args.init_mode,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        **kwargs,
+        criterion=args.criterion, seed=args.seed, epsilon=args.epsilon, **kwargs
     )
     state = None
     if args.criterion == "sensitivity":
@@ -122,7 +124,7 @@ def cmd_prune(args) -> int:
 
 def cmd_eval(args) -> int:
     net = model.load_checkpoint(args.model)
-    corpus = corpus_mod.load_corpus(args.corpus_path, args.corpus_name)
+    corpus = _load_named_corpus(args)
     ppl = metrics.perplexity(net, corpus, seq_len=args.seq_len)
     print(f"{corpus.name}: perplexity {ppl:.6f}")
     return 0
@@ -191,15 +193,12 @@ def cmd_report(args) -> int:
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
+    """The flags every grid command reads; each adds those that set what it sweeps."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--model", dest="model_path", help="model checkpoint path")
     _add_corpora_args(p)
     p.add_argument("--out", dest="output_dir", help="output directory for reports")
     p.add_argument("--seed", type=int, help="master seed (required)")
-    p.add_argument("--criteria", help="comma-separated criteria")
-    p.add_argument("--sparsity", dest="sparsities", help="comma-separated unstructured sparsities")
-    p.add_argument("--nm", dest="nm_patterns", help="comma-separated N:M patterns, e.g. 2:4,4:8")
-    p.add_argument("--n-samples", type=int, dest="n_samples")
     p.add_argument("--seq-len", type=int, dest="seq_len")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--w-draws", type=int, dest="w_draws",
@@ -208,6 +207,11 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
                    help="trailing fraction of each corpus held out for evaluation")
     p.add_argument("--init-mode", choices=("sequential", "global"), dest="init_mode_override",
                    help="force one initialization mode for all criteria")
+
+
+def _add_criteria_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--criteria", help="comma-separated criteria")
+    p.add_argument("--n-samples", type=int, dest="n_samples")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="one prune step on one corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus-path", required=True, dest="corpus_path")
-    p.add_argument("--corpus-name", default="corpus", dest="corpus_name")
+    p.add_argument("--corpus-name", dest="corpus_name", help="default: the file stem")
     p.add_argument("--criterion", default="sensitivity", choices=pruner.CRITERIA)
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--nm", help="N:M pattern, e.g. 2:4 (overrides --sparsity)")
-    p.add_argument("--init-mode", default="global", choices=("sequential", "global"), dest="init_mode")
     p.add_argument("--n-samples", type=int, default=16, dest="n_samples")
     p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
     p.add_argument("--epsilon", type=float, default=1e-3)
@@ -255,16 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="perplexity of a checkpoint on one corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus-path", required=True, dest="corpus_path")
-    p.add_argument("--corpus-name", default="corpus", dest="corpus_name")
+    p.add_argument("--corpus-name", dest="corpus_name", help="default: the file stem")
     p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run-grid", help="full permutation grid over criteria")
     _add_grid_args(p)
+    _add_criteria_args(p)
+    p.add_argument("--sparsity", dest="sparsities", help="comma-separated unstructured sparsities")
+    p.add_argument("--nm", dest="nm_patterns", help="comma-separated N:M patterns, e.g. 2:4,4:8")
     p.set_defaults(func=cmd_run_grid)
 
     p = sub.add_parser("ablate-sparsity", help="sparsity sweep of A-BWT/M-BWT")
     _add_grid_args(p)
+    _add_criteria_args(p)
     p.add_argument("--sparsity-sweep", dest="sparsity_sweep", help="comma-separated values")
     p.set_defaults(func=cmd_ablate_sparsity)
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_EVAL_FRACTION = 0.2
-DEFAULT_VOCAB = 256
 
 GENERATOR_NAMES = ("prose", "bracket", "numeric")
 
@@ -78,19 +77,12 @@ class CalibrationSet:
 
 
 def load_corpus(path, name: str, eval_fraction: float = DEFAULT_EVAL_FRACTION) -> Corpus:
-    """Load a corpus from a raw byte file, or 16-bit LE token ids for ``.tok``."""
+    """Load a corpus from a raw byte file: each byte is one token id."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) == 0:
         raise InputError(f"corpus file {path} is empty")
-    if path.suffix == ".tok":
-        if len(raw) % 2 != 0:
-            raise InputError(f"{path}: .tok payload must be a whole number of uint16")
-        tokens = np.frombuffer(raw, dtype="<u2").astype(np.int64)
-    else:
-        tokens = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if tokens.max() >= DEFAULT_VOCAB:
-        raise InputError(f"{path}: token id {tokens.max()} exceeds vocab size {DEFAULT_VOCAB}")
+    tokens = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     return Corpus(name=name, tokens=tokens, eval_fraction=eval_fraction)
 
 

@@ -164,12 +164,15 @@ def _check_manifest(manifest) -> None:
     ):
         raise FormatError(f"state manifest layers must be {{index, rows, cols}} with "
                           f"index >= 0 and rows, cols >= 1, got {layers!r}")
-    if len({e["index"] for e in layers}) != len(layers):
-        raise FormatError(f"state manifest repeats a layer index: {layers!r}")
+    indices = [e["index"] for e in layers]
+    if indices != sorted(set(indices)):  # the writer's order, so save(load(f)) == f
+        raise FormatError(f"state manifest layer indices must increase strictly, got {indices}")
     if not isinstance(seen, list) or not all(isinstance(name, str) for name in seen):
         raise FormatError(f"state manifest datasets_seen must list names, got {seen!r}")
-    if not isinstance(counts, dict) or not all(_is_int(n, 0) for n in counts.values()):
-        raise FormatError(f"state manifest sample_count must map names to counts, got {counts!r}")
+    if not (isinstance(counts, dict) and set(counts) == set(seen)
+            and all(_is_int(n, 1) for n in counts.values())):
+        raise FormatError(f"state manifest sample_count must map each seen dataset to a "
+                          f"count of at least 1, got {counts!r} for {seen!r}")
 
 
 def check_against(state: ImportanceState, net: Network) -> None:

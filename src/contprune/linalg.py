@@ -29,19 +29,17 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
-def pseudoinverse(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
+def pseudoinverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``tol`` times the largest singular value are
+    Singular values at or below ``DEFAULT_PINV_TOL`` times the largest one are
     treated as zero. The result satisfies the four Penrose conditions to
     numerical accuracy. Raises NumericalError when a kept singular value is
     so small (below 1 / float64 max) that its reciprocal overflows.
     """
     a = as_matrix(a)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     u, s, vt = _svd(a)
-    cutoff = tol * s[0] if s.size else 0.0
+    cutoff = DEFAULT_PINV_TOL * s[0] if s.size else 0.0
     keep = s > cutoff
     with np.errstate(over="ignore"):
         inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
@@ -52,15 +50,13 @@ def pseudoinverse(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def rank(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
+def rank(a: np.ndarray) -> int:
+    """Number of singular values above ``DEFAULT_PINV_TOL`` times the largest one."""
     a = as_matrix(a)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     s = _svd(a)[1]
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > DEFAULT_PINV_TOL * s[0]))
 
 
 def _svd(a: np.ndarray):

@@ -110,29 +110,16 @@ def layer_norm(gain, bias) -> Layer:
     return Layer(kind="layer_norm", gain=gain, bias=bias)
 
 
-def layer_forward(
-    layer: Layer, x: np.ndarray, weight_override: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate one layer on column-stacked inputs ``x``.
-
-    ``weight_override``, when given, is used in place of the stored weight
-    of a linear layer; the stored weight is left untouched. Overriding any
-    other layer kind is an error.
-    """
+def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """Evaluate one layer on column-stacked inputs ``x``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"layer input must be 2-D (dim, n), got {x.shape}")
     if layer.kind == "linear":
-        w = layer.weight if weight_override is None else np.asarray(weight_override)
-        if w.shape != layer.weight.shape:
-            raise ShapeError(
-                f"override shape {w.shape} != weight shape {layer.weight.shape}"
-            )
+        w = layer.weight
         if w.shape[1] != x.shape[0]:
             raise ShapeError(f"linear: weight {w.shape} does not accept input {x.shape}")
         return w @ x
-    if weight_override is not None:
-        raise ShapeError(f"{layer.kind} layer has no weight to override")
     if layer.kind == "activation":
         return apply_activation(layer.activation_kind, x)
     # layer_norm, per column

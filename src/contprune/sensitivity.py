@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalError, ShapeError, UsageError
-from .model import Layer, layer_forward
+from .model import Layer, layer_forward, linear
 
 DEFAULT_EPSILON = 1e-3
 
@@ -38,14 +38,11 @@ class Perturbation:
     delta_w and delta_x are Gaussian, rescaled so that RMS(delta_w) equals
     epsilon * RMS(W) and RMS(delta_x) equals epsilon * RMS(x). A dense
     Gaussian matrix is full-rank almost surely, which the pseudoinverse
-    surrogate requires. ``epsilon`` and ``seed`` record how
-    ``make_perturbation`` drew them; the batch kernel leaves them unset.
+    surrogate requires.
     """
 
     delta_w: np.ndarray | None
     delta_x: np.ndarray | None
-    epsilon: float | None = None
-    seed: int | None = None
 
 
 def scaled_gaussian(shape, target_rms: float, rng: np.random.Generator) -> np.ndarray:
@@ -74,17 +71,12 @@ def make_perturbation(
     if x is not None:
         xv = np.asarray(x, dtype=np.float64)
         delta_x = scaled_gaussian(xv.shape, epsilon * float(np.sqrt(np.mean(xv * xv))), rng)
-    return Perturbation(delta_w=delta_w, delta_x=delta_x, epsilon=epsilon, seed=seed)
+    return Perturbation(delta_w=delta_w, delta_x=delta_x)
 
 
-def unit_forward(
-    layer: Layer,
-    x: np.ndarray,
-    weight_override: np.ndarray | None = None,
-    post: Layer | None = None,
-) -> np.ndarray:
+def unit_forward(layer: Layer, x: np.ndarray, post: Layer | None = None) -> np.ndarray:
     """Evaluate ``layer`` (optionally fused with a following layer ``post``)."""
-    y = layer_forward(layer, x, weight_override=weight_override)
+    y = layer_forward(layer, x)
     if post is not None:
         y = layer_forward(post, y)
     return y
@@ -108,7 +100,7 @@ def sensitivity_w(
         raise ShapeError("perturbation delta_w is missing or not congruent to weight")
     if _is_bare_linear(layer, post):
         return pert.delta_w @ x  # exact: (W + dW) x - W x == dW x
-    return unit_forward(layer, x, weight_override=layer.weight + pert.delta_w, post=post) - y
+    return unit_forward(linear(layer.weight + pert.delta_w), x, post=post) - y
 
 
 def sensitivity_x(

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contprune import cli
+from contprune import cli, metrics
+from contprune import corpus as C
 from contprune import harness as H
+from contprune import importance as I
+from contprune import model as M
 from contprune import pruner as P
 from contprune import trainer as T
 from contprune.errors import InputError, NumericalError, UsageError
@@ -94,18 +97,60 @@ class TestConfig:
             H.ExperimentConfig(**tiny_cfg_kwargs, **{field: value})
 
 
+def subparser_dests(command: str) -> set[str]:
+    """The dests of the flags that ``command``'s subparser registers."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+
+
+# the ExperimentConfig fields each grid command's harness entry point ignores:
+# ablate-sparsity sweeps sparsity_sweep, ablate-samples sweeps samples_sweep
+# over --ablate-criteria at 0.5
+IGNORED_FIELDS = {
+    "run-grid": {"sparsity_sweep", "samples_sweep"},
+    "ablate-sparsity": {"sparsities", "nm_patterns", "samples_sweep"},
+    "ablate-samples": {"criteria", "n_samples", "sparsities", "nm_patterns", "sparsity_sweep"},
+}
+
+
 class TestNoUnreachableKnobs:
     def test_every_experiment_field_is_a_grid_flag_dest(self):
-        sub = next(
-            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        dests = {
-            action.dest
-            for command in ("run-grid", "ablate-sparsity", "ablate-samples")
-            for action in sub.choices[command]._actions
-        }
+        dests = set().union(*map(subparser_dests, ("run-grid", "ablate-sparsity", "ablate-samples")))
         fields = {f.name for f in dataclasses.fields(H.ExperimentConfig)} - {"corpora"}
         assert fields - dests == set()
+
+    @pytest.mark.parametrize("command", sorted(IGNORED_FIELDS))
+    def test_grid_command_registers_exactly_the_fields_it_reads(self, command):
+        fields = {f.name for f in dataclasses.fields(H.ExperimentConfig)} - {"corpora"}
+        assert subparser_dests(command) & fields == fields - IGNORED_FIELDS[command]
+
+    def test_every_flag_of_the_other_commands_is_read(self, tiny_dir, tiny_model_path, tmp_path):
+        reads: set[str] = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "grid.json").write_text(
+            '{"dense": {"per_dataset": {}, "a_ppl": 1.0, "m_ppl": 1.0}, "grids": {}}'
+        )
+        model, prose = str(tiny_model_path), str(tiny_dir / "prose.bin")
+        argvs = [
+            ["gen-corpora", "--out", str(tmp_path / "data"), "--tokens", "2000", "--seed", "1"],
+            ["train", "--corpora-dir", str(tiny_dir), "--out", str(tmp_path / "m.ckpt"),
+             "--steps", "0", "--dim", "8", "--hidden", "8", "--blocks", "1", "--seed", "0"],
+            ["prune", "--model", model, "--corpus-path", prose, "--n-samples", "2",
+             "--seq-len", "48", "--seed", "0", "--out", str(tmp_path / "p.ckpt")],
+            ["eval", "--model", model, "--corpus-path", prose, "--seq-len", "48"],
+            ["report", "--run-dir", str(tmp_path / "runs")],
+        ]
+        for argv in argvs:
+            args = cli.build_parser().parse_args(argv)
+            reads.clear()
+            assert args.func(Recording(**vars(args))) == 0
+            assert subparser_dests(argv[0]) - reads == set(), argv[0]
 
     def test_every_prune_field_is_set_by_the_harness(self, tiny_cfg_kwargs, monkeypatch):
         cfg = H.ExperimentConfig(**tiny_cfg_kwargs)
@@ -357,6 +402,54 @@ class TestCli:
         ]) == 0
         assert pruned.exists() and state.exists()
         assert (tmp_path / "masks" / "masks.json").exists()
+
+    def test_prune_names_the_corpus_after_its_file(self, tiny_dir, tiny_model_path, tmp_path):
+        state = tmp_path / "s.bin"
+        for name in ("prose", "numeric"):
+            assert cli.main([
+                "prune", "--model", str(tiny_model_path),
+                "--corpus-path", str(tiny_dir / f"{name}.bin"), "--n-samples", "2",
+                "--seq-len", "48", "--seed", "0", "--out", str(tmp_path / f"{name}.ckpt"),
+                *(["--state", str(state)] if state.exists() else []), "--save-state", str(state),
+            ]) == 0
+        assert I.load_state(state).datasets_seen == ["prose", "numeric"]
+
+    def test_prune_gives_the_grid_step_one_networks(self, tiny_dir, tiny_model_path, tmp_path):
+        """``prune`` and ``run-grid`` build their PruneConfig and calibration
+        seed apart; on one corpus they must prune to the same network."""
+        names = ("bracket", "numeric", "prose")
+        settings = ["--seed", "5", "--n-samples", "4", "--seq-len", "48"]
+        assert cli.main([
+            "run-grid", "--model", str(tiny_model_path),
+            *(f"--corpus={n}={tiny_dir / f'{n}.bin'}" for n in names),
+            "--out", str(tmp_path / "runs"), *settings,
+        ]) == 0
+        grids = json.loads((tmp_path / "runs" / "grid.json").read_text())["grids"]
+        corpora = {n: C.load_corpus(tiny_dir / f"{n}.bin", n) for n in names}
+        for criterion in P.CRITERIA:
+            out = tmp_path / f"{criterion}.ckpt"
+            assert cli.main([
+                "prune", "--model", str(tiny_model_path), "--corpus-path", str(tiny_dir / "prose.bin"),
+                "--criterion", criterion, "--out", str(out), *settings,
+            ]) == 0
+            got = metrics.perplexities(M.load_checkpoint(out), corpora, 48)
+            cells = grids[f"{criterion}:unstructured-0.5"]["report"]["cells"]
+            step_one = [c for c in cells if c["permutation"][0] == "prose" and c["step"] == 1]
+            assert len(step_one) == 2 * len(names)  # two orderings start with prose
+            for c in step_one:
+                assert c["perplexity"] == got[c["eval_dataset"]], (criterion, c)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["prune", "--model", "m", "--corpus-path", "c", "--out", "o", "--seed", "0"],
+         ["--init-mode", "global"]),
+        (["ablate-sparsity"], ["--nm", "2:4"]),
+        (["ablate-samples"], ["--n-samples", "4"]),
+    ], ids=["prune-init-mode", "ablate-sparsity-nm", "ablate-samples-n-samples"])
+    def test_flag_a_command_would_ignore_is_unrecognized(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_train_loss_line_averages_disjoint_ends(self, tmp_path, capsys, monkeypatch):
         # under 100 steps each end averages steps // 2 losses, so the two

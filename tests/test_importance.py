@@ -241,6 +241,26 @@ class TestPersistence:
         with pytest.raises(FormatError, match="state manifest"):
             I.load_state(path)
 
+    def test_layer_indices_must_increase(self, tmp_path, rng):
+        # the writer sorts by index; layers [2, 0] would load, and saving the
+        # loaded state would no longer reproduce the file
+        path = self.saved_with_manifest(tmp_path, rng, lambda m: m["layers"].reverse())
+        with pytest.raises(FormatError, match=r"indices must increase strictly, got \[2, 0\]"):
+            I.load_state(path)
+
+    @pytest.mark.parametrize(
+        "seen, counts",
+        [(["A"], {"zzz": 0}), (["A"], {"A": 0}), (["A"], {}), (["A"], {"A": 16, "B": 4}),
+         ([], {"A": 16})],
+        ids=["other-name", "zero-count", "missing-name", "extra-name", "none-seen"],
+    )
+    def test_sample_count_names_exactly_the_seen_datasets(self, tmp_path, rng, seen, counts):
+        path = self.saved_with_manifest(
+            tmp_path, rng, lambda m: m.update(datasets_seen=seen, sample_count=counts)
+        )
+        with pytest.raises(FormatError, match="sample_count must map each seen dataset"):
+            I.load_state(path)
+
     def test_inflated_layer_size_is_a_format_error(self, tmp_path, rng):
         path = self.saved_with_manifest(tmp_path, rng, lambda m: m["layers"][0].update(rows=2**40))
         with pytest.raises(FormatError, match="state payload truncated"):

@@ -45,29 +45,6 @@ class TestLayerForward:
         x = rng.standard_normal((2, 5))
         np.testing.assert_array_equal(M.layer_forward(M.linear(w), x), w @ x)
 
-    def test_override_equals_stored(self, rng):
-        w = rng.standard_normal((3, 2))
-        x = rng.standard_normal((2, 4))
-        layer = M.linear(w)
-        np.testing.assert_array_equal(
-            M.layer_forward(layer, x, weight_override=w.copy()),
-            M.layer_forward(layer, x),
-        )
-
-    def test_override_linearity(self, rng):
-        w = rng.standard_normal((3, 2))
-        dw = rng.standard_normal((3, 2))
-        x = rng.standard_normal((2, 1))
-        layer = M.linear(w)
-        out = M.layer_forward(layer, x, weight_override=w + dw)
-        np.testing.assert_allclose(out, w @ x + dw @ x, rtol=1e-12)
-        np.testing.assert_array_equal(layer.weight, w)  # stored weight untouched
-
-    def test_zero_override_gives_zero(self, rng):
-        layer = M.linear(rng.standard_normal((3, 2)))
-        out = M.layer_forward(layer, rng.standard_normal((2, 6)), weight_override=np.zeros((3, 2)))
-        np.testing.assert_array_equal(out, np.zeros((3, 6)))
-
     @pytest.mark.parametrize("kind", ["relu", "gelu", "tanh"])
     def test_activation_matches_scalar_oracle(self, rng, kind):
         x = rng.standard_normal((4, 7))
@@ -93,10 +70,6 @@ class TestLayerForward:
     def test_shape_errors(self, rng):
         with pytest.raises(ShapeError):
             M.layer_forward(M.linear(np.ones((3, 2))), np.ones((4, 1)))
-        with pytest.raises(ShapeError):
-            M.layer_forward(M.linear(np.ones((3, 2))), np.ones((2, 1)), weight_override=np.ones((2, 2)))
-        with pytest.raises(ShapeError):
-            M.layer_forward(M.activation("relu"), np.ones((2, 1)), weight_override=np.ones((2, 2)))
 
 
 class TestForward:

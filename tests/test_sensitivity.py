@@ -65,7 +65,7 @@ class TestSensitivityW:
     def test_zero_delta_gives_zero(self, rng):
         w = rng.standard_normal((3, 3))
         x = rng.standard_normal((3, 1))
-        pert = S.Perturbation(delta_w=np.zeros((3, 3)), delta_x=np.zeros((3, 1)), epsilon=1e-3, seed=0)
+        pert = S.Perturbation(delta_w=np.zeros((3, 3)), delta_x=np.zeros((3, 1)))
         np.testing.assert_array_equal(S.sensitivity_w(M.linear(w), x, w @ x, pert), np.zeros((3, 1)))
 
     def test_relu_stack_matches_jacobian_oracle(self, rng):
@@ -96,7 +96,7 @@ class TestSensitivityX:
     def test_zero_delta_gives_zero(self, rng):
         w = rng.standard_normal((3, 3))
         x = rng.standard_normal((3, 1))
-        pert = S.Perturbation(delta_w=np.zeros((3, 3)), delta_x=np.zeros((3, 1)), epsilon=1e-3, seed=0)
+        pert = S.Perturbation(delta_w=np.zeros((3, 3)), delta_x=np.zeros((3, 1)))
         np.testing.assert_array_equal(S.sensitivity_x(M.linear(w), x, w @ x, pert), np.zeros((3, 1)))
 
     def test_linear_equals_w_dx_exactly(self, rng):
@@ -138,7 +138,7 @@ class TestDfdwSurrogate:
         w = rng.standard_normal((4, 4))
         x = rng.standard_normal((4, 1))
         s_w = rng.standard_normal((4, 1))
-        pert = S.Perturbation(delta_w=eps * np.eye(4), delta_x=None, epsilon=eps, seed=0)
+        pert = S.Perturbation(delta_w=eps * np.eye(4), delta_x=None)
         out = S.dfdw_surrogate(M.linear(w), x, s_w, pert, post=M.activation("relu"))
         np.testing.assert_allclose(out, s_w / eps, rtol=1e-9)
 
@@ -155,7 +155,7 @@ class TestDfdwSurrogate:
     def test_rank_deficient_delta_rejected(self, rng):
         u = rng.standard_normal((4, 1))
         v = rng.standard_normal((1, 4))
-        pert = S.Perturbation(delta_w=u @ v, delta_x=None, epsilon=1e-3, seed=0)
+        pert = S.Perturbation(delta_w=u @ v, delta_x=None)
         layer = M.linear(rng.standard_normal((4, 4)))
         with pytest.raises(NumericalError):
             S.dfdw_surrogate(layer, rng.standard_normal((4, 1)), rng.standard_normal((4, 1)), pert,
@@ -207,7 +207,7 @@ class TestRecord:
     def test_zero_perturbation_gives_zero_record(self, rng):
         w = rng.standard_normal((3, 4))
         x = rng.standard_normal((4, 1))
-        pert = S.Perturbation(delta_w=np.zeros((3, 4)), delta_x=np.zeros((4, 1)), epsilon=1e-3, seed=0)
+        pert = S.Perturbation(delta_w=np.zeros((3, 4)), delta_x=np.zeros((4, 1)))
         rec = S.record(M.linear(w), x, w @ x, pert)
         for field in (rec.s_w, rec.s_x, rec.dy, rec.grad):
             assert not field.any()
@@ -283,7 +283,7 @@ class TestBatchPath:
         looped = np.zeros_like(w)
         for p in range(x_batch.shape[1]):
             x = x_batch[:, p : p + 1]
-            pert = S.Perturbation(delta_w=delta_w, delta_x=delta_x[:, p : p + 1], epsilon=1e-3, seed=0)
+            pert = S.Perturbation(delta_w=delta_w, delta_x=delta_x[:, p : p + 1])
             rec = S.record(layer, x, w @ x, pert)
             looped += np.abs(rec.grad)
         np.testing.assert_allclose(batch, looped, rtol=1e-12, atol=1e-14)
