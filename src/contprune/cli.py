@@ -8,9 +8,11 @@ Typical workflow:
         --out runs --seed 0
     contprune report --run-dir runs
 
-Every run-grid option can also come from a JSON config file (--config);
-explicit flags override file values. A command that fails on a package error
-or an OSError prints one line, ``contprune: <Type>: <message>``, and exits 1.
+A grid command's ExperimentConfig fields can also come from a JSON config
+file (--config); explicit flags override file values, and a field the
+command has no flag for is a usage error. A command that fails on a package
+error or an OSError prints one line, ``contprune: <Type>: <message>``, and
+exits 1.
 """
 from __future__ import annotations
 
@@ -132,7 +134,8 @@ def cmd_eval(args) -> int:
 
 def _experiment_config(args) -> harness.ExperimentConfig:
     """Config file values, overridden by every flag given; each grid flag's
-    ``dest`` is the name of the ExperimentConfig field it sets."""
+    ``dest`` is the name of the ExperimentConfig field it sets, and the file
+    may set only ``corpora`` and the fields of the command's flags."""
     try:
         values = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, ValueError) as exc:
@@ -144,6 +147,10 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     unknown = sorted(set(values) - names)
     if unknown:
         raise UsageError(f"unknown config key(s) in {args.config}: {', '.join(unknown)}")
+    ignored = sorted(set(values) - set(vars(args)) - {"corpora"})  # fields it never reads
+    if ignored:
+        raise UsageError(f"config key(s) in {args.config} that {args.command} ignores: "
+                         f"{', '.join(ignored)}")
     for name in names:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)

@@ -19,6 +19,8 @@ One command (``run_continual`` or an ablation sweep) computes each of these
 at most once, in a ``Memo`` shared by the dense row and every grid:
 
 - a calibration set per (corpus, ``n_samples``);
+- the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
+  scores of every corpus gather their inputs from;
 - a dataset's scores (``pruner.score_step``), one matrix per prunable layer,
   per (criterion, scored network, corpus, ``n_samples``). Sensitivity always
   scores the base, and so do the baselines under global initialization, so
@@ -30,18 +32,27 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
 
 Every network a command meets is the base times a {0, 1} mask per prunable
 layer, so a network is keyed by its zero pattern (``Memo._key``), the base
-included. Each ordering adds the cached sensitivity scores of the datasets
-it visits to its own state (``pruner.mask_step``); states are not shared,
-because two orders of one set of datasets give sums that differ in their
-last bits.
-Only successes are memoized: a score or evaluation that raises raises again
-in every ordering that reaches it.
+included.
+
+Within one grid, a prune step depends only on the ordering's prefix up to
+it, and under global initialization only on its dataset, so
+``run_grid_cell`` runs each distinct step once: on three corpora, the 18
+steps of the six orderings are 15 prefixes for a sequential criterion and 3
+datasets for a global one. The orderings through a prefix go on from the
+network and the importance state its step left; the network is captured
+once, however many datasets a sequential baseline scores on it next. States
+are keyed by the prefix, not by the set of datasets seen, because two
+orders of one set give sums that differ in their last bits (see
+``importance``).
+Only successes are kept: a score, evaluation or step that raises raises
+again in every ordering that reaches it.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+from copy import deepcopy
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -56,6 +67,7 @@ from .model import Network, load_checkpoint
 from .pruner import (  # noqa: F401  prune_step: perfbench's tracer patches it by this name
     DatasetScores,
     PruneConfig,
+    ScoredNetwork,
     detect_stasis,
     mask_step,
     prune_step,
@@ -166,7 +178,8 @@ class Memo:
 
     def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus]):
         self.cfg = cfg
-        self.base = base  # never modified: mask_step re-masks a copy
+        # never modified: mask_step re-masks a copy
+        self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
         self._calib: dict[tuple, CalibrationSet] = {}
         self._scores: dict[tuple, DatasetScores] = {}
@@ -225,18 +238,24 @@ def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
 
 def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     """Full permutation grid for one (criterion, sparsity spec) pair, as its
-    ``grid.json`` entry. A failed ordering adds only an ``errors`` entry."""
+    ``grid.json`` entry. A failed ordering adds only an ``errors`` entry.
+    ``steps`` keeps each finished step under its prefix, or under global
+    initialization its dataset, for the orderings that reach it again."""
     base = memo.base
     names = sorted(memo.corpora)
     calib_sets = {name: memo.calibration(name, n_samples) for name in names}
     pconfig = _prune_config(memo.cfg, criterion, spec)
+    sequential = pconfig.init_mode == "sequential"
 
     cells: list[EvalCell] = []
     completed: list[tuple[str, ...]] = []
     ws_perms: list[str] = []
     step_stats: list[dict] = []
     errors: list[dict] = []
+    steps: dict[tuple | str, tuple] = {}
     for pi in permutations(names):
+        if sequential:  # orderings come sorted, so a prefix off this path never recurs
+            steps = {prefix: v for prefix, v in steps.items() if pi[: len(prefix)] == prefix}
         perm_cells: list[EvalCell] = []
         perm_stats: list[dict] = []
         try:
@@ -245,11 +264,11 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
             prev_masks = None
             transitions_stasis: list[bool] = []
             for step, ds_name in enumerate(pi, start=1):
-                if criterion == "sensitivity" and pconfig.init_mode == "global":
-                    state = init_state(base)
-                scored = scored_network(current, pconfig, base)
-                scores = memo.scores(scored, pconfig, calib_sets[ds_name])
-                current, masks, frag = mask_step(scored, state, pconfig, scores)
+                key = pi[:step] if sequential else ds_name
+                if key not in steps:
+                    steps[key] = _prune_and_evaluate(memo, current, state, pconfig,
+                                                     calib_sets[ds_name])
+                current, masks, sparsity, ppls, state = steps[key]
                 hamming_total = None
                 if prev_masks is not None:
                     per_layer = [detect_stasis(prev_masks[i], masks[i]) for i in sorted(masks)]
@@ -261,11 +280,11 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
                         "permutation": ">".join(pi),
                         "step": step,
                         "pruned_dataset": ds_name,
-                        "overall_sparsity": frag["overall_sparsity"],
+                        "overall_sparsity": sparsity,
                         "hamming_vs_prev": hamming_total,
                     }
                 )
-                for ds, ppl in memo.perplexities(current).items():
+                for ds, ppl in ppls.items():
                     perm_cells.append(
                         EvalCell(permutation=pi, step=step, eval_dataset=ds, perplexity=ppl)
                     )
@@ -287,6 +306,21 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
         "errors": errors,
         "complete": not errors,
     }
+
+
+def _prune_and_evaluate(memo: Memo, current: Network, state, pconfig: PruneConfig,
+                        calib: CalibrationSet) -> tuple:
+    """One prune step after ``current`` and the importance ``state`` the
+    ordering carries (None for the baselines), and the pruned network's
+    perplexities: ``(network, masks, overall sparsity, perplexities, state)``.
+    The returned state is a new one, so a kept step's state never changes."""
+    if state is not None:
+        state = init_state(memo.base) if pconfig.init_mode == "global" else deepcopy(state)
+    scored = scored_network(current, pconfig, memo.base)
+    pruned, masks, frag = mask_step(scored, state, pconfig, memo.scores(scored, pconfig, calib))
+    # a sequential baseline scores it on every dataset the orderings visit next
+    pruned = ScoredNetwork(pruned.layers, pruned.vocab_size, pruned.embed)
+    return pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state
 
 
 def dense_row(memo: Memo) -> dict:

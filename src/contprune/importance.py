@@ -7,8 +7,8 @@ importance in visit order. Entries only ever grow, and the final state sums
 the same per-dataset sums whatever the visit order, though not bit for bit:
 float addition is not associative. On the benchmark's ``calib-heavy`` seed-1
 inputs (desk model, 16 calibration samples per corpus), the final states of
-bracket>numeric>prose and prose>numeric>bracket differ in 25% of their
-entries, by at most 3.2e-16 relative. Masks derived from the accumulator at
+bracket>numeric>prose and prose>numeric>bracket differ in 24.8% of their
+entries, by at most 3.45e-16 relative. Masks derived from the accumulator at
 intermediate steps depend on what has been seen so far, which is the whole
 point of keeping the state.
 

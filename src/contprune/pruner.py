@@ -21,7 +21,9 @@ for wanda it is the activation-scaled ``|W|``, for magnitude ``|W|``.
 ``mask_step`` does the rest under one sparsity spec: sensitivity adds the
 dataset's importance to the carried state and ranks the state, the baselines
 rank their scores. A harness may therefore score a dataset once and mask it
-under many specs and orderings.
+under many specs and orderings. Scoring gathers each calibration segment's
+layer inputs from one capture of the network on the vocabulary, which a
+``ScoredNetwork`` takes once for every calibration set scored on it.
 
 Unstructured selection prunes exactly the ``floor(s * N)`` lowest-scoring
 entries, ties resolved toward the lowest flat index, so the sparsity is exact
@@ -29,6 +31,8 @@ even when scores tie. It takes linear time: a partition finds the k-th
 smallest score, every entry below it is pruned, and then the first entries
 equal to it in flat order until k are pruned. ``-0.0`` equals ``0.0``. This
 is the selection a stable argsort of the flat scores makes, without the sort.
+N:M selection ranks each group's members by comparing them pairwise, with
+the same tie rule.
 
 Initialization modes
 --------------------
@@ -43,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +169,8 @@ def build_mask_nm(scores: np.ndarray, n: int, m: int) -> Mask:
     """Keep the ``n`` highest-scoring entries in every group of ``m``
     consecutive entries along the input (column) dimension.
 
-    Ties keep the lowest index. A trailing short group of length r keeps
-    ``ceil(n * r / m)`` entries.
+    Ties keep the lowest index, ``-0.0`` equals ``0.0``. A trailing short
+    group of length r keeps ``ceil(n * r / m)`` entries.
     """
     scores = _finite(scores)
     if scores.ndim != 2:
@@ -182,12 +187,16 @@ def build_mask_nm(scores: np.ndarray, n: int, m: int) -> Mask:
 
 
 def _top_k_bits(scores: np.ndarray, k: int) -> np.ndarray:
-    """uint8 bits keeping the ``k`` highest scores of each row; a stable
-    argsort of the negation keeps the lowest index first on ties."""
-    order = np.argsort(-scores, axis=1, kind="stable")
-    bits = np.zeros_like(scores, dtype=np.uint8)
-    np.put_along_axis(bits, order[:, :k], 1, axis=1)
-    return bits
+    """uint8 bits keeping the ``k`` highest scores of each row, without a
+    sort: an entry's rank is the number of greater entries in its row plus
+    the number of equal ones at lower indices, and ranks below ``k`` stay.
+    These are the bits a stable argsort of the negated row keeps."""
+    cols = np.ascontiguousarray(scores.T)
+    rank = np.empty(cols.shape, dtype=np.min_scalar_type(len(cols)))  # a rank is < width
+    for i, col in enumerate(cols):  # an earlier entry outranks col also when equal
+        rank[i] = ((cols[:i] >= col).sum(axis=0, dtype=rank.dtype)
+                   + (cols[i + 1:] > col).sum(axis=0, dtype=rank.dtype))
+    return (rank < k).T.astype(np.uint8)
 
 
 def apply_mask(weight: np.ndarray, mask: Mask) -> np.ndarray:
@@ -213,17 +222,38 @@ def _build_mask(scores: np.ndarray, config: PruneConfig) -> Mask:
     return build_mask_nm(scores, *config.nm)
 
 
-def _segment_inputs(net: Network, calib: CalibrationSet):
-    """Per-layer inputs of each calibration segment, one segment at a time.
-
-    A segment's inputs are the columns of its tokens but the last in one
-    capture on the vocabulary (``model.vocabulary_tokens``). Every segment's
-    tokens are checked before the first one is yielded.
-    """
-    segments = [check_tokens(net, seg) for seg in calib.segments]
+def _vocabulary_inputs(net: Network) -> dict[int, np.ndarray]:
+    """Each prunable layer's input on ``model.vocabulary_tokens(net)``, from
+    one ``forward_capture``: column ``a`` is the layer's input for token ``a``."""
     _, records = forward_capture(net, vocabulary_tokens(net))
-    for seg in segments:
-        yield {rec.layer_index: _columns(rec.input, seg[:-1]) for rec in records}
+    return {rec.layer_index: rec.input for rec in records}
+
+
+class ScoredNetwork(Network):
+    """A network that does not change while it is scored, so its vocabulary
+    inputs are captured once, on first use, and shared by every calibration
+    set scored on it. The harness scores its base and step networks as these."""
+
+    @cached_property
+    def vocabulary_inputs(self) -> dict[int, np.ndarray]:
+        return _vocabulary_inputs(self)
+
+
+def _calibration_inputs(net: Network, calib: CalibrationSet):
+    """The vocabulary inputs of ``net`` and every segment's input columns
+    (its tokens but the last), each segment's tokens checked first."""
+    columns = [check_tokens(net, seg)[:-1] for seg in calib.segments]
+    inputs = net.vocabulary_inputs if isinstance(net, ScoredNetwork) else _vocabulary_inputs(net)
+    return inputs, columns
+
+
+def _segment_inputs(net: Network, calib: CalibrationSet):
+    """Per-layer inputs of each calibration segment, one segment at a time,
+    gathered from the vocabulary inputs. Every segment's tokens are checked
+    before the first one is yielded."""
+    inputs, columns = _calibration_inputs(net, calib)
+    for cols in columns:
+        yield {idx: _columns(x, cols) for idx, x in inputs.items()}
 
 
 def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -276,11 +306,15 @@ def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> Data
                     grad = batch_gradient_magnitude(layer, x_batch, delta_w, delta_x)
                     accumulate(importance, idx, w, grad)
         return DatasetScores(calib.corpus_name, calib.n_samples, importance.per_layer)
-    per_segment = list(_segment_inputs(net, calib)) if config.criterion == "wanda" else []
+    acts = {}
+    if config.criterion == "wanda":  # every segment's columns, in segment order
+        inputs, columns = _calibration_inputs(net, calib)
+        cols = np.concatenate(columns)
+        acts = {idx: _columns(x, cols) for idx, x in inputs.items()}
     scores = DatasetScores(calib.corpus_name, calib.n_samples)
     for idx in prunable:
-        acts = np.concatenate([s[idx] for s in per_segment], axis=1) if per_segment else None
-        scores.layers[idx] = criterion_scores(config.criterion, net.layers[idx].weight, acts)
+        weight = net.layers[idx].weight
+        scores.layers[idx] = criterion_scores(config.criterion, weight, acts.get(idx))
     return scores
 
 

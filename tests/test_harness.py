@@ -540,6 +540,32 @@ class TestCli:
         assert re.search(r"UsageError: unknown config key.*: sparsity$", main_error(capsys, argv))
 
     @pytest.mark.parametrize(
+        "command, values, ignored",
+        [
+            ("ablate-samples",
+             {"sparsities": [0.9], "nm_patterns": [[2, 4]], "criteria": ["magnitude"],
+              "n_samples": 4},
+             "criteria, n_samples, nm_patterns, sparsities"),
+            ("run-grid", {"samples_sweep": [2]}, "samples_sweep"),
+        ],
+        ids=["ablate-samples", "run-grid"],
+    )
+    def test_config_key_the_command_ignores_is_named(
+        self, tiny_cfg_kwargs, tmp_path, capsys, command, values, ignored
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        out = tmp_path / "runs"
+        line = main_error(capsys, [
+            command, "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
+            "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}", "--seed", "0",
+            "--seq-len", "48", "--out", str(out),
+        ] + (["--samples-sweep", "2"] if command == "ablate-samples" else []))
+        assert line.endswith(f"UsageError: config key(s) in {cfg_path} that {command} "
+                             f"ignores: {ignored}"), line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, match",
         [
             ("[1, 2]", r"config .*cfg\.json must hold a JSON object, got list$"),

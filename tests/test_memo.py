@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from contprune import harness as H
+from contprune import pruner as P
 from contprune.corpus import permutations, sample_calibration
 from contprune.errors import NumericalError
 from contprune.importance import init_state
@@ -182,6 +183,42 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     assert len(evals) == 1 + 1 + 3 + 7
     assert len({sha256(net) for net, _, _ in evals}) == len(evals)
     assert all(sorted(corpora) == list(CORPORA) for _, corpora, _ in evals)
+
+
+@pytest.mark.parametrize(
+    "init_mode, want",
+    [
+        # sensitivity runs sequentially: one step per ordering prefix, 3 + 6 + 6;
+        # the baselines run globally: one step per dataset
+        (None, {"sensitivity": 15, "magnitude": 3, "wanda": 3}),
+        ("sequential", {"sensitivity": 15, "magnitude": 15, "wanda": 15}),
+        ("global", {"sensitivity": 3, "magnitude": 3, "wanda": 3}),
+    ],
+    ids=["default", "sequential", "global"],
+)
+def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch, init_mode, want):
+    masked = counting(monkeypatch, "mask_step")
+    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                             init_mode_override=init_mode)
+    out = H.run_continual(cfg)
+    assert all(g["complete"] for g in out["grids"].values())
+    # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 mask steps
+    got = {c: sum(config.criterion == c for _, _, config, _ in masked) for c in want}
+    assert got == want
+
+
+def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
+    real, captured = P.forward_capture, []
+
+    def counting_capture(net, tokens):
+        captured.append(net)
+        return real(net, tokens)
+
+    monkeypatch.setattr(P, "forward_capture", counting_capture)
+    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"))
+    H.run_continual(cfg)
+    # sensitivity and wanda (global) score only the base, on every corpus
+    assert len(captured) == 1
 
 
 def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(

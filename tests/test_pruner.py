@@ -169,6 +169,54 @@ class TestNmMask:
             P.build_mask_nm(rng.random((2, 8)), 0, 4)
 
 
+def argsort_nm_bits(scores: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The reference N:M selection: a stable argsort of each negated group of
+    ``m`` columns keeps its first ``n``; a short tail of r columns keeps
+    ``ceil(n * r / m)``."""
+    bits = np.zeros(scores.shape, dtype=np.uint8)
+    for start in range(0, scores.shape[1], m):
+        group = scores[:, start:start + m]
+        keep = math.ceil(n * group.shape[1] / m)
+        order = np.argsort(-group, axis=1, kind="stable")
+        np.put_along_axis(bits[:, start:start + m], order[:, :keep], 1, axis=1)
+    return bits
+
+
+class TestNmSelectionMatchesArgsort:
+    """``build_mask_nm`` ranks each group by comparisons; the stable argsort
+    it replaced is the oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 27),  # most widths leave a short tail group
+        nm=st.sampled_from([(2, 4), (4, 8)]),
+        values=st.sampled_from(["continuous", "ties", "signed_zeros", "constant"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bit_equal_to_stable_argsort(self, rows, cols, nm, values, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, cols)
+        if values == "continuous":
+            scores = rng.standard_normal(shape)
+        elif values == "ties":  # integer-valued, so most groups hold ties
+            scores = rng.integers(0, 3, size=shape).astype(np.float64)
+        elif values == "signed_zeros":  # -0.0 == 0.0 ties too
+            scores = rng.choice([-0.0, 0.0, 1.0], size=shape)
+        else:
+            scores = np.full(shape, rng.standard_normal())
+        got = P.build_mask_nm(scores, *nm).bits
+        want = argsort_nm_bits(scores, *nm)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_signed_zeros_keep_the_lowest_index(self):
+        scores = np.array([[-0.0, 0.0, -0.0, 0.0, 1.0, -0.0]])
+        bits = P.build_mask_nm(scores, 2, 4).bits
+        np.testing.assert_array_equal(bits, argsort_nm_bits(scores, 2, 4))
+        np.testing.assert_array_equal(bits, [[1, 1, 0, 0, 1, 0]])
+
+
 class TestNonFiniteScores:
     """A NaN sorts last and an infinity sorts first or last, so a mask built
     from them would prune by flat index; both builders refuse them."""

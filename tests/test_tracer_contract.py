@@ -38,9 +38,11 @@ def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, t
     spans = json.loads(trace.read_text())
     calls = {name: spans.get(name, {}).get("calls", 0) for name in
              ("sensitivity.kernel", "importance.accumulate", "model.forward_capture",
-              "metrics.aggregate")}
+              "metrics.aggregate", "pruner.mask_build")}
     assert all(calls.values()), calls
     # each kernel result is added to its dataset's importance once
     assert calls["importance.accumulate"] == calls["sensitivity.kernel"]
     # one report per grid entry: sensitivity and wanda at the default 0.5
     assert calls["metrics.aggregate"] == 2
+    # both criteria score only the base network, whose capture is taken once
+    assert calls["model.forward_capture"] == 1
