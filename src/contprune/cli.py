@@ -105,7 +105,7 @@ def cmd_prune(args) -> int:
         corpus, args.n_samples, args.seq_len, derive_seed(args.seed, "calib", corpus.name)
     )
     if args.nm:  # one pattern, so no comma split
-        kwargs = {"nm": harness._items("--nm", [args.nm], harness._nm_pair)[0]}
+        kwargs = {"nm": harness.parse_items("--nm", [args.nm], harness.nm_pair)[0]}
     else:
         kwargs = {"sparsity": args.sparsity}
     config = pruner.PruneConfig(
@@ -173,18 +173,8 @@ def cmd_run_grid(args) -> int:
     return 0
 
 
-def cmd_ablate_sparsity(args) -> int:
-    cfg = _experiment_config(args)
-    rows = harness.run_ablation_sparsity(cfg)
-    for row in rows:
-        print(row)
-    return 0
-
-
-def cmd_ablate_samples(args) -> int:
-    cfg = _experiment_config(args)
-    rows = harness.run_ablation_samples(cfg, criteria=args.ablate_criteria or ("sensitivity",))
-    for row in rows:
+def cmd_ablate(args) -> int:
+    for row in args.sweep(_experiment_config(args)):
         print(row)
     return 0
 
@@ -280,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_criteria_args(p)
     p.add_argument("--sparsity-sweep", dest="sparsity_sweep", help="comma-separated values")
-    p.set_defaults(func=cmd_ablate_sparsity)
+    p.set_defaults(func=cmd_ablate, sweep=harness.run_ablation_sparsity)
 
     p = sub.add_parser("ablate-samples", help="calibration sample-count sweep")
     _add_grid_args(p)
     p.add_argument("--samples-sweep", dest="samples_sweep", help="comma-separated counts")
     p.add_argument("--ablate-criteria", dest="ablate_criteria", help="criteria for the sweep")
-    p.set_defaults(func=cmd_ablate_samples)
+    p.set_defaults(func=cmd_ablate, sweep=harness.run_ablation_samples)
 
     p = sub.add_parser("report", help="re-render the table from a run directory")
     p.add_argument("--run-dir", required=True, dest="run_dir")

@@ -38,12 +38,12 @@ Within one grid, a prune step depends only on the ordering's prefix up to
 it, and under global initialization only on its dataset, so
 ``run_grid_cell`` runs each distinct step once: on three corpora, the 18
 steps of the six orderings are 15 prefixes for a sequential criterion and 3
-datasets for a global one. The orderings through a prefix go on from the
-network and the importance state its step left; the network is captured
-once, however many datasets a sequential baseline scores on it next. States
-are keyed by the prefix, not by the set of datasets seen, because two
-orders of one set give sums that differ in their last bits (see
-``importance``).
+datasets for a global one. The steps form one table rooted at the base
+(key ``()``: the base and the empty state). Each is computed from its
+parent, the step keyed one dataset shorter; a global step is keyed by its
+dataset alone, so its parent is always the root. States are keyed by the
+prefix, not by the set of datasets seen, because two orders of one set give
+sums that differ in their last bits (see ``importance``).
 Only successes are kept: a score, evaluation or step that raises raises
 again in every ordering that reaches it.
 """
@@ -98,6 +98,7 @@ class ExperimentConfig:
     init_mode_override: str | None = None  # force one mode for stasis demos
     sparsity_sweep: tuple[float, ...] = DEFAULT_SPARSITY_SWEEP
     samples_sweep: tuple[int, ...] = DEFAULT_SAMPLES_SWEEP
+    ablate_criteria: tuple[str, ...] = ("sensitivity",)
 
     def __post_init__(self) -> None:
         for name, types, parse in _FIELDS:
@@ -106,19 +107,19 @@ class ExperimentConfig:
                 kinds = " or ".join(t.__name__ for t in types)
                 raise UsageError(f"{name} must be of type {kinds}, got {value!r}")
             if parse is not None:
-                setattr(self, name, _items(name, value, parse))
+                setattr(self, name, parse_items(name, value, parse))
         if not all(isinstance(v, str) for v in self.corpora.values()):
             raise UsageError(f"corpora must map names to paths, got {self.corpora!r}")
         if not self.corpora:
             raise UsageError("need at least one corpus")
-        if not self.criteria:
+        if not self.criteria or not self.ablate_criteria:
             raise UsageError("need at least one criterion")
         missing = [p for p in [self.model_path, *self.corpora.values()] if not Path(p).exists()]
         if missing:
             raise InputError(f"missing input files: {missing}")
 
 
-def _items(name: str, value, parse) -> tuple:
+def parse_items(name: str, value, parse) -> tuple:
     """A list from a JSON config, or a comma-separated string from a flag, as
     a tuple of parsed values; UsageError names the first item that does not
     parse or the first repeated value."""
@@ -136,7 +137,7 @@ def _items(name: str, value, parse) -> tuple:
     return tuple(values)
 
 
-def _nm_pair(value) -> tuple[int, int]:
+def nm_pair(value) -> tuple[int, int]:
     """``"2:4"`` or ``[2, 4]`` as the pair ``(2, 4)``."""
     return tuple(int(v) for v in (value.split(":") if isinstance(value, str) else value))
 
@@ -149,10 +150,10 @@ _LIST = (str, list, tuple)  # a comma-separated flag, a JSON list, a default
 _FIELDS = (
     ("model_path", (str,), None), ("corpora", (dict,), None), ("seed", (int,), None),
     ("output_dir", (str,), None), ("criteria", _LIST, str), ("sparsities", _LIST, float),
-    ("nm_patterns", _LIST, _nm_pair), ("n_samples", (int,), None), ("seq_len", (int,), None),
+    ("nm_patterns", _LIST, nm_pair), ("n_samples", (int,), None), ("seq_len", (int,), None),
     ("epsilon", _NUMBER, None), ("w_draws", (int,), None), ("eval_fraction", _NUMBER, None),
     ("init_mode_override", (str, type(None)), None), ("sparsity_sweep", _LIST, float),
-    ("samples_sweep", _LIST, int),
+    ("samples_sweep", _LIST, int), ("ablate_criteria", _LIST, str),
 )
 
 
@@ -239,9 +240,9 @@ def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
 def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     """Full permutation grid for one (criterion, sparsity spec) pair, as its
     ``grid.json`` entry. A failed ordering adds only an ``errors`` entry.
-    ``steps`` keeps each finished step under its prefix, or under global
-    initialization its dataset, for the orderings that reach it again."""
-    base = memo.base
+    ``steps`` is one table rooted at the base (``()``); each finished step,
+    keyed by its prefix (under global initialization by its dataset alone),
+    hangs off its parent ``steps[key[:-1]]``."""
     names = sorted(memo.corpora)
     calib_sets = {name: memo.calibration(name, n_samples) for name in names}
     pconfig = _prune_config(memo.cfg, criterion, spec)
@@ -252,23 +253,22 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     ws_perms: list[str] = []
     step_stats: list[dict] = []
     errors: list[dict] = []
-    steps: dict[tuple | str, tuple] = {}
+    root_state = init_state(memo.base) if criterion == "sensitivity" else None
+    steps: dict[tuple, tuple] = {(): (memo.base, None, None, None, root_state)}
     for pi in permutations(names):
         if sequential:  # orderings come sorted, so a prefix off this path never recurs
             steps = {prefix: v for prefix, v in steps.items() if pi[: len(prefix)] == prefix}
         perm_cells: list[EvalCell] = []
         perm_stats: list[dict] = []
         try:
-            current = base
-            state = init_state(base) if criterion == "sensitivity" else None
             prev_masks = None
             transitions_stasis: list[bool] = []
             for step, ds_name in enumerate(pi, start=1):
-                key = pi[:step] if sequential else ds_name
+                key = pi[:step] if sequential else (ds_name,)
                 if key not in steps:
-                    steps[key] = _prune_and_evaluate(memo, current, state, pconfig,
+                    steps[key] = _prune_and_evaluate(memo, steps[key[:-1]], pconfig,
                                                      calib_sets[ds_name])
-                current, masks, sparsity, ppls, state = steps[key]
+                _, masks, sparsity, ppls, _ = steps[key]
                 hamming_total = None
                 if prev_masks is not None:
                     per_layer = [detect_stasis(prev_masks[i], masks[i]) for i in sorted(masks)]
@@ -308,18 +308,15 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     }
 
 
-def _prune_and_evaluate(memo: Memo, current: Network, state, pconfig: PruneConfig,
+def _prune_and_evaluate(memo: Memo, parent: tuple, pconfig: PruneConfig,
                         calib: CalibrationSet) -> tuple:
-    """One prune step after ``current`` and the importance ``state`` the
-    ordering carries (None for the baselines), and the pruned network's
-    perplexities: ``(network, masks, overall sparsity, perplexities, state)``.
-    The returned state is a new one, so a kept step's state never changes."""
-    if state is not None:
-        state = init_state(memo.base) if pconfig.init_mode == "global" else deepcopy(state)
+    """One prune step after the ``parent`` step record, and the pruned
+    network's perplexities, as a step record: ``(network, masks, overall
+    sparsity, perplexities, state)``. The step adds to a copy of the parent's
+    importance state (None for the baselines), so a kept state never changes."""
+    current, state = parent[0], deepcopy(parent[4])
     scored = scored_network(current, pconfig, memo.base)
     pruned, masks, frag = mask_step(scored, state, pconfig, memo.scores(scored, pconfig, calib))
-    # a sequential baseline scores it on every dataset the orderings visit next
-    pruned = ScoredNetwork(pruned.layers, pruned.vocab_size, pruned.embed)
     return pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state
 
 
@@ -353,7 +350,7 @@ def run_continual(cfg: ExperimentConfig) -> dict:
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
     # where the files go and what the ablations sweep do not shape a grid
-    skip = ("output_dir", "sparsity_sweep", "samples_sweep")
+    skip = ("output_dir", "sparsity_sweep", "samples_sweep", "ablate_criteria")
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
 
 
@@ -455,11 +452,10 @@ def run_ablation_sparsity(cfg: ExperimentConfig) -> list[dict]:
     return _ablation(cfg, "ablation_sparsity.csv", "sparsity", runs)
 
 
-def run_ablation_samples(cfg: ExperimentConfig, criteria=("sensitivity",)) -> list[dict]:
-    """Sweep calibration sample counts at fixed 0.5 unstructured sparsity.
-    ``criteria`` is parsed and checked like the config's list fields."""
-    criteria = _items("ablate_criteria", criteria, str)
-    runs = [(n, (c, 0.5, n)) for n in cfg.samples_sweep for c in criteria]
+def run_ablation_samples(cfg: ExperimentConfig) -> list[dict]:
+    """Sweep calibration sample counts at fixed 0.5 unstructured sparsity;
+    one row per (``ablate_criteria`` criterion, sample count)."""
+    runs = [(n, (c, 0.5, n)) for n in cfg.samples_sweep for c in cfg.ablate_criteria]
     return _ablation(cfg, "ablation_samples.csv", "n_samples", runs)
 
 

@@ -58,6 +58,17 @@ def apply_activation(kind: str, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
+def activation_grad(kind: str, x: np.ndarray) -> np.ndarray:
+    """Derivative of ``apply_activation(kind, x)`` with respect to ``x``."""
+    if kind == "relu":
+        return (x > 0).astype(np.float64)
+    if kind == "tanh":
+        t = np.tanh(x)
+        return 1.0 - t * t
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+
+
 @dataclass
 class Layer:
     """One network layer. Exactly the fields for its kind are set.

@@ -232,7 +232,7 @@ def _vocabulary_inputs(net: Network) -> dict[int, np.ndarray]:
 class ScoredNetwork(Network):
     """A network that does not change while it is scored, so its vocabulary
     inputs are captured once, on first use, and shared by every calibration
-    set scored on it. The harness scores its base and step networks as these."""
+    set scored on it. The harness holds its base as one."""
 
     @cached_property
     def vocabulary_inputs(self) -> dict[int, np.ndarray]:

@@ -9,7 +9,7 @@ The forward pass is the model's: every layer is positionwise, so a batch's
 loss is a sum over its bigram counts of the vocabulary table's rows. A step
 runs ``model.layer_inputs`` only on the batch's distinct previous tokens
 (about 60 of the 256 for a 16 x 64 batch on the shipped corpora), which
-gives every input the backward pass needs. Only the derivatives live here.
+gives every input the backward pass needs. Only the backward pass lives here.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import TrainingError, UsageError
-from .model import Network, _GELU_A, _GELU_C, check_tokens, layer_inputs, standardize, vocabulary_tokens
+from .model import Network, activation_grad, check_tokens, layer_inputs, standardize, vocabulary_tokens
 
 CLIP_NORM = 1.0
 
@@ -39,17 +39,6 @@ class TrainConfig:
             raise UsageError(f"learning_rate must be in (0, 1), got {self.learning_rate}")
         if self.batch < 1 or self.seq_len < 2:
             raise UsageError("need batch >= 1 and seq_len >= 2")
-
-
-def _activation_grad(kind: str, x: np.ndarray) -> np.ndarray:
-    """Derivative of ``model.apply_activation(kind, x)`` with respect to ``x``."""
-    if kind == "relu":
-        return (x > 0).astype(np.float64)
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
 
 
 def _sample_batch(corpora: list[Corpus], batch: int, seq_len: int, rng) -> np.ndarray:
@@ -106,7 +95,7 @@ def _loss_and_grads(net: Network, windows: np.ndarray):
             grads[idx] = {"weight": dx @ x.T}
             dx = layer.weight.T @ dx
         elif layer.kind == "activation":
-            dx = dx * _activation_grad(layer.activation_kind, x)
+            dx = dx * activation_grad(layer.activation_kind, x)
         else:
             xhat, std = standardize(x)
             grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}

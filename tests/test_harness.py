@@ -64,6 +64,8 @@ class TestConfig:
             H.ExperimentConfig(**{**tiny_cfg_kwargs, "corpora": {}}, output_dir="x")
         with pytest.raises(UsageError):
             H.ExperimentConfig(**tiny_cfg_kwargs, output_dir="x", criteria=())
+        with pytest.raises(UsageError):
+            H.ExperimentConfig(**tiny_cfg_kwargs, output_dir="x", ablate_criteria=[])
 
 
     def test_sequences_coerced_from_flags_and_json(self, tiny_cfg_kwargs):
@@ -105,10 +107,10 @@ def subparser_dests(command: str) -> set[str]:
 
 # the ExperimentConfig fields each grid command's harness entry point ignores:
 # ablate-sparsity sweeps sparsity_sweep, ablate-samples sweeps samples_sweep
-# over --ablate-criteria at 0.5
+# over ablate_criteria at 0.5
 IGNORED_FIELDS = {
-    "run-grid": {"sparsity_sweep", "samples_sweep"},
-    "ablate-sparsity": {"sparsities", "nm_patterns", "samples_sweep"},
+    "run-grid": {"sparsity_sweep", "samples_sweep", "ablate_criteria"},
+    "ablate-sparsity": {"sparsities", "nm_patterns", "samples_sweep", "ablate_criteria"},
     "ablate-samples": {"criteria", "n_samples", "sparsities", "nm_patterns", "sparsity_sweep"},
 }
 
@@ -546,7 +548,8 @@ class TestCli:
              {"sparsities": [0.9], "nm_patterns": [[2, 4]], "criteria": ["magnitude"],
               "n_samples": 4},
              "criteria, n_samples, nm_patterns, sparsities"),
-            ("run-grid", {"samples_sweep": [2]}, "samples_sweep"),
+            ("run-grid", {"samples_sweep": [2], "ablate_criteria": ["magnitude"]},
+             "ablate_criteria, samples_sweep"),
         ],
         ids=["ablate-samples", "run-grid"],
     )
@@ -564,6 +567,20 @@ class TestCli:
         assert line.endswith(f"UsageError: config key(s) in {cfg_path} that {command} "
                              f"ignores: {ignored}"), line
         assert not out.exists()
+
+    def test_config_sets_the_ablation_criteria(self, tiny_cfg_kwargs, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"ablate_criteria": ["magnitude"]}))
+        out = tmp_path / "runs"
+        assert cli.main([
+            "ablate-samples", "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
+            "--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}",
+            "--corpus", f"numeric={tiny_cfg_kwargs['corpora']['numeric']}", "--seed", "0",
+            "--seq-len", "48", "--samples-sweep", "2", "--out", str(out),
+        ]) == 0
+        assert read_csv(out / "ablation_samples.csv") == [
+            ["criterion", "n_samples", "a_bwt", "m_bwt"], ["magnitude", "2", "WS", "WS"],
+        ]
 
     @pytest.mark.parametrize(
         "text, match",

@@ -144,9 +144,10 @@ def test_ablation_csvs_byte_identical_to_unmemoized_loop(three_corpora, tmp_path
         cfg = H.ExperimentConfig(
             **three_corpora, output_dir=output_dir, criteria=("sensitivity", "wanda"),
             sparsity_sweep=(0.3, 0.5), samples_sweep=(2, 4),
+            ablate_criteria=("sensitivity", "magnitude"),
         )
         H.run_ablation_sparsity(cfg)
-        H.run_ablation_samples(cfg, criteria=("sensitivity", "magnitude"))
+        H.run_ablation_samples(cfg)
 
     memo, oracle = run_both(monkeypatch, tmp_path, run)
     assert sorted(memo) == ["ablation_samples.csv", "ablation_sparsity.csv"]
@@ -205,6 +206,42 @@ def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch,
     # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 mask steps
     got = {c: sum(config.criterion == c for _, _, config, _ in masked) for c in want}
     assert got == want
+
+
+@pytest.mark.parametrize("init_mode", ["sequential", "global"])
+def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, init_mode):
+    cfg = H.ExperimentConfig(**three_corpora, init_mode_override=init_mode)
+    memo = H._load_inputs(cfg, [("sensitivity", 0.5, cfg.n_samples)])
+    real, steps = H._prune_and_evaluate, []
+
+    def recording(memo, parent, pconfig, calib):
+        step = real(memo, parent, pconfig, calib)
+        steps.append((parent, pconfig, calib, step))
+        return step
+
+    monkeypatch.setattr(H, "_prune_and_evaluate", recording)
+    assert H.run_grid_cell(memo, "sensitivity", 0.5, cfg.n_samples)["complete"]
+    assert len(steps) == (15 if init_mode == "sequential" else 3)
+    root = steps[0][0]
+    assert root[:4] == (memo.base, None, None, None)
+    for parent, pconfig, calib, step in steps:
+        again = real(memo, parent, pconfig, calib)
+        assert sha256(again[0]) == sha256(step[0])
+        assert all(np.array_equal(again[1][i].bits, m.bits) for i, m in step[1].items())
+        assert again[2:4] == step[2:4]
+        for state in (again[4], step[4]):
+            assert all(np.array_equal(state.per_layer[i], a) for i, a in step[4].per_layer.items())
+            assert (state.datasets_seen, state.sample_count) == (step[4].datasets_seen,
+                                                                 step[4].sample_count)
+        # the parent's state is as the parent's own step left it
+        seen = [calib.corpus_name]
+        if init_mode == "sequential":
+            seen = parent[4].datasets_seen + seen
+        else:
+            assert parent is root
+        assert step[4].datasets_seen == seen
+    assert root[4].datasets_seen == [] and root[4].sample_count == {}
+    assert not any(matrix.any() for matrix in root[4].per_layer.values())
 
 
 def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):

@@ -206,7 +206,7 @@ def table_loss_and_grads(net, windows):
             grads[idx] = {"weight": dx @ x.T}
             dx = layer.weight.T @ dx
         elif layer.kind == "activation":
-            dx = dx * T._activation_grad(layer.activation_kind, x)
+            dx = dx * M.activation_grad(layer.activation_kind, x)
         else:
             xhat, std = M.standardize(x)
             grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}
