@@ -40,7 +40,8 @@ it, and under global initialization only on its dataset, so
 steps of the six orderings are 15 prefixes for a sequential criterion and 3
 datasets for a global one. The steps form one table rooted at the base
 (key ``()``: the base and the empty state). Each is computed from its
-parent, the step keyed one dataset shorter; a global step is keyed by its
+parent, the step keyed one dataset shorter, by ``pruner.prune_step`` with
+the memo's scores in place of ``score_step``; a global step is keyed by its
 dataset alone, so its parent is always the root. States are keyed by the
 prefix, not by the set of datasets seen, because two orders of one set give
 sums that differ in their last bits (see ``importance``).
@@ -64,16 +65,7 @@ from .importance import init_state
 from .metrics import EvalCell, aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
-from .pruner import (  # noqa: F401  prune_step: perfbench's tracer patches it by this name
-    DatasetScores,
-    PruneConfig,
-    ScoredNetwork,
-    detect_stasis,
-    mask_step,
-    prune_step,
-    score_step,
-    scored_network,
-)
+from .pruner import DatasetScores, PruneConfig, ScoredNetwork, detect_stasis, prune_step, score_step
 from .seeding import derive_seed
 
 DEFAULT_CRITERIA = ("sensitivity", "magnitude", "wanda")
@@ -179,7 +171,7 @@ class Memo:
 
     def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus]):
         self.cfg = cfg
-        # never modified: mask_step re-masks a copy
+        # never modified: prune_step re-masks a copy
         self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
         self._calib: dict[tuple, CalibrationSet] = {}
@@ -314,9 +306,8 @@ def _prune_and_evaluate(memo: Memo, parent: tuple, pconfig: PruneConfig,
     network's perplexities, as a step record: ``(network, masks, overall
     sparsity, perplexities, state)``. The step adds to a copy of the parent's
     importance state (None for the baselines), so a kept state never changes."""
-    current, state = parent[0], deepcopy(parent[4])
-    scored = scored_network(current, pconfig, memo.base)
-    pruned, masks, frag = mask_step(scored, state, pconfig, memo.scores(scored, pconfig, calib))
+    state = deepcopy(parent[4])
+    pruned, masks, frag = prune_step(parent[0], state, pconfig, calib, memo.base, memo.scores)
     return pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state
 
 

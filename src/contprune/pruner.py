@@ -20,10 +20,12 @@ is the dataset's importance, the sum of its samples' ``|W * grad|`` terms;
 for wanda it is the activation-scaled ``|W|``, for magnitude ``|W|``.
 ``mask_step`` does the rest under one sparsity spec: sensitivity adds the
 dataset's importance to the carried state and ranks the state, the baselines
-rank their scores. A harness may therefore score a dataset once and mask it
-under many specs and orderings. Scoring gathers each calibration segment's
-layer inputs from one capture of the network on the vocabulary, which a
-``ScoredNetwork`` takes once for every calibration set scored on it.
+rank their scores. ``prune_step`` is their one composition; its ``score``
+argument lets a harness memoize the scores, so that it scores a dataset once
+and masks it under many specs and orderings. Scoring gathers each layer's
+calibration inputs, one layer at a time, from one capture of the network on
+the vocabulary, which a ``ScoredNetwork`` takes once for every calibration
+set scored on it.
 
 Unstructured selection prunes exactly the ``floor(s * N)`` lowest-scoring
 entries, ties resolved toward the lowest flat index, so the sparsity is exact
@@ -239,23 +241,6 @@ class ScoredNetwork(Network):
         return _vocabulary_inputs(self)
 
 
-def _calibration_inputs(net: Network, calib: CalibrationSet):
-    """The vocabulary inputs of ``net`` and every segment's input columns
-    (its tokens but the last), each segment's tokens checked first."""
-    columns = [check_tokens(net, seg)[:-1] for seg in calib.segments]
-    inputs = net.vocabulary_inputs if isinstance(net, ScoredNetwork) else _vocabulary_inputs(net)
-    return inputs, columns
-
-
-def _segment_inputs(net: Network, calib: CalibrationSet):
-    """Per-layer inputs of each calibration segment, one segment at a time,
-    gathered from the vocabulary inputs. Every segment's tokens are checked
-    before the first one is yielded."""
-    inputs, columns = _calibration_inputs(net, calib)
-    for cols in columns:
-        yield {idx: _columns(x, cols) for idx, x in inputs.items()}
-
-
 def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``x[:, cols]`` in the memory order of ``x``, as ``forward_capture``
     leaves it: the sensitivity noise reductions round differently on C and
@@ -273,49 +258,44 @@ class DatasetScores:
     layers: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def scored_network(net: Network, config: PruneConfig, base_net: Network | None = None) -> Network:
-    """The network a prune step scores and masks: the base (``base_net``,
-    falling back to ``net``) for sensitivity, and for the other criteria
-    under global initialization; ``net`` as passed otherwise."""
-    if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
-        return base_net
-    return net
-
-
 def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
     """The half of a prune step that depends only on the scored network
     ``net``, the criterion's settings and one calibration set; neither the
-    importance state nor the sparsity spec enters it. Sensitivity adds its
-    terms into zero matrices segment-major, then draw by draw."""
+    importance state nor the sparsity spec enters it. Wanda and sensitivity
+    check every segment's tokens, then gather each layer's inputs from the
+    vocabulary inputs one layer at a time. Sensitivity adds its terms into
+    zero matrices segment by segment, then draw by draw, with one seed per
+    (segment, layer)."""
     prunable = net.prunable_indices()
-    if config.criterion == "sensitivity":
-        importance = init_state(net)
-        # every position is one input; weight perturbations are shared
-        # across a segment, input perturbations are per token
-        for j, seg_inputs in enumerate(_segment_inputs(net, calib)):
-            for idx in prunable:
-                layer = net.layers[idx]
-                w = layer.weight
-                x_batch = seg_inputs[idx]
-                seed = derive_seed(config.seed, "pert", calib.corpus_name, j, idx)
-                rng = np.random.default_rng(seed)
-                w_rms = config.epsilon * float(np.sqrt(np.mean(w * w)))
-                for _ in range(config.w_draws):
-                    delta_w = scaled_gaussian(w.shape, w_rms, rng)
-                    delta_x = batch_input_perturbation(x_batch, config.epsilon, rng)
-                    grad = batch_gradient_magnitude(layer, x_batch, delta_w, delta_x)
-                    accumulate(importance, idx, w, grad)
-        return DatasetScores(calib.corpus_name, calib.n_samples, importance.per_layer)
-    acts = {}
-    if config.criterion == "wanda":  # every segment's columns, in segment order
-        inputs, columns = _calibration_inputs(net, calib)
-        cols = np.concatenate(columns)
-        acts = {idx: _columns(x, cols) for idx, x in inputs.items()}
     scores = DatasetScores(calib.corpus_name, calib.n_samples)
+    if config.criterion == "magnitude":
+        for idx in prunable:
+            scores.layers[idx] = criterion_scores("magnitude", net.layers[idx].weight)
+        return scores
+    columns = [check_tokens(net, seg)[:-1] for seg in calib.segments]
+    inputs = net.vocabulary_inputs if isinstance(net, ScoredNetwork) else _vocabulary_inputs(net)
+    if config.criterion == "wanda":  # every segment's columns, in segment order
+        cols = np.concatenate(columns)
+        for idx in prunable:
+            acts = _columns(inputs[idx], cols)
+            scores.layers[idx] = criterion_scores("wanda", net.layers[idx].weight, acts)
+        return scores
+    importance = init_state(net)
+    # every position is one input; weight perturbations are shared across a
+    # segment, input perturbations are per token
     for idx in prunable:
-        weight = net.layers[idx].weight
-        scores.layers[idx] = criterion_scores(config.criterion, weight, acts.get(idx))
-    return scores
+        layer = net.layers[idx]
+        w = layer.weight
+        w_rms = config.epsilon * float(np.sqrt(np.mean(w * w)))
+        for j, cols in enumerate(columns):
+            x_batch = _columns(inputs[idx], cols)
+            rng = np.random.default_rng(derive_seed(config.seed, "pert", calib.corpus_name, j, idx))
+            for _ in range(config.w_draws):
+                delta_w = scaled_gaussian(w.shape, w_rms, rng)
+                delta_x = batch_input_perturbation(x_batch, config.epsilon, rng)
+                grad = batch_gradient_magnitude(layer, x_batch, delta_w, delta_x)
+                accumulate(importance, idx, w, grad)
+    return DatasetScores(calib.corpus_name, calib.n_samples, importance.per_layer)
 
 
 def mask_step(
@@ -368,14 +348,18 @@ def prune_step(
     config: PruneConfig,
     calib: CalibrationSet,
     base_net: Network | None = None,
+    score=score_step,
 ) -> tuple[Network, dict[int, Mask], dict]:
-    """One pruning pass on one dataset's calibration set: ``score_step``
-    then ``mask_step`` on ``scored_network(net, config, base_net)``. Returns
-    the re-masked network, per-layer masks, and a report fragment with
-    per-layer sparsity statistics. A sensitivity ``state`` must be the one
-    carried across datasets."""
-    ref_net = scored_network(net, config, base_net)
-    return mask_step(ref_net, state, config, score_step(ref_net, config, calib))
+    """One pruning pass on one dataset's calibration set: ``score`` (called
+    as ``score_step`` is) then ``mask_step`` on the scored network. That is
+    the base ``base_net`` for sensitivity, and for the other criteria under
+    global initialization, and ``net`` otherwise or when no base is given.
+    Returns the re-masked network, per-layer masks, and a report fragment
+    with per-layer sparsity statistics. A sensitivity ``state`` must be the
+    one carried across datasets; it is updated in place."""
+    if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
+        net = base_net
+    return mask_step(net, state, config, score(net, config, calib))
 
 
 def export_masks(masks: dict[int, Mask], out_dir):

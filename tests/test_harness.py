@@ -441,6 +441,37 @@ class TestCli:
             for c in step_one:
                 assert c["perplexity"] == got[c["eval_dataset"]], (criterion, c)
 
+    def test_prune_continued_on_the_base_gives_the_grid_step_two_network(
+        self, tiny_dir, tiny_model_path, tmp_path
+    ):
+        """A saved state continues on the base model, not on the pruned
+        checkpoint: sensitivity always scores the base, and masking the
+        pruned checkpoint would keep its pruned entries at zero."""
+        names = ("bracket", "numeric", "prose")
+        settings = ["--seed", "1", "--n-samples", "2", "--seq-len", "48"]
+        assert cli.main([
+            "run-grid", "--model", str(tiny_model_path), "--criteria", "sensitivity",
+            *(f"--corpus={n}={tiny_dir / f'{n}.bin'}" for n in names),
+            "--out", str(tmp_path / "runs"), *settings,
+        ]) == 0
+        cells = json.loads((tmp_path / "runs" / "grid.json").read_text())[
+            "grids"]["sensitivity:unstructured-0.5"]["report"]["cells"]
+        step_two = {c["eval_dataset"]: c["perplexity"] for c in cells
+                    if c["permutation"] == ["prose", "numeric", "bracket"] and c["step"] == 2}
+        state = tmp_path / "s1.bin"
+
+        def prune(corpus, model, out, *extra):
+            assert cli.main(["prune", "--model", str(model), "--corpus-path",
+                             str(tiny_dir / f"{corpus}.bin"), "--out", str(out),
+                             *extra, *settings]) == 0
+            return {n: metrics.perplexity(M.load_checkpoint(out), C.load_corpus(
+                tiny_dir / f"{n}.bin", n), 48) for n in names}
+
+        prune("prose", tiny_model_path, tmp_path / "p1.ckpt", "--save-state", str(state))
+        assert prune("numeric", tiny_model_path, tmp_path / "p2.ckpt", "--state", str(state)) == step_two
+        assert prune("numeric", tmp_path / "p1.ckpt", tmp_path / "p3.ckpt",
+                     "--state", str(state)) != step_two
+
     @pytest.mark.parametrize("argv, flag", [
         (["prune", "--model", "m", "--corpus-path", "c", "--out", "o", "--seed", "0"],
          ["--init-mode", "global"]),

@@ -198,13 +198,13 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     ids=["default", "sequential", "global"],
 )
 def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch, init_mode, want):
-    masked = counting(monkeypatch, "mask_step")
+    pruned = counting(monkeypatch, "prune_step")
     cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
                              init_mode_override=init_mode)
     out = H.run_continual(cfg)
     assert all(g["complete"] for g in out["grids"].values())
-    # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 mask steps
-    got = {c: sum(config.criterion == c for _, _, config, _ in masked) for c in want}
+    # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 prune steps
+    got = {c: sum(args[2].criterion == c for args in pruned) for c in want}
     assert got == want
 
 

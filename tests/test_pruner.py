@@ -283,6 +283,35 @@ def make_calib(corpus_tokens, name, n_samples=4, seq_len=32, seed=0):
     return C.sample_calibration(corpus, n_samples, seq_len, seed)
 
 
+def gathered_inputs(net, calib):
+    """Each segment's per-layer inputs, gathered from one capture on the
+    vocabulary as ``score_step`` gathers them."""
+    inputs = P._vocabulary_inputs(net)
+    return [{idx: P._columns(x, seg[:-1]) for idx, x in inputs.items()} for seg in calib.segments]
+
+
+def captured_inputs(net, calib):
+    """The reference for ``gathered_inputs``: one ``forward_capture`` per segment."""
+    return [{rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
+            for seg in calib.segments]
+
+
+def sensitivity_terms(net, calib, seed, draws, segment_inputs):
+    """Every ``(layer index, weight, grad)`` term of a dataset's sensitivity
+    importance at the default epsilon, segment by segment, layer by layer,
+    draw by draw; ``segment_inputs`` holds each segment's per-layer inputs."""
+    for j, seg_inputs in enumerate(segment_inputs):
+        for idx, x in seg_inputs.items():
+            layer = net.layers[idx]
+            pert_rng = np.random.default_rng(derive_seed(seed, "pert", calib.corpus_name, j, idx))
+            for _ in range(draws):
+                rms = 1e-3 * float(np.sqrt(np.mean(layer.weight ** 2)))
+                delta_w = S.scaled_gaussian(layer.weight.shape, rms, pert_rng)
+                delta_x = S.batch_input_perturbation(x, 1e-3, pert_rng)
+                grad = S.batch_gradient_magnitude(layer, x, delta_w, delta_x)
+                yield idx, layer.weight, grad
+
+
 @pytest.fixture()
 def prune_setup(rng):
     net = M.make_decoder(vocab_size=64, d=16, hidden=24, blocks=1, seed=9)
@@ -415,25 +444,11 @@ class TestPruneStep:
         # layer, draw by draw
         net, calib_a, calib_b = prune_setup
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=5, w_draws=2)
-
-        def terms(calib):
-            for j, seg_inputs in enumerate(P._segment_inputs(net, calib)):
-                for idx, x in seg_inputs.items():
-                    layer = net.layers[idx]
-                    seed = derive_seed(5, "pert", calib.corpus_name, j, idx)
-                    pert_rng = np.random.default_rng(seed)
-                    for _ in range(2):
-                        rms = 1e-3 * float(np.sqrt(np.mean(layer.weight ** 2)))
-                        delta_w = S.scaled_gaussian(layer.weight.shape, rms, pert_rng)
-                        delta_x = S.batch_input_perturbation(x, 1e-3, pert_rng)
-                        grad = S.batch_gradient_magnitude(layer, x, delta_w, delta_x)
-                        yield idx, layer.weight, grad
-
         state, running, interleaved = I.init_state(net), I.init_state(net), I.init_state(net)
         for calib in (calib_a, calib_b):
             P.prune_step(net, state, cfg, calib)
             dataset = I.init_state(net)  # this dataset's terms on their own
-            for idx, w, grad in terms(calib):
+            for idx, w, grad in sensitivity_terms(net, calib, 5, 2, gathered_inputs(net, calib)):
                 I.accumulate(dataset, idx, w, grad)
                 I.accumulate(interleaved, idx, w, grad)  # the flat per-sample sum
             for idx, total in dataset.per_layer.items():
@@ -469,18 +484,15 @@ class TestPruneStep:
 
 
 class TestVocabularyCaptures:
-    """``_segment_inputs`` gathers from one capture on the vocabulary;
+    """Scoring gathers each layer's inputs from one capture on the vocabulary;
     ``forward_capture`` on each segment is the oracle."""
 
     @pytest.mark.parametrize("act", ["relu", "gelu", "tanh"])
     def test_segment_and_stacked_inputs_match_forward_capture(self, rng, act):
         net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=2, act=act, seed=6)
         calib = make_calib(rng.integers(0, 64, size=2000), "A", n_samples=3, seq_len=21)
-        per_segment = list(P._segment_inputs(net, calib))
-        want = [
-            {rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
-            for seg in calib.segments
-        ]
+        per_segment = gathered_inputs(net, calib)
+        want = captured_inputs(net, calib)
         assert len(per_segment) == 3
         for got, oracle in zip(per_segment, want):
             assert sorted(got) == sorted(oracle)
@@ -494,23 +506,17 @@ class TestVocabularyCaptures:
             oracle = P.criterion_scores("wanda", net.layers[idx].weight, activations=stacked)
             np.testing.assert_allclose(scores, oracle, rtol=1e-12)
 
-    def test_sensitivity_state_bit_identical_to_per_segment_captures(self, prune_setup, monkeypatch):
-        def per_segment_captures(net, calib):
-            # the reference: one forward_capture per segment
-            return [
-                {rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
-                for seg in calib.segments
-            ]
-
+    def test_sensitivity_state_bit_identical_to_per_segment_captures(self, prune_setup):
+        # the reference: each segment's own forward_capture, through the same
+        # kernel with the same per-(segment, layer) seeds
         net, calib_a, _ = prune_setup
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=3)
-        states = []
-        for capture in (P._segment_inputs, per_segment_captures):
-            monkeypatch.setattr(P, "_segment_inputs", capture)
-            states.append(I.init_state(net))
-            P.prune_step(net, states[-1], cfg, calib_a)
+        state, oracle = I.init_state(net), I.init_state(net)
+        P.prune_step(net, state, cfg, calib_a)
+        for idx, w, grad in sensitivity_terms(net, calib_a, 3, 1, captured_inputs(net, calib_a)):
+            I.accumulate(oracle, idx, w, grad)
         for idx in net.prunable_indices():
-            np.testing.assert_array_equal(states[0].per_layer[idx], states[1].per_layer[idx])
+            np.testing.assert_array_equal(state.per_layer[idx], oracle.per_layer[idx])
 
     @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
     @pytest.mark.parametrize("bad", [-1, 64])

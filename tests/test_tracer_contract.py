@@ -1,12 +1,12 @@
 """The benchmark's tracer against the names ``src/`` keeps for it.
 
 ``perfbench/tracer.py`` patches functions under the names their callers look
-up, among them ``harness.perplexity``, ``harness.prune_step`` and
-``sensitivity.layer_forward``, which nothing in ``src/`` calls under those
-names, and ``harness.aggregate``, which ``harness`` must keep importing under
-that name. A rename or a moved import makes ``tracer.install`` fail, or leaves
-a span that counts nothing; this test runs ``perfbench/child.py --trace-out``
-on a tiny grid to catch both.
+up, among them ``harness.perplexity`` and ``sensitivity.layer_forward``, which
+nothing in ``src/`` calls under those names, and ``harness.prune_step`` and
+``harness.aggregate``, which ``harness`` calls and must keep importing under
+those names. A rename or a moved import makes ``tracer.install`` fail, or
+leaves a span that counts nothing; this test runs ``perfbench/child.py
+--trace-out`` on a tiny grid to catch both.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, t
     spans = json.loads(trace.read_text())
     calls = {name: spans.get(name, {}).get("calls", 0) for name in
              ("sensitivity.kernel", "importance.accumulate", "model.forward_capture",
-              "metrics.aggregate", "pruner.mask_build")}
+              "metrics.aggregate", "pruner.mask_build", "pruner.prune_step.sensitivity",
+              "pruner.prune_step.wanda")}
     assert all(calls.values()), calls
     # each kernel result is added to its dataset's importance once
     assert calls["importance.accumulate"] == calls["sensitivity.kernel"]
@@ -46,3 +47,7 @@ def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, t
     assert calls["metrics.aggregate"] == 2
     # both criteria score only the base network, whose capture is taken once
     assert calls["model.forward_capture"] == 1
+    # each distinct step once: sensitivity runs one per ordering prefix of two
+    # corpora (a, a>b, b, b>a), wanda under global initialization one per corpus
+    assert calls["pruner.prune_step.sensitivity"] == 4
+    assert calls["pruner.prune_step.wanda"] == 2
