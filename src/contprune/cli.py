@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -113,7 +114,12 @@ def cmd_prune(args) -> int:
     )
     state = None
     if args.criterion == "sensitivity":
+        base_sha256 = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
         state = importance.load_state(args.state, net) if args.state else importance.init_state(net)
+        if args.state and state.base_sha256 != base_sha256:  # it scores the base it was built on
+            raise UsageError(f"state {args.state} was built on a model with sha256 "
+                             f"{state.base_sha256}, not on {args.model} (sha256 {base_sha256})")
+        state.base_sha256 = base_sha256
     pruned, masks, frag = pruner.prune_step(net, state, config, calib)
     model.save_checkpoint(pruned, args.out)
     if args.save_state:
@@ -199,7 +205,8 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seq-len", type=int, dest="seq_len")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--w-draws", type=int, dest="w_draws",
-                   help="weight perturbation draws per calibration segment")
+                   help="weight perturbation draws per calibration segment; a factor "
+                        "of the sensitivity scores")
     p.add_argument("--eval-fraction", type=float, dest="eval_fraction",
                    help="trailing fraction of each corpus held out for evaluation")
     p.add_argument("--init-mode", choices=("sequential", "global"), dest="init_mode_override",
@@ -245,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=int, default=16, dest="n_samples")
     p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--state", help="importance state to continue from")
+    p.add_argument("--state", help="importance state to continue from, built on --model")
     p.add_argument("--save-state", dest="save_state", help="write updated importance state here")
     p.add_argument("--export-masks", dest="export_masks", help="directory for mask export")
     p.add_argument("--out", required=True)

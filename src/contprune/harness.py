@@ -188,8 +188,9 @@ class Memo:
         return self._calib[key]
 
     def scores(self, net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
-        """``score_step(net, config, calib)``. The rest of ``config`` (seed,
-        epsilon, draws) comes from the command's one ``ExperimentConfig``."""
+        """``score_step(net, config, calib)``. The rest of ``config`` (epsilon
+        and draws, which scale sensitivity scores) comes from the command's
+        one ``ExperimentConfig``."""
         key = (config.criterion, self._key(net), calib.corpus_name, calib.n_samples)
         if key not in self._scores:
             self._scores[key] = score_step(net, config, calib)

@@ -1,25 +1,29 @@
 """Continual accumulation of per-weight importance across datasets.
 
 The accumulator holds one nonnegative matrix per prunable layer. A dataset's
-importance sums its samples' ``|W * grad|`` terms (W is the base, unmasked
-weight) into zero matrices, and the carried state adds each dataset's
-importance in visit order. Entries only ever grow, and the final state sums
-the same per-dataset sums whatever the visit order, though not bit for bit:
-float addition is not associative. On the benchmark's ``calib-heavy`` seed-1
-inputs (desk model, 16 calibration samples per corpus), the final states of
-bracket>numeric>prose and prose>numeric>bracket differ in 24.8% of their
-entries, by at most 3.45e-16 relative. Masks derived from the accumulator at
-intermediate steps depend on what has been seen so far, which is the whole
-point of keeping the state.
+importance is the expected sum of its calibration positions' ``|W * grad|``
+terms (W is the base, unmasked weight), added into zero matrices in closed
+form (``sensitivity.expected_gradient_magnitude``), and the carried state
+adds each dataset's importance in visit order. Entries only ever grow, and
+the final state sums the same per-dataset sums whatever the visit order,
+though not bit for bit: float addition is not associative. On the
+benchmark's ``calib-heavy`` seed-1 inputs (desk model, 16 calibration samples
+per corpus), the final states of bracket>numeric>prose and
+prose>numeric>bracket differ in 24.5% of their entries, by at most 3.18e-16
+relative. Masks derived from the accumulator at intermediate steps depend on
+what has been seen so far, which is the whole point of keeping the state.
 
 The state is the only artifact carried between datasets; its size depends
-on the model, never on how much data has been consumed.
+on the model, never on how much data has been consumed. A saved state names
+the sha256 of the checkpoint file it was built on (``base_sha256``), so that
+``contprune prune --state`` continues it on that base model only.
 """
 from __future__ import annotations
 
 import io
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -29,7 +33,7 @@ from .errors import FormatError, ShapeError, UsageError
 from .model import Network
 
 STATE_MAGIC = b"IMPST001"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 @dataclass
@@ -37,6 +41,7 @@ class ImportanceState:
     per_layer: dict[int, np.ndarray]
     datasets_seen: list[str] = field(default_factory=list)
     sample_count: dict[str, int] = field(default_factory=dict)
+    base_sha256: str | None = None  # of the checkpoint file it was built on
 
 
 def init_state(net: Network) -> ImportanceState:
@@ -77,6 +82,7 @@ def finish_dataset(state: ImportanceState, corpus_name: str, n_samples: int) -> 
 
 def save_state(state: ImportanceState, path) -> None:
     manifest = {
+        "base_sha256": state.base_sha256,
         "datasets_seen": state.datasets_seen,
         "sample_count": state.sample_count,
         "layers": [
@@ -136,6 +142,7 @@ def load_state(path, net: Network | None = None) -> ImportanceState:
         per_layer=per_layer,
         datasets_seen=manifest["datasets_seen"],
         sample_count=manifest["sample_count"],
+        base_sha256=manifest["base_sha256"],
     )
     if net is not None:
         check_against(state, net)
@@ -152,11 +159,11 @@ def _is_int(value, least: int) -> bool:
 
 def _check_manifest(manifest) -> None:
     """Raise FormatError unless the manifest has the documented shape."""
-    keys = ("layers", "datasets_seen", "sample_count")
+    keys = ("layers", "datasets_seen", "sample_count", "base_sha256")
     missing = [k for k in keys if not isinstance(manifest, dict) or k not in manifest]
     if missing:
         raise FormatError(f"state manifest lacks {', '.join(missing)}")
-    layers, seen, counts = (manifest[k] for k in keys)
+    layers, seen, counts, base = (manifest[k] for k in keys)
     if not isinstance(layers, list) or not all(
         isinstance(e, dict) and _is_int(e.get("index"), 0)
         and _is_int(e.get("rows"), 1) and _is_int(e.get("cols"), 1)
@@ -173,6 +180,9 @@ def _check_manifest(manifest) -> None:
             and all(_is_int(n, 1) for n in counts.values())):
         raise FormatError(f"state manifest sample_count must map each seen dataset to a "
                           f"count of at least 1, got {counts!r} for {seen!r}")
+    if base is not None and not (isinstance(base, str) and re.fullmatch("[0-9a-f]{64}", base)):
+        raise FormatError(f"state manifest base_sha256 must be null or 64 lowercase hex "
+                          f"digits, got {base!r}")
 
 
 def check_against(state: ImportanceState, net: Network) -> None:

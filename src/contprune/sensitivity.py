@@ -17,9 +17,16 @@ For bare linear layers the finite differences collapse algebraically to
 ``dW @ x`` and ``W @ dx``; those exact forms are used directly, which avoids
 the cancellation error of evaluating ``f(W + dW, x) - f(W, x)`` in floating
 point.
+
+Pruning scores with ``expected_gradient_magnitude``, the Gaussian expectation
+of the summed gradient magnitudes, which draws no noise. The batch functions
+(``batch_input_perturbation``, ``batch_gradient_magnitude``) and
+``scaled_gaussian`` are the sampled reference whose many-draw average the
+tests hold it against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,3 +225,39 @@ def batch_gradient_magnitude(
     x_batch = np.asarray(x_batch, dtype=np.float64)
     _, _, dy, dfdw = _terms(layer, x_batch, None, Perturbation(delta_w, delta_x), None)
     return 2.0 * np.abs(dy) @ np.abs(dfdw).T
+
+
+def expected_gradient_magnitude(
+    weight: np.ndarray, x_vocab: np.ndarray, counts: np.ndarray, epsilon: float, draws: int
+) -> np.ndarray:
+    """Expectation of the sampled sum of ``batch_gradient_magnitude`` over
+    the calibration positions of a bare linear layer, with ``draws`` Gaussian
+    draws per position, from the token counts alone.
+
+    Column ``a`` of ``x_vocab`` is the layer's input for token ``a``, and
+    ``counts[a]`` is how many calibration positions read token ``a``. A
+    position with input ``x`` adds ``2 |dy| |x|^T``, where
+    ``dy = dW x + W dx``; ``dW`` has independent entries of RMS
+    ``eps * RMS(W)`` and ``dx`` of RMS ``eps * RMS(x)``. So row ``i`` of
+    ``dy`` is ``N(0, s_i^2)`` with
+
+        s_i^2 = eps^2 (mean(W^2) |x|^2 + mean(x^2) |W_i|^2)
+
+    and ``E|dy_i| = sqrt(2/pi) s_i``. Every position reading token ``a``
+    adds the same expectation, so the sum over positions and draws is
+
+        G = 2 sqrt(2/pi) eps draws ((A * counts) @ |X|^T)
+        A[i, a] = sqrt(mean(W^2) |x_a|^2 + mean(x_a^2) |W_i|^2)
+
+    The sampled reference rescales its noise to an exact RMS, so it is only
+    nearly Gaussian; this is the expectation under exact Gaussians. A weight
+    draw is shared by a segment's positions, which correlates their terms
+    but leaves the expectation of their sum unchanged.
+    """
+    w = np.asarray(weight, dtype=np.float64)
+    x = np.asarray(x_vocab, dtype=np.float64)
+    x_sq = x * x
+    a = np.sqrt(np.mean(w * w) * x_sq.sum(axis=0)[None, :]
+                + np.mean(x_sq, axis=0)[None, :] * (w * w).sum(axis=1)[:, None])
+    scale = 2.0 * math.sqrt(2.0 / math.pi) * epsilon * draws
+    return scale * ((a * counts) @ np.abs(x).T)

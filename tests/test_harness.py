@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -442,11 +443,12 @@ class TestCli:
                 assert c["perplexity"] == got[c["eval_dataset"]], (criterion, c)
 
     def test_prune_continued_on_the_base_gives_the_grid_step_two_network(
-        self, tiny_dir, tiny_model_path, tmp_path
+        self, tiny_dir, tiny_model_path, tmp_path, capsys
     ):
         """A saved state continues on the base model, not on the pruned
         checkpoint: sensitivity always scores the base, and masking the
-        pruned checkpoint would keep its pruned entries at zero."""
+        pruned checkpoint would keep its pruned entries at zero. The state
+        names its base's sha256, so the pruned checkpoint is refused."""
         names = ("bracket", "numeric", "prose")
         settings = ["--seed", "1", "--n-samples", "2", "--seq-len", "48"]
         assert cli.main([
@@ -469,8 +471,16 @@ class TestCli:
 
         prune("prose", tiny_model_path, tmp_path / "p1.ckpt", "--save-state", str(state))
         assert prune("numeric", tiny_model_path, tmp_path / "p2.ckpt", "--state", str(state)) == step_two
-        assert prune("numeric", tmp_path / "p1.ckpt", tmp_path / "p3.ckpt",
-                     "--state", str(state)) != step_two
+        base, pruned = (hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (Path(tiny_model_path), tmp_path / "p1.ckpt"))
+        line = main_error(capsys, [
+            "prune", "--model", str(tmp_path / "p1.ckpt"), "--corpus-path",
+            str(tiny_dir / "numeric.bin"), "--out", str(tmp_path / "p3.ckpt"),
+            "--state", str(state), *settings,
+        ])
+        assert line == (f"contprune: UsageError: state {state} was built on a model with sha256 "
+                        f"{base}, not on {tmp_path / 'p1.ckpt'} (sha256 {pruned})")
+        assert not (tmp_path / "p3.ckpt").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["prune", "--model", "m", "--corpus-path", "c", "--out", "o", "--seed", "0"],

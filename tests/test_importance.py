@@ -157,6 +157,7 @@ class TestPersistence:
             I.accumulate(state, idx, rng.standard_normal(state.per_layer[idx].shape),
                          rng.standard_normal(state.per_layer[idx].shape))
         I.finish_dataset(state, "A", 16)
+        state.base_sha256 = "0123456789abcdef" * 4
         return net, state
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -166,6 +167,7 @@ class TestPersistence:
         loaded = I.load_state(path, net)
         assert loaded.datasets_seen == state.datasets_seen
         assert loaded.sample_count == state.sample_count
+        assert loaded.base_sha256 == state.base_sha256
         for k in state.per_layer:
             assert state.per_layer[k].tobytes() == loaded.per_layer[k].tobytes()
         # saving the loaded state reproduces the file byte for byte
@@ -196,6 +198,18 @@ class TestPersistence:
         with pytest.raises(FormatError):
             I.load_state(path)
 
+    def test_version_1_rejected(self, tmp_path, rng):
+        # version 1 named no base and summed sampled sensitivity terms, so
+        # continuing one would mix two estimators on an unknown base
+        _, state = self.fill(rng)
+        path = tmp_path / "state.bin"
+        I.save_state(state, path)
+        data = path.read_bytes()
+        assert struct.unpack("<I", data[8:12]) == (2,)
+        path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
+        with pytest.raises(FormatError, match="unsupported state version 1"):
+            I.load_state(path)
+
     def test_trailing_bytes_rejected(self, tmp_path, rng):
         _, state = self.fill(rng)
         path = tmp_path / "state.bin"
@@ -217,7 +231,7 @@ class TestPersistence:
         path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + blob_len :])
         return path
 
-    @pytest.mark.parametrize("key", ["layers", "datasets_seen", "sample_count"])
+    @pytest.mark.parametrize("key", ["layers", "datasets_seen", "sample_count", "base_sha256"])
     def test_manifest_without_key_rejected(self, tmp_path, rng, key):
         path = self.saved_with_manifest(tmp_path, rng, lambda m: m.pop(key))
         with pytest.raises(FormatError, match=key):
@@ -232,9 +246,12 @@ class TestPersistence:
             lambda m: m.update(layers=5),
             lambda m: m.update(sample_count=[]),
             lambda m: m["layers"][1].update(index=m["layers"][0]["index"]),
+            lambda m: m.update(base_sha256=m["base_sha256"].upper()),
+            lambda m: m.update(base_sha256=m["base_sha256"][:-1]),
         ],
         ids=["layer-without-rows", "count-not-int", "negative-rows", "layers-not-list",
-             "counts-not-object", "duplicate-index"],
+             "counts-not-object", "duplicate-index", "base-digest-upper-case",
+             "base-digest-short"],
     )
     def test_malformed_manifest_rejected(self, tmp_path, rng, change):
         path = self.saved_with_manifest(tmp_path, rng, change)

@@ -297,9 +297,11 @@ def captured_inputs(net, calib):
 
 
 def sensitivity_terms(net, calib, seed, draws, segment_inputs):
-    """Every ``(layer index, weight, grad)`` term of a dataset's sensitivity
-    importance at the default epsilon, segment by segment, layer by layer,
-    draw by draw; ``segment_inputs`` holds each segment's per-layer inputs."""
+    """Every ``(layer index, weight, grad)`` term of one sampled scoring of a
+    dataset at the default epsilon, segment by segment, layer by layer, draw
+    by draw, with one seed per (segment, layer): the estimator that
+    ``score_step``'s closed form is the expectation of. ``segment_inputs``
+    holds each segment's per-layer inputs."""
     for j, seg_inputs in enumerate(segment_inputs):
         for idx, x in seg_inputs.items():
             layer = net.layers[idx]
@@ -413,50 +415,43 @@ class TestPruneStep:
         for mask in masks.values():
             assert mask.structure == (2, 4)
 
-    def test_sensitivity_state_equals_summed_records(self, rng):
-        # prune_step's batch kernel against the per-column reference record,
-        # with the same per-(segment, layer) perturbation seeds
-        net = M.make_decoder(vocab_size=64, d=16, hidden=24, blocks=1, seed=9)
-        calib = make_calib(rng.integers(0, 64, size=4000), "A", n_samples=2, seed=3)
-        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=5, w_draws=2)
+    def test_sensitivity_state_is_the_mean_of_sampled_scorings(self, desk_model, desk_corpora):
+        # the closed form is the expectation of the sampled estimator: the
+        # mean of K seeded scorings approaches it like 1/sqrt(K). On these
+        # inputs the Frobenius relative error of layers 0 and 2 reads 0.025
+        # and 0.023 at K=16, 0.013 and 0.010 at K=64, 0.0058 and 0.0049 at
+        # K=256. At K=64, a closed form without the mean(x^2) |W_i|^2
+        # variance term reads 0.43 and 0.42, one without sqrt(2/pi) 0.20
+        net, draws = desk_model, 64
+        calib = C.sample_calibration(desk_corpora["prose"], 4, 128, derive_seed(1, "calib", "prose"))
         state = I.init_state(net)
-        P.prune_step(net, state, cfg, calib)
-        expected = {idx: np.zeros_like(acc) for idx, acc in state.per_layer.items()}
-        for j, seg in enumerate(calib.segments):
-            for cap in M.forward_capture(net, seg)[1]:
-                idx, layer = cap.layer_index, net.layers[cap.layer_index]
-                w = layer.weight
-                pert_rng = np.random.default_rng(derive_seed(5, "pert", "A", j, idx))
-                for _ in range(2):
-                    delta_w = S.scaled_gaussian(w.shape, 1e-3 * float(np.sqrt(np.mean(w * w))), pert_rng)
-                    delta_x = S.batch_input_perturbation(cap.input, 1e-3, pert_rng)
-                    for p in range(cap.input.shape[1]):
-                        x = cap.input[:, p : p + 1]
-                        pert = S.Perturbation(delta_w=delta_w, delta_x=delta_x[:, p : p + 1])
-                        expected[idx] += np.abs(w * S.record(layer, x, w @ x, pert).grad)
-        assert len(expected) == len(net.prunable_indices()) == 2
-        for idx, acc in expected.items():
-            assert acc.min() > 0
-            np.testing.assert_allclose(state.per_layer[idx], acc, rtol=1e-12)
+        P.prune_step(net, state, P.PruneConfig(criterion="sensitivity", sparsity=0.5), calib)
+        layers = (0, 2)
+        inputs = [{idx: x for idx, x in seg.items() if idx in layers}
+                  for seg in captured_inputs(net, calib)]
+        mean = {idx: np.zeros_like(state.per_layer[idx]) for idx in layers}
+        for k in range(draws):
+            for idx, w, grad in sensitivity_terms(net, calib, k, 1, inputs):
+                mean[idx] += np.abs(w * grad) / draws
+        for idx in layers:
+            closed = state.per_layer[idx]
+            assert np.linalg.norm(mean[idx] - closed) / np.linalg.norm(closed) < 0.03
 
     def test_state_is_the_running_sum_of_per_dataset_sums(self, prune_setup):
-        # every |W * grad| term of a dataset, segment by segment, layer by
-        # layer, draw by draw
+        # each dataset's importance, scored on its own, added in visit order
         net, calib_a, calib_b = prune_setup
-        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=5, w_draws=2)
-        state, running, interleaved = I.init_state(net), I.init_state(net), I.init_state(net)
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, w_draws=2)
+        state, running, reversed_ = I.init_state(net), I.init_state(net), I.init_state(net)
         for calib in (calib_a, calib_b):
             P.prune_step(net, state, cfg, calib)
-            dataset = I.init_state(net)  # this dataset's terms on their own
-            for idx, w, grad in sensitivity_terms(net, calib, 5, 2, gathered_inputs(net, calib)):
-                I.accumulate(dataset, idx, w, grad)
-                I.accumulate(interleaved, idx, w, grad)  # the flat per-sample sum
-            for idx, total in dataset.per_layer.items():
+            for idx, total in P.score_step(net, cfg, calib).layers.items():
                 running.per_layer[idx] += total
+        for calib in (calib_b, calib_a):
+            P.prune_step(net, reversed_, cfg, calib)
         for idx in net.prunable_indices():
             np.testing.assert_array_equal(state.per_layer[idx], running.per_layer[idx])
-            # the association differs from the flat sum only in rounding
-            np.testing.assert_allclose(state.per_layer[idx], interleaved.per_layer[idx], rtol=1e-12)
+            # another visit order sums the same terms, equal up to rounding
+            np.testing.assert_allclose(state.per_layer[idx], reversed_.per_layer[idx], rtol=1e-15)
 
     def test_state_not_matching_the_network_is_a_shape_error(self, prune_setup):
         net, calib_a, _ = prune_setup
@@ -506,17 +501,24 @@ class TestVocabularyCaptures:
             oracle = P.criterion_scores("wanda", net.layers[idx].weight, activations=stacked)
             np.testing.assert_allclose(scores, oracle, rtol=1e-12)
 
-    def test_sensitivity_state_bit_identical_to_per_segment_captures(self, prune_setup):
-        # the reference: each segment's own forward_capture, through the same
-        # kernel with the same per-(segment, layer) seeds
+    def test_sensitivity_state_equals_the_per_position_expectation(self, prune_setup):
+        # the reference: each segment's own forward_capture, one expected
+        # term per input position, with no token counts
         net, calib_a, _ = prune_setup
-        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=3)
-        state, oracle = I.init_state(net), I.init_state(net)
+        eps, draws = 0.05, 3
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, epsilon=eps, w_draws=draws)
+        state = I.init_state(net)
         P.prune_step(net, state, cfg, calib_a)
-        for idx, w, grad in sensitivity_terms(net, calib_a, 3, 1, captured_inputs(net, calib_a)):
-            I.accumulate(oracle, idx, w, grad)
         for idx in net.prunable_indices():
-            np.testing.assert_array_equal(state.per_layer[idx], oracle.per_layer[idx])
+            w = net.layers[idx].weight
+            grad = np.zeros_like(w)
+            for seg in captured_inputs(net, calib_a):
+                x = seg[idx]
+                for p in range(x.shape[1]):
+                    sd = eps * np.sqrt(np.mean(w * w) * np.sum(x[:, p] ** 2)
+                                       + np.mean(x[:, p] ** 2) * np.sum(w * w, axis=1))
+                    grad += draws * 2 * np.outer(np.sqrt(2 / np.pi) * sd, np.abs(x[:, p]))
+            np.testing.assert_allclose(state.per_layer[idx], np.abs(w) * grad, rtol=1e-12)
 
     @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
     @pytest.mark.parametrize("bad", [-1, 64])

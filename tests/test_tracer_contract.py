@@ -1,12 +1,16 @@
 """The benchmark's tracer against the names ``src/`` keeps for it.
 
 ``perfbench/tracer.py`` patches functions under the names their callers look
-up, among them ``harness.perplexity`` and ``sensitivity.layer_forward``, which
-nothing in ``src/`` calls under those names, and ``harness.prune_step`` and
-``harness.aggregate``, which ``harness`` calls and must keep importing under
-those names. A rename or a moved import makes ``tracer.install`` fail, or
-leaves a span that counts nothing; this test runs ``perfbench/child.py
---trace-out`` on a tiny grid to catch both.
+up, among them ``harness.perplexity``, ``sensitivity.layer_forward`` and the
+sampled sensitivity reference imported into ``pruner``
+(``batch_gradient_magnitude``, ``batch_input_perturbation``,
+``scaled_gaussian``), which nothing in ``src/`` calls under those names, and
+``harness.prune_step``, ``harness.aggregate`` and ``pruner.accumulate``, which
+their modules call and must keep importing under those names. A rename or a
+moved import makes ``tracer.install`` fail, or leaves a span that counts
+nothing; this test runs ``perfbench/child.py --trace-out`` on a tiny grid to
+catch both. Sensitivity scores in closed form, so the kernel and noise spans
+stay empty and each scored corpus adds one term per prunable layer.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, tmp_path):
+def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, tiny_model, tmp_path):
     trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
@@ -37,12 +41,15 @@ def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, t
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(trace.read_text())
     calls = {name: spans.get(name, {}).get("calls", 0) for name in
-             ("sensitivity.kernel", "importance.accumulate", "model.forward_capture",
-              "metrics.aggregate", "pruner.mask_build", "pruner.prune_step.sensitivity",
-              "pruner.prune_step.wanda")}
+             ("importance.accumulate", "model.forward_capture", "metrics.aggregate",
+              "pruner.mask_build", "pruner.prune_step.sensitivity", "pruner.prune_step.wanda")}
     assert all(calls.values()), calls
-    # each kernel result is added to its dataset's importance once
-    assert calls["importance.accumulate"] == calls["sensitivity.kernel"]
+    # scoring draws no noise and runs no sampled kernel
+    assert spans.get("sensitivity.kernel", {}).get("calls", 0) == 0
+    assert spans.get("sensitivity.noise", {}).get("calls", 0) == 0
+    # one closed-form term per prunable layer for each of the 2 corpora,
+    # each scored once
+    assert calls["importance.accumulate"] == len(tiny_model.prunable_indices()) * 2
     # one report per grid entry: sensitivity and wanda at the default 0.5
     assert calls["metrics.aggregate"] == 2
     # both criteria score only the base network, whose capture is taken once
