@@ -27,6 +27,7 @@ from . import corpus as corpus_mod
 from . import harness, importance, metrics, model, pruner, trainer
 from .errors import PACKAGE_ERRORS, FormatError, UsageError
 from .seeding import derive_seed
+from .sensitivity import DEFAULT_EPSILON
 
 
 def _add_corpora_args(p: argparse.ArgumentParser) -> None:
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nm", help="N:M pattern, e.g. 2:4 (overrides --sparsity)")
     p.add_argument("--n-samples", type=int, default=16, dest="n_samples")
     p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--state", help="importance state to continue from, built on --model")
     p.add_argument("--save-state", dest="save_state", help="write updated importance state here")
     p.add_argument("--export-masks", dest="export_masks", help="directory for mask export")

@@ -11,16 +11,17 @@ show forgetting rather than freezing. A criterion whose masks never change
 across any transition of any ordering is reported as "WS" (weight stasis)
 in the backward-transfer columns.
 
-Everything is deterministic in (config, seed): calibration windows and
-perturbation seeds are derived from stable label hashes, reports carry no
-timestamps, and rerunning a grid reproduces its output files byte for byte.
+Everything is deterministic in (config, seed): the calibration windows,
+a grid's only random draws, are seeded from a stable label hash of the seed
+and the corpus name, reports carry no timestamps, and rerunning a grid
+reproduces its output files byte for byte.
 
 One command (``run_continual`` or an ablation sweep) computes each of these
 at most once, in a ``Memo`` shared by the dense row and every grid:
 
 - a calibration set per (corpus, ``n_samples``);
 - the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
-  scores of every corpus gather their inputs from;
+  scores of every corpus weigh by that corpus's calibration token counts;
 - a dataset's scores (``pruner.score_step``), one matrix per prunable layer,
   per (criterion, scored network, corpus, ``n_samples``). Sensitivity always
   scores the base, and so do the baselines under global initialization, so
@@ -67,6 +68,7 @@ from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by 
 from .model import Network, load_checkpoint
 from .pruner import DatasetScores, PruneConfig, ScoredNetwork, detect_stasis, prune_step, score_step
 from .seeding import derive_seed
+from .sensitivity import DEFAULT_EPSILON
 
 DEFAULT_CRITERIA = ("sensitivity", "magnitude", "wanda")
 DEFAULT_SPARSITY_SWEEP = (0.3, 0.5, 0.7)
@@ -84,7 +86,7 @@ class ExperimentConfig:
     nm_patterns: tuple[tuple[int, int], ...] = ()
     n_samples: int = 16
     seq_len: int = 128
-    epsilon: float = 1e-3
+    epsilon: float = DEFAULT_EPSILON
     w_draws: int = 1
     eval_fraction: float = 0.2
     init_mode_override: str | None = None  # force one mode for stasis demos

@@ -4,7 +4,8 @@ Criteria
 --------
 magnitude    |W|; data-free.
 wanda        |W| scaled column-wise by the L2 norm of the corresponding
-             input feature over the calibration samples.
+             input feature over the calibration positions, in closed form
+             from the token counts: ``sqrt((X * X) @ counts)``.
 sensitivity  the accumulated importance state; this is the continual
              criterion. Each dataset adds the expected ``|W * grad|`` of its
              finite-difference sensitivities under Gaussian weight and input
@@ -20,17 +21,18 @@ A prune step is the composition of two halves. ``score_step`` does the work
 that depends only on the scored network and one calibration set: one score
 matrix per prunable layer, for every criterion. For sensitivity that matrix
 is the dataset's importance, the expected sum of its calibration positions'
-``|W * grad|`` terms; for wanda it is the activation-scaled ``|W|``, for
-magnitude ``|W|``. ``mask_step`` does the rest under one sparsity spec:
+``|W * grad|`` terms; for wanda it is ``|W|`` scaled by the feature norms,
+for magnitude ``|W|``. ``mask_step`` does the rest under one sparsity spec:
 sensitivity adds the dataset's importance to the carried state and ranks the
 state, the baselines rank their scores. ``prune_step`` is their one
 composition; its ``score`` argument lets a harness memoize the scores, so
 that it scores a dataset once and masks it under many specs and orderings.
 Scoring reads each layer's inputs from one capture of the network on the
 vocabulary, which a ``ScoredNetwork`` takes once for every calibration set
-scored on it: wanda gathers the columns of the calibration positions,
-sensitivity weighs every column by how many calibration positions read its
-token.
+scored on it. Every layer is positionwise, so a calibration position enters
+only through its input token, and both data criteria read a calibration set
+only through ``counts``, how many of its positions read each token: they
+weigh every column of the capture by its token's count.
 
 Unstructured selection prunes exactly the ``floor(s * N)`` lowest-scoring
 entries, ties resolved toward the lowest flat index, so the sparsity is exact
@@ -63,7 +65,7 @@ from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
 from .importance import ImportanceState, accumulate, check_against, finish_dataset, init_state
 from .model import Network, check_tokens, forward_capture, vocabulary_tokens
-from .sensitivity import expected_gradient_magnitude
+from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude
 # perfbench's tracer patches accumulate and forward_capture by their names in
 # this module, and these three, which scoring no longer calls
 from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian  # noqa: F401
@@ -98,7 +100,7 @@ class PruneConfig:
     nm: tuple[int, int] | None = None
     init_mode: str = "global"
     seed: int = 0  # enters no score
-    epsilon: float = 1e-3  # epsilon and w_draws only scale sensitivity scores
+    epsilon: float = DEFAULT_EPSILON  # epsilon and w_draws only scale sensitivity scores
     w_draws: int = 1  # weight perturbations per segment the expectation sums
 
     def __post_init__(self) -> None:
@@ -123,28 +125,6 @@ class PruneConfig:
         if self.sparsity is not None:
             return f"unstructured-{self.sparsity:g}"
         return f"{self.nm[0]}of{self.nm[1]}"
-
-
-def criterion_scores(
-    criterion: str, weight: np.ndarray, activations: np.ndarray | None = None
-) -> np.ndarray:
-    """Nonnegative score matrix of a baseline criterion, congruent to
-    ``weight``, for one layer."""
-    weight = np.asarray(weight, dtype=np.float64)
-    if criterion == "magnitude":
-        return np.abs(weight)
-    if criterion == "wanda":
-        if activations is None:
-            raise UsageError("wanda criterion requires captured activations")
-        acts = np.asarray(activations, dtype=np.float64)
-        if acts.ndim != 2 or acts.shape[0] != weight.shape[1]:
-            raise ShapeError(
-                f"activations {acts.shape} do not match weight input dim "
-                f"{weight.shape[1]}"
-            )
-        feature_norms = np.linalg.norm(acts, axis=1)
-        return np.abs(weight) * feature_norms[None, :]
-    raise UsageError(f"unknown criterion {criterion!r}")
 
 
 def _finite(scores) -> np.ndarray:
@@ -241,21 +221,12 @@ def _vocabulary_inputs(net: Network) -> dict[int, np.ndarray]:
 class ScoredNetwork(Network):
     """A network that does not change while it is scored, so its vocabulary
     inputs are captured once, on first use, and shared by every calibration
-    set scored on it. The harness holds its base as one."""
+    set scored on it, which weighs them by its own token counts. The harness
+    holds its base as one."""
 
     @cached_property
     def vocabulary_inputs(self) -> dict[int, np.ndarray]:
         return _vocabulary_inputs(self)
-
-
-def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``x[:, cols]`` in the memory order of ``x``, as ``forward_capture``
-    leaves it: wanda's ``np.linalg.norm`` rounds differently on C and
-    Fortran order, and plain ``x[:, cols]`` is always Fortran order. With it,
-    the scores of the C-ordered layers 2, 4 and 6 move by up to 1.4e-14
-    relative on the benchmark's ``calib-heavy`` seed-1 inputs; layer 0 is
-    Fortran-ordered and keeps its scores."""
-    return np.take(x, cols, axis=1, out=np.empty_like(x, shape=(x.shape[0], len(cols))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,28 +242,30 @@ class DatasetScores:
 def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
     """The half of a prune step that depends only on the scored network
     ``net``, the criterion's settings and one calibration set; neither the
-    importance state nor the sparsity spec enters it. Wanda and sensitivity
-    check every segment's tokens. Wanda then gathers each layer's inputs
-    from the vocabulary inputs one layer at a time. Sensitivity counts the
-    input tokens and adds each layer's closed-form expected importance into
-    a zero matrix; ``epsilon`` and ``w_draws`` only scale it, and ``seed``
-    does not enter it."""
+    importance state nor the sparsity spec enters it. Magnitude scores
+    ``|W|``. Wanda and sensitivity check every segment's tokens and read the
+    calibration set only through ``counts``, how many calibration positions
+    read each token as input, and each layer's vocabulary inputs ``X``.
+    Wanda scales ``|W|`` column-wise by the feature norms
+    ``sqrt((X * X) @ counts)``, the L2 norm of each input feature over the
+    calibration positions. Sensitivity adds each layer's closed-form
+    expected importance into a zero matrix; ``epsilon`` and ``w_draws`` only
+    scale it, and ``seed`` does not enter it."""
     prunable = net.prunable_indices()
     scores = DatasetScores(calib.corpus_name, calib.n_samples)
     if config.criterion == "magnitude":
         for idx in prunable:
-            scores.layers[idx] = criterion_scores("magnitude", net.layers[idx].weight)
+            scores.layers[idx] = np.abs(net.layers[idx].weight)
         return scores
-    # every segment's input tokens, in segment order
-    cols = np.concatenate([check_tokens(net, seg)[:-1] for seg in calib.segments])
+    tokens = np.concatenate([check_tokens(net, seg)[:-1] for seg in calib.segments])
+    counts = np.bincount(tokens, minlength=net.vocab_size)
     inputs = net.vocabulary_inputs if isinstance(net, ScoredNetwork) else _vocabulary_inputs(net)
     if config.criterion == "wanda":
         for idx in prunable:
-            acts = _columns(inputs[idx], cols)
-            scores.layers[idx] = criterion_scores("wanda", net.layers[idx].weight, acts)
+            x = inputs[idx]
+            scores.layers[idx] = np.abs(net.layers[idx].weight) * np.sqrt((x * x) @ counts)
         return scores
     importance = init_state(net)
-    counts = np.bincount(cols, minlength=net.vocab_size)
     for idx in prunable:
         w = net.layers[idx].weight
         grad = expected_gradient_magnitude(w, inputs[idx], counts, config.epsilon, config.w_draws)

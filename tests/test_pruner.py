@@ -17,25 +17,30 @@ from contprune.seeding import derive_seed
 
 
 class TestCriterionScores:
-    def test_magnitude(self):
-        out = P.criterion_scores("magnitude", np.array([[-2.0, 1.0]]))
-        np.testing.assert_array_equal(out, [[2.0, 1.0]])
+    def test_magnitude(self, prune_setup):
+        net, calib_a, _ = prune_setup
+        scores = P.score_step(net, P.PruneConfig(criterion="magnitude", sparsity=0.5), calib_a)
+        assert sorted(scores.layers) == net.prunable_indices()
+        for idx, got in scores.layers.items():
+            np.testing.assert_array_equal(got, np.abs(net.layers[idx].weight))
 
-    def test_wanda_all_ones_single_sample_reduces_to_magnitude(self, rng):
-        w = rng.standard_normal((4, 3))
-        out = P.criterion_scores("wanda", w, activations=np.ones((3, 1)))
-        np.testing.assert_array_equal(out, np.abs(w))
-
-    def test_wanda_scales_columns_by_feature_norm(self, rng):
-        w = rng.standard_normal((4, 3))
-        acts = rng.standard_normal((3, 7))
-        out = P.criterion_scores("wanda", w, activations=acts)
-        norms = np.linalg.norm(acts, axis=1)
-        np.testing.assert_allclose(out, np.abs(w) * norms[None, :], rtol=1e-15)
-
-    def test_missing_aux_inputs(self, rng):
-        with pytest.raises(UsageError):
-            P.criterion_scores("wanda", rng.standard_normal((2, 2)))
+    @pytest.mark.parametrize("name", ["prose", "numeric", "bracket"])
+    def test_wanda_masks_equal_the_definitions_on_segment_captures(self, tiny_dir, tiny_model, name):
+        # scoring from token counts rounds differently from the definition on
+        # stacked per-segment captures; no near-tie may flip a mask bit
+        corpus = C.load_corpus(tiny_dir / f"{name}.bin", name)
+        calib = C.sample_calibration(corpus, 16, 128, seed=derive_seed(0, "calib", name))
+        captures = captured_inputs(tiny_model, calib)
+        oracle = P.DatasetScores(name, calib.n_samples, {
+            idx: wanda_definition(tiny_model.layers[idx].weight, [seg[idx] for seg in captures])
+            for idx in tiny_model.prunable_indices()})
+        for spec in ({"sparsity": 0.5}, {"nm": (2, 4)}):
+            cfg = P.PruneConfig(criterion="wanda", **spec)
+            _, masks, _ = P.prune_step(tiny_model, None, cfg, calib)
+            _, want, _ = P.mask_step(tiny_model, None, cfg, oracle)
+            assert sorted(masks) == sorted(want)
+            for idx, mask in masks.items():
+                assert np.array_equal(mask.bits, want[idx].bits), (spec, idx)
 
 
 def argsort_mask_bits(scores: np.ndarray, s: float) -> np.ndarray:
@@ -272,9 +277,9 @@ class TestApplyAndStasis:
         # matrix vanish exactly where the mask is zero, so re-selection
         # reproduces the mask
         w = rng.standard_normal((64, 64))
-        mask1 = P.build_mask_unstructured(P.criterion_scores("magnitude", w), 0.5)
+        mask1 = P.build_mask_unstructured(np.abs(w), 0.5)
         masked = P.apply_mask(w, mask1)
-        mask2 = P.build_mask_unstructured(P.criterion_scores("magnitude", masked), 0.5)
+        mask2 = P.build_mask_unstructured(np.abs(masked), 0.5)
         assert P.detect_stasis(mask1, mask2) == (True, 0)
 
 
@@ -285,15 +290,23 @@ def make_calib(corpus_tokens, name, n_samples=4, seq_len=32, seed=0):
 
 def gathered_inputs(net, calib):
     """Each segment's per-layer inputs, gathered from one capture on the
-    vocabulary as ``score_step`` gathers them."""
+    vocabulary: column ``a`` of a layer's capture is its input for token ``a``."""
     inputs = P._vocabulary_inputs(net)
-    return [{idx: P._columns(x, seg[:-1]) for idx, x in inputs.items()} for seg in calib.segments]
+    return [{idx: x[:, seg[:-1]] for idx, x in inputs.items()} for seg in calib.segments]
 
 
 def captured_inputs(net, calib):
     """The reference for ``gathered_inputs``: one ``forward_capture`` per segment."""
     return [{rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
             for seg in calib.segments]
+
+
+def wanda_definition(weight, segment_inputs):
+    """Wanda's score by its definition: ``|W|`` scaled column-wise by the L2
+    norm of each input feature over every calibration position, here the
+    segments' inputs stacked in segment order."""
+    stacked = np.concatenate(segment_inputs, axis=1)
+    return np.abs(weight) * np.linalg.norm(stacked, axis=1)
 
 
 def sensitivity_terms(net, calib, seed, draws, segment_inputs):
@@ -493,13 +506,16 @@ class TestVocabularyCaptures:
             assert sorted(got) == sorted(oracle)
             for idx, x in oracle.items():
                 np.testing.assert_allclose(got[idx], x, rtol=1e-12)
-        # wanda scores every segment's inputs stacked in segment order
-        wanda = P.score_step(net, P.PruneConfig(criterion="wanda", sparsity=0.5), calib)
-        assert sorted(wanda.layers) == sorted(want[0]) == net.prunable_indices()
-        for idx, scores in wanda.layers.items():
-            stacked = np.concatenate([w[idx] for w in want], axis=1)
-            oracle = P.criterion_scores("wanda", net.layers[idx].weight, activations=stacked)
-            np.testing.assert_allclose(scores, oracle, rtol=1e-12)
+        # wanda's scores from token counts against its definition on every
+        # segment's inputs stacked; then on 8 tokens, so every count is well
+        # above 1
+        heavy = make_calib(rng.integers(0, 8, size=2000), "B", n_samples=6, seq_len=41)
+        for cal, captures in ((calib, want), (heavy, captured_inputs(net, heavy))):
+            wanda = P.score_step(net, P.PruneConfig(criterion="wanda", sparsity=0.5), cal)
+            assert sorted(wanda.layers) == net.prunable_indices()
+            for idx, scores in wanda.layers.items():
+                oracle = wanda_definition(net.layers[idx].weight, [seg[idx] for seg in captures])
+                np.testing.assert_allclose(scores, oracle, rtol=1e-12)
 
     def test_sensitivity_state_equals_the_per_position_expectation(self, prune_setup):
         # the reference: each segment's own forward_capture, one expected
