@@ -126,7 +126,7 @@ def cmd_prune(args) -> int:
     if args.save_state:
         importance.save_state(state, args.save_state)
     if args.export_masks:
-        pruner.export_masks(masks, args.export_masks)
+        pruner.export_masks(masks, config, args.export_masks)
     print(json.dumps(frag, indent=2, sort_keys=True))
     return 0
 

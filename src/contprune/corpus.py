@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UsageError
 
 DEFAULT_EVAL_FRACTION = 0.2
 
@@ -191,6 +191,10 @@ _GENERATORS = {"prose": _gen_prose, "bracket": _gen_bracket, "numeric": _gen_num
 
 def generate_corpora(out_dir, n_tokens: int = 200_000, seed: int = 0) -> dict[str, Path]:
     """Write the three synthetic corpora to ``out_dir``; returns name -> path."""
+    if n_tokens < 1:
+        raise UsageError(f"n_tokens must be >= 1, got {n_tokens}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}

@@ -66,7 +66,7 @@ from .importance import init_state
 from .metrics import EvalCell, aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
-from .pruner import DatasetScores, PruneConfig, ScoredNetwork, detect_stasis, prune_step, score_step
+from .pruner import DatasetScores, PruneConfig, ScoredNetwork, prune_step, score_step
 from .seeding import derive_seed
 from .sensitivity import DEFAULT_EPSILON
 
@@ -173,7 +173,7 @@ class Memo:
 
     def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus]):
         self.cfg = cfg
-        # never modified: prune_step re-masks a copy
+        # never modified: prune_step builds new linear layers and shares the rest
         self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
         self._calib: dict[tuple, CalibrationSet] = {}
@@ -266,9 +266,8 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
                 _, masks, sparsity, ppls, _ = steps[key]
                 hamming_total = None
                 if prev_masks is not None:
-                    per_layer = [detect_stasis(prev_masks[i], masks[i]) for i in sorted(masks)]
-                    hamming_total = sum(h for _, h in per_layer)
-                    transitions_stasis.append(all(st for st, _ in per_layer))
+                    hamming_total = sum(int(np.sum(prev_masks[i] != masks[i])) for i in masks)
+                    transitions_stasis.append(hamming_total == 0)
                 prev_masks = masks
                 perm_stats.append(
                     {

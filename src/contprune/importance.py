@@ -26,6 +26,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -81,6 +82,7 @@ def finish_dataset(state: ImportanceState, corpus_name: str, n_samples: int) -> 
 
 
 def save_state(state: ImportanceState, path) -> None:
+    """Write ``state`` to ``path``, creating its parent directory."""
     manifest = {
         "base_sha256": state.base_sha256,
         "datasets_seen": state.datasets_seen,
@@ -97,6 +99,7 @@ def save_state(state: ImportanceState, path) -> None:
     buf.write(blob)
     for i in sorted(state.per_layer):
         buf.write(np.ascontiguousarray(state.per_layer[i], dtype="<f8").tobytes())
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 

@@ -31,6 +31,7 @@ import io
 import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -292,6 +293,7 @@ _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 
 def save_checkpoint(net: Network, path) -> None:
+    """Write ``net`` to ``path``, creating its parent directory."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     d = net.embed.shape[1]
@@ -311,6 +313,7 @@ def save_checkpoint(net: Network, path) -> None:
         elif layer.kind == "layer_norm":
             _write_array(buf, layer.gain)
             _write_array(buf, layer.bias)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 

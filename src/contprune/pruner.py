@@ -34,14 +34,15 @@ only through its input token, and both data criteria read a calibration set
 only through ``counts``, how many of its positions read each token: they
 weigh every column of the capture by its token's count.
 
-Unstructured selection prunes exactly the ``floor(s * N)`` lowest-scoring
-entries, ties resolved toward the lowest flat index, so the sparsity is exact
-even when scores tie. It takes linear time: a partition finds the k-th
-smallest score, every entry below it is pruned, and then the first entries
-equal to it in flat order until k are pruned. ``-0.0`` equals ``0.0``. This
-is the selection a stable argsort of the flat scores makes, without the sort.
-N:M selection ranks each group's members by comparing them pairwise, with
-the same tie rule.
+A mask is a uint8 array of {0, 1}, shaped like its layer's weight, with 0
+where the weight is pruned. Unstructured selection prunes exactly the
+``floor(s * N)`` lowest-scoring entries, ties resolved toward the lowest flat
+index, so the sparsity is exact even when scores tie. It takes linear time:
+a partition finds the k-th smallest score, every entry below it is pruned,
+and then the first entries equal to it in flat order until k are pruned.
+``-0.0`` equals ``0.0``. This is the selection a stable argsort of the flat
+scores makes, without the sort. N:M selection ranks each group's members by
+comparing them pairwise, with the same tie rule.
 
 Initialization modes
 --------------------
@@ -49,7 +50,8 @@ Initialization modes
 ``sequential`` scores the weights as previously masked. Criteria of the
 form ``|masked W * anything|`` are trapped by sequential initialization:
 masked entries score zero, fall below any threshold again, and the mask
-freezes (weight stasis). ``detect_stasis`` measures this.
+freezes (weight stasis): the harness finds no entry that differs between
+consecutive masks.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ import numpy as np
 from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
 from .importance import ImportanceState, accumulate, check_against, finish_dataset, init_state
-from .model import Network, check_tokens, forward_capture, vocabulary_tokens
+from .model import Network, check_tokens, forward_capture, linear, vocabulary_tokens
 from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude
 # perfbench's tracer patches accumulate and forward_capture by their names in
 # this module, and these three, which scoring no longer calls
@@ -73,24 +75,6 @@ from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, sca
 CRITERIA = ("sensitivity", "magnitude", "wanda")
 INIT_MODES = ("sequential", "global")
 NM_PATTERNS = ((2, 4), (4, 8))
-
-
-@dataclass(frozen=True, eq=False)
-class Mask:
-    bits: np.ndarray  # uint8 matrix of {0, 1}, congruent to the weight
-    structure: str | tuple[int, int] = "unstructured"
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits)
-        if bits.ndim != 2:
-            raise ShapeError(f"mask must be 2-D, got shape {bits.shape}")
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
-
-    @property
-    def sparsity(self) -> float:
-        return float(1.0 - self.bits.mean())
 
 
 @dataclass
@@ -136,9 +120,9 @@ def _finite(scores) -> np.ndarray:
     return scores
 
 
-def build_mask_unstructured(scores: np.ndarray, s: float) -> Mask:
-    """Zero out exactly ``floor(s * N)`` lowest-scoring entries; among equal
-    scores, the lowest flat indices first."""
+def build_mask_unstructured(scores: np.ndarray, s: float) -> np.ndarray:
+    """The mask that zeroes exactly the ``floor(s * N)`` lowest-scoring
+    entries; among equal scores, the lowest flat indices first."""
     scores = _finite(scores)
     if not 0.0 <= s < 1.0:
         raise UsageError(f"sparsity must be in [0, 1), got {s}")
@@ -151,12 +135,12 @@ def build_mask_unstructured(scores: np.ndarray, s: float) -> Mask:
         bits[below] = 0
         ties = np.flatnonzero(flat == kth)
         bits[ties[: k - int(below.sum())]] = 0
-    return Mask(bits=bits.reshape(scores.shape), structure="unstructured")
+    return bits.reshape(scores.shape)
 
 
-def build_mask_nm(scores: np.ndarray, n: int, m: int) -> Mask:
-    """Keep the ``n`` highest-scoring entries in every group of ``m``
-    consecutive entries along the input (column) dimension.
+def build_mask_nm(scores: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The mask that keeps the ``n`` highest-scoring entries in every group
+    of ``m`` consecutive entries along the input (column) dimension.
 
     Ties keep the lowest index, ``-0.0`` equals ``0.0``. A trailing short
     group of length r keeps ``ceil(n * r / m)`` entries.
@@ -172,7 +156,7 @@ def build_mask_nm(scores: np.ndarray, n: int, m: int) -> Mask:
     bits = np.empty_like(scores, dtype=np.uint8)
     bits[:, :full] = _top_k_bits(scores[:, :full].reshape(-1, m), n).reshape(rows, full)
     bits[:, full:] = _top_k_bits(scores[:, full:], math.ceil(n * (cols - full) / m))
-    return Mask(bits=bits, structure=(n, m))
+    return bits
 
 
 def _top_k_bits(scores: np.ndarray, k: int) -> np.ndarray:
@@ -188,24 +172,7 @@ def _top_k_bits(scores: np.ndarray, k: int) -> np.ndarray:
     return (rank < k).T.astype(np.uint8)
 
 
-def apply_mask(weight: np.ndarray, mask: Mask) -> np.ndarray:
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != mask.bits.shape:
-        raise ShapeError(f"weight {weight.shape} vs mask {mask.bits.shape}")
-    return weight * mask.bits
-
-
-def detect_stasis(mask_prev: Mask, mask_next: Mask) -> tuple[bool, int]:
-    """(is_stasis, hamming distance) between two masks of one layer."""
-    if mask_prev.bits.shape != mask_next.bits.shape:
-        raise ShapeError(
-            f"masks differ in shape: {mask_prev.bits.shape} vs {mask_next.bits.shape}"
-        )
-    hamming = int(np.sum(mask_prev.bits != mask_next.bits))
-    return hamming == 0, hamming
-
-
-def _build_mask(scores: np.ndarray, config: PruneConfig) -> Mask:
+def _build_mask(scores: np.ndarray, config: PruneConfig) -> np.ndarray:
     if config.sparsity is not None:
         return build_mask_unstructured(scores, config.sparsity)
     return build_mask_nm(scores, *config.nm)
@@ -278,10 +245,11 @@ def mask_step(
     state: ImportanceState | None,
     config: PruneConfig,
     scores: DatasetScores,
-) -> tuple[Network, dict[int, Mask], dict]:
+) -> tuple[Network, dict[int, np.ndarray], dict]:
     """The half of a prune step that applies one sparsity spec: masks for
-    ``net`` (the scored network) from ``scores``, the re-masked network, and
-    a report fragment with per-layer sparsity statistics.
+    ``net`` (the scored network) from ``scores``, the re-masked network, which
+    shares all but its linear layers with ``net``, and a report fragment with
+    per-layer sparsity statistics.
 
     For sensitivity each layer's dataset importance is first added to
     ``state`` and the dataset is marked as seen; the masks then rank the
@@ -297,22 +265,19 @@ def mask_step(
         finish_dataset(state, scores.corpus_name, scores.n_samples)
         ranked = state.per_layer
 
-    prunable = net.prunable_indices()
-    masks: dict[int, Mask] = {}
-    pruned = net.copy()
+    masks = {idx: _build_mask(ranked[idx], config) for idx in net.prunable_indices()}
+    pruned = Network(list(net.layers), net.vocab_size, net.embed)
     frag: dict = {"corpus": scores.corpus_name, "criterion": config.criterion, "layers": {}}
-    for idx in prunable:
+    for idx, bits in masks.items():
         weight = net.layers[idx].weight
-        mask = _build_mask(ranked[idx], config)
-        masks[idx] = mask
-        pruned.layers[idx].weight = apply_mask(weight, mask)
+        pruned.layers[idx] = linear(weight * bits)
         frag["layers"][idx] = {
             "shape": list(weight.shape),
-            "zeros": int(mask.bits.size - mask.bits.sum()),
-            "sparsity": mask.sparsity,
+            "zeros": int(bits.size - bits.sum()),
+            "sparsity": float(1.0 - bits.mean()),
         }
-    total = sum(masks[i].bits.size for i in prunable)
-    zeros = sum(int(masks[i].bits.size - masks[i].bits.sum()) for i in prunable)
+    total = sum(bits.size for bits in masks.values())
+    zeros = sum(layer["zeros"] for layer in frag["layers"].values())
     frag["overall_sparsity"] = zeros / total if total else 0.0
     return pruned, masks, frag
 
@@ -324,7 +289,7 @@ def prune_step(
     calib: CalibrationSet,
     base_net: Network | None = None,
     score=score_step,
-) -> tuple[Network, dict[int, Mask], dict]:
+) -> tuple[Network, dict[int, np.ndarray], dict]:
     """One pruning pass on one dataset's calibration set: ``score`` (called
     as ``score_step`` is) then ``mask_step`` on the scored network. That is
     the base ``base_net`` for sensitivity, and for the other criteria under
@@ -337,25 +302,24 @@ def prune_step(
     return mask_step(net, state, config, score(net, config, calib))
 
 
-def export_masks(masks: dict[int, Mask], out_dir):
-    """Write bit-packed masks plus a JSON summary into ``out_dir``."""
+def export_masks(masks: dict[int, np.ndarray], config: PruneConfig, out_dir):
+    """Write bit-packed masks plus a JSON summary into ``out_dir``; each
+    layer's ``structure`` is ``config``'s: ``"unstructured"`` or ``[n, m]``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    structure = "unstructured" if config.nm is None else list(config.nm)
     summary = {}
     payload = bytearray()
-    offset = 0
-    for idx in sorted(masks):
-        mask = masks[idx]
-        packed = np.packbits(mask.bits.ravel())
+    for idx, bits in sorted(masks.items()):
+        packed = np.packbits(bits.ravel())
         summary[str(idx)] = {
-            "shape": list(mask.bits.shape),
-            "structure": list(mask.structure) if isinstance(mask.structure, tuple) else mask.structure,
-            "sparsity": mask.sparsity,
-            "offset": offset,
+            "shape": list(bits.shape),
+            "structure": structure,
+            "sparsity": float(1.0 - bits.mean()),
+            "offset": len(payload),
             "packed_bytes": len(packed),
         }
         payload.extend(packed.tobytes())
-        offset += len(packed)
     (out_dir / "masks.bin").write_bytes(bytes(payload))
     (out_dir / "masks.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return out_dir / "masks.json"

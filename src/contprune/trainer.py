@@ -39,6 +39,8 @@ class TrainConfig:
             raise UsageError(f"learning_rate must be in (0, 1), got {self.learning_rate}")
         if self.batch < 1 or self.seq_len < 2:
             raise UsageError("need batch >= 1 and seq_len >= 2")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def _sample_batch(corpora: list[Corpus], batch: int, seq_len: int, rng) -> np.ndarray:

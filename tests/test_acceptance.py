@@ -134,7 +134,7 @@ def test_c04_exact_sparsity(rng):
             else:
                 scores = rng.random((r, c))
             mask = P.build_mask_unstructured(scores, s)
-            zeros = mask.bits.size - int(mask.bits.sum())
+            zeros = mask.size - int(mask.sum())
             assert zeros == math.floor(s * scores.size)
             checked += 1
     _ok(4, "exact sparsity", f"({checked} masks incl. all-ties)")
@@ -146,10 +146,10 @@ def test_c05_nm_validity(rng):
             rows = int(rng.integers(1, 10))
             groups = int(rng.integers(1, 8))
             scores = rng.random((rows, groups * m))
-            bits = P.build_mask_nm(scores, n, m).bits
+            bits = P.build_mask_nm(scores, n, m)
             counts = bits.reshape(rows * groups, m).sum(axis=1)
             assert (counts == n).all()
-    bits = P.build_mask_nm(rng.random((64, 128)), 2, 4).bits
+    bits = P.build_mask_nm(rng.random((64, 128)), 2, 4)
     assert bits.mean() == 0.5
     _ok(5, "n:m validity", "(2:4 and 4:8 over 100 layers each; 2:4 is 50% sparse)")
 

@@ -722,19 +722,54 @@ class TestCli:
             (["prune", "--corpus-path", "{prose}", "--criterion", "wanda",
               "--state", "{tmp}/missing.bin", "--seed", "0", "--out", "{tmp}/p.ckpt"],
              r"UsageError: --state needs --criterion sensitivity, got wanda"),
+            (["gen-corpora", "--out", "{tmp}/c", "--tokens", "0"],
+             r"UsageError: n_tokens must be >= 1, got 0"),
+            (["gen-corpora", "--out", "{tmp}/c", "--tokens", "-5"],
+             r"UsageError: n_tokens must be >= 1, got -5"),
+            (["gen-corpora", "--out", "{tmp}/c", "--seed", "-1"],
+             r"UsageError: seed must be >= 0, got -1"),
+            (["train", "--corpus", "prose={prose}", "--steps", "2", "--seed", "-1",
+              "--out", "{tmp}/m.ckpt"],
+             r"UsageError: seed must be >= 0, got -1"),
         ],
         ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state", "save-state-magnitude",
-             "state-wanda"],
+             "state-wanda", "zero-tokens", "negative-tokens", "negative-corpora-seed",
+             "negative-train-seed"],
     )
     def test_failed_command_prints_one_line_and_exits_1(
         self, tiny_cfg_kwargs, tmp_path, capsys, argv, want
     ):
         model = tiny_cfg_kwargs["model_path"]
         paths = {"prose": tiny_cfg_kwargs["corpora"]["prose"], "tmp": tmp_path, "model": model}
-        argv = [a.format(**paths) for a in argv] + ["--model", model]
+        takes_model = argv[0] not in ("gen-corpora", "train")
+        argv = [a.format(**paths) for a in argv] + (["--model", model] if takes_model else [])
         assert re.fullmatch(f"contprune: {want}", main_error(capsys, argv))
         if "--out" in argv:
             assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["prune", "--model", "{model}", "--out", "{tmp}/new/p.ckpt"], ["new/p.ckpt"]),
+            (["prune", "--model", "{model}", "--save-state", "{tmp}/new/s.bin",
+              "--out", "{tmp}/p.ckpt"], ["p.ckpt", "new/s.bin"]),
+            (["train", "--corpus", "prose={prose}", "--steps", "2", "--batch", "2", "--dim", "8",
+              "--hidden", "8", "--blocks", "1", "--out", "{tmp}/new/m.ckpt"], ["new/m.ckpt"]),
+        ],
+        ids=["prune-out", "prune-save-state", "train-out"],
+    )
+    def test_output_into_a_missing_directory_creates_it(self, tiny_cfg_kwargs, tmp_path, argv,
+                                                        written):
+        paths = {"prose": tiny_cfg_kwargs["corpora"]["prose"], "tmp": tmp_path,
+                 "model": tiny_cfg_kwargs["model_path"]}
+        if argv[0] == "prune":
+            argv = argv + ["--corpus-path", "{prose}", "--n-samples", "2", "--seq-len", "48"]
+        assert cli.main([a.format(**paths) for a in argv] + ["--seed", "0"]) == 0
+        for rel in written:
+            if rel.endswith(".ckpt"):
+                M.load_checkpoint(tmp_path / rel)
+            else:
+                I.load_state(tmp_path / rel, M.load_checkpoint(paths["model"]))
 
     def test_other_exceptions_propagate(self, monkeypatch):
         def bug(args):

@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
 from contprune import harness as H
+from contprune import model as M
 from contprune import pruner as P
 from contprune.corpus import permutations, sample_calibration
 from contprune.errors import NumericalError
 from contprune.importance import init_state
 from contprune.metrics import EvalCell, aggregate, perplexity
-from contprune.pruner import detect_stasis, prune_step
+from contprune.pruner import prune_step
 from contprune.seeding import derive_seed
 
 CORPORA = ("bracket", "numeric", "prose")
@@ -63,9 +65,9 @@ def oracle_grid_cell(cfg, base, corpora, criterion, spec, n_samples) -> dict:
                 )
                 hamming_total = None
                 if prev_masks is not None:
-                    per_layer = [detect_stasis(prev_masks[i], masks[i]) for i in sorted(masks)]
-                    hamming_total = sum(h for _, h in per_layer)
-                    transitions_stasis.append(all(st for st, _ in per_layer))
+                    per_layer = [int(np.sum(prev_masks[i] != masks[i])) for i in sorted(masks)]
+                    hamming_total = sum(per_layer)
+                    transitions_stasis.append(all(h == 0 for h in per_layer))
                 prev_masks = masks
                 perm_stats.append({
                     "permutation": ">".join(pi),
@@ -227,7 +229,7 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
     for parent, pconfig, calib, step in steps:
         again = real(memo, parent, pconfig, calib)
         assert sha256(again[0]) == sha256(step[0])
-        assert all(np.array_equal(again[1][i].bits, m.bits) for i, m in step[1].items())
+        assert all(np.array_equal(again[1][i], m) for i, m in step[1].items())
         assert again[2:4] == step[2:4]
         for state in (again[4], step[4]):
             assert all(np.array_equal(state.per_layer[i], a) for i, a in step[4].per_layer.items())
@@ -256,6 +258,45 @@ def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
     H.run_continual(cfg)
     # sensitivity and wanda (global) score only the base, on every corpus
     assert len(captured) == 1
+
+
+@pytest.mark.parametrize("init_mode, n_steps", [(None, 21), ("sequential", 45)],
+                         ids=["default", "sequential"])
+def test_step_networks_share_all_but_their_linear_weights_with_the_base(
+    three_corpora, tmp_path, monkeypatch, init_mode, n_steps
+):
+    memos, steps = [], []
+    real_load, real_step = H._load_inputs, H._prune_and_evaluate
+
+    def load(*args):
+        memos.append(real_load(*args))
+        return memos[-1]
+
+    def step(*args):
+        steps.append(real_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(H, "_load_inputs", load)
+    monkeypatch.setattr(H, "_prune_and_evaluate", step)
+    H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                                       init_mode_override=init_mode))
+    (memo,) = memos
+    base = memo.base
+    # no step wrote into the parameters it shares with the base
+    M.save_checkpoint(base, tmp_path / "base.ckpt")
+    assert (tmp_path / "base.ckpt").read_bytes() == Path(three_corpora["model_path"]).read_bytes()
+    assert len(steps) == n_steps
+    weights = []
+    for net, *_ in steps:
+        assert net.embed is base.embed
+        assert len(net.layers) == len(base.layers)
+        for layer, base_layer in zip(net.layers, base.layers):
+            if layer.kind != "linear":
+                assert layer is base_layer
+                continue
+            assert not np.shares_memory(layer.weight, base_layer.weight)
+            weights.append(layer.weight)
+    assert len({id(w) for w in weights}) == len(weights)
 
 
 def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestCriterionScores:
             _, want, _ = P.mask_step(tiny_model, None, cfg, oracle)
             assert sorted(masks) == sorted(want)
             for idx, mask in masks.items():
-                assert np.array_equal(mask.bits, want[idx].bits), (spec, idx)
+                assert np.array_equal(mask, want[idx]), (spec, idx)
 
 
 def argsort_mask_bits(scores: np.ndarray, s: float) -> np.ndarray:
@@ -55,13 +56,13 @@ def argsort_mask_bits(scores: np.ndarray, s: float) -> np.ndarray:
 class TestUnstructuredMask:
     def test_2x2_example(self):
         mask = P.build_mask_unstructured(np.array([[4.0, 3.0], [2.0, 1.0]]), 0.5)
-        np.testing.assert_array_equal(mask.bits, [[1, 1], [0, 0]])
+        np.testing.assert_array_equal(mask, [[1, 1], [0, 0]])
 
     def test_deterministic(self, rng):
         scores = rng.random((6, 6))
         a = P.build_mask_unstructured(scores, 0.5)
         b = P.build_mask_unstructured(scores, 0.5)
-        np.testing.assert_array_equal(a.bits, b.bits)
+        np.testing.assert_array_equal(a, b)
 
     def test_zeros_count_matches_floor_over_random_matrices(self, rng):
         for _ in range(100):
@@ -69,23 +70,23 @@ class TestUnstructuredMask:
             scores = rng.random((r, c))
             s = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             mask = P.build_mask_unstructured(scores, s)
-            assert int(mask.bits.size - mask.bits.sum()) == math.floor(s * scores.size)
+            assert int(mask.size - mask.sum()) == math.floor(s * scores.size)
 
     def test_all_ties_exact_count(self):
         for n, s in [(4, 0.5), (10, 0.3), (7, 0.9)]:
             mask = P.build_mask_unstructured(np.ones((1, n)), s)
-            assert int(mask.bits.size - mask.bits.sum()) == math.floor(s * n)
+            assert int(mask.size - mask.sum()) == math.floor(s * n)
 
     def test_lowest_scores_pruned(self, rng):
         scores = rng.permutation(36).reshape(6, 6).astype(float)
         mask = P.build_mask_unstructured(scores, 0.5)
-        assert set(scores[mask.bits == 0].astype(int)) == set(range(18))
+        assert set(scores[mask == 0].astype(int)) == set(range(18))
 
     def test_ties_resolved_by_rank_selection(self):
         scores = np.ones((2, 2))
         mask = P.build_mask_unstructured(scores, 0.5)
         # lowest flat indices pruned first among equal scores
-        np.testing.assert_array_equal(mask.bits, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(mask, [[0, 0], [1, 1]])
 
 
 class TestSelectionMatchesArgsort:
@@ -94,7 +95,7 @@ class TestSelectionMatchesArgsort:
 
     @staticmethod
     def check(scores, s):
-        got = P.build_mask_unstructured(scores, s).bits
+        got = P.build_mask_unstructured(scores, s)
         want = argsort_mask_bits(scores, s)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -129,7 +130,7 @@ class TestSelectionMatchesArgsort:
     def test_signed_zeros_go_in_flat_order(self):
         scores = np.array([[0.0, -0.0, 1.0, -0.0]])
         self.check(scores, 0.5)
-        np.testing.assert_array_equal(P.build_mask_unstructured(scores, 0.5).bits, [[0, 0, 1, 1]])
+        np.testing.assert_array_equal(P.build_mask_unstructured(scores, 0.5), [[0, 0, 1, 1]])
 
     def test_desk_layer_shapes(self, rng):
         for shape in [(128, 64), (64, 128)]:
@@ -142,11 +143,11 @@ class TestSelectionMatchesArgsort:
 class TestNmMask:
     def test_2of4_example(self):
         mask = P.build_mask_nm(np.array([[5.0, 1.0, 4.0, 2.0]]), 2, 4)
-        np.testing.assert_array_equal(mask.bits, [[1, 0, 1, 0]])
+        np.testing.assert_array_equal(mask, [[1, 0, 1, 0]])
 
     def test_4of8_all_equal_keeps_first_four(self):
         mask = P.build_mask_nm(np.ones((1, 8)), 4, 8)
-        np.testing.assert_array_equal(mask.bits, [[1, 1, 1, 1, 0, 0, 0, 0]])
+        np.testing.assert_array_equal(mask, [[1, 1, 1, 1, 0, 0, 0, 0]])
 
     def test_every_group_has_exactly_n_ones(self, rng):
         for _ in range(100):
@@ -154,17 +155,17 @@ class TestNmMask:
             groups = int(rng.integers(1, 5))
             n, m = (2, 4) if rng.random() < 0.5 else (4, 8)
             scores = rng.random((rows, groups * m))
-            bits = P.build_mask_nm(scores, n, m).bits
+            bits = P.build_mask_nm(scores, n, m)
             counts = bits.reshape(rows * groups, m).sum(axis=1)
             assert (counts == n).all()
 
     def test_2of4_is_half_sparsity_on_divisible_layers(self, rng):
-        bits = P.build_mask_nm(rng.random((8, 16)), 2, 4).bits
+        bits = P.build_mask_nm(rng.random((8, 16)), 2, 4)
         assert bits.mean() == pytest.approx(0.5)
 
     def test_short_tail_group_rule(self, rng):
         # 10 columns with m=4: tail of 2 keeps ceil(2*2/4) = 1
-        bits = P.build_mask_nm(rng.random((3, 10)), 2, 4).bits
+        bits = P.build_mask_nm(rng.random((3, 10)), 2, 4)
         assert (bits[:, 8:].sum(axis=1) == 1).all()
 
     def test_invalid_pattern_rejected(self, rng):
@@ -210,14 +211,14 @@ class TestNmSelectionMatchesArgsort:
             scores = rng.choice([-0.0, 0.0, 1.0], size=shape)
         else:
             scores = np.full(shape, rng.standard_normal())
-        got = P.build_mask_nm(scores, *nm).bits
+        got = P.build_mask_nm(scores, *nm)
         want = argsort_nm_bits(scores, *nm)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
     def test_signed_zeros_keep_the_lowest_index(self):
         scores = np.array([[-0.0, 0.0, -0.0, 0.0, 1.0, -0.0]])
-        bits = P.build_mask_nm(scores, 2, 4).bits
+        bits = P.build_mask_nm(scores, 2, 4)
         np.testing.assert_array_equal(bits, argsort_nm_bits(scores, 2, 4))
         np.testing.assert_array_equal(bits, [[1, 1, 0, 0, 1, 0]])
 
@@ -240,47 +241,14 @@ class TestNonFiniteScores:
 
 
 class TestApplyAndStasis:
-    def test_apply_all_ones_unchanged(self, rng):
-        w = rng.standard_normal((3, 4))
-        mask = P.Mask(bits=np.ones((3, 4), dtype=np.uint8))
-        np.testing.assert_array_equal(P.apply_mask(w, mask), w)
-
-    def test_apply_all_zeros(self, rng):
-        w = rng.standard_normal((3, 4))
-        mask = P.Mask(bits=np.zeros((3, 4), dtype=np.uint8))
-        assert not P.apply_mask(w, mask).any()
-
-    def test_achieved_sparsity_equals_mask_sparsity(self, rng):
-        w = rng.standard_normal((10, 10)) + 5.0  # no natural zeros
-        mask = P.build_mask_unstructured(rng.random((10, 10)), 0.3)
-        pruned = P.apply_mask(w, mask)
-        assert (pruned == 0).mean() == pytest.approx(mask.sparsity)
-
-    @pytest.mark.parametrize("bad", [257, 0.5, -1])
-    def test_mask_rejects_non_binary_entries(self, bad):
-        # checked as given: a cast to uint8 first would read 257 as 1,
-        # 0.5 as 0 and -1 as 255
-        with pytest.raises(ValueError, match="0 or 1"):
-            P.Mask(bits=np.array([[bad, 1], [0, 1]]))
-
-    def test_detect_stasis(self):
-        a = P.Mask(bits=np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        b = P.Mask(bits=np.array([[1, 0], [0, 1]], dtype=np.uint8))
-        assert P.detect_stasis(a, b) == (True, 0)
-        c = P.Mask(bits=np.array([[1, 1], [0, 1]], dtype=np.uint8))
-        assert P.detect_stasis(a, c) == (False, 1)
-        with pytest.raises(ShapeError):
-            P.detect_stasis(a, P.Mask(bits=np.ones((1, 2), dtype=np.uint8)))
-
     def test_masked_magnitude_rescoring_is_a_fixpoint(self, rng):
         # the stasis mechanism in isolation: scores of a masked weight
         # matrix vanish exactly where the mask is zero, so re-selection
         # reproduces the mask
         w = rng.standard_normal((64, 64))
         mask1 = P.build_mask_unstructured(np.abs(w), 0.5)
-        masked = P.apply_mask(w, mask1)
-        mask2 = P.build_mask_unstructured(np.abs(masked), 0.5)
-        assert P.detect_stasis(mask1, mask2) == (True, 0)
+        mask2 = P.build_mask_unstructured(np.abs(w * mask1), 0.5)
+        np.testing.assert_array_equal(mask2, mask1)
 
 
 def make_calib(corpus_tokens, name, n_samples=4, seq_len=32, seed=0):
@@ -353,9 +321,13 @@ class TestPruneStep:
         cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, seed=0)
         out, masks, frag = P.prune_step(net, state, cfg, calib_a)
         for idx, mask in masks.items():
-            total = mask.bits.size
-            zeros = total - int(mask.bits.sum())
+            total = mask.size
+            zeros = total - int(mask.sum())
             assert zeros == math.floor(0.5 * total)
+            # the pruned weight is the weight times its mask; a random
+            # weight has no zeros of its own
+            np.testing.assert_array_equal(out.layers[idx].weight, net.layers[idx].weight * mask)
+            assert int((out.layers[idx].weight == 0).sum()) == zeros
 
     def test_nonprunable_parameters_untouched(self, prune_setup):
         net, calib_a, _ = prune_setup
@@ -382,8 +354,8 @@ class TestPruneStep:
             net1, masks1, _ = P.prune_step(net, None, cfg, calib_a)
             net2, masks2, _ = P.prune_step(net1, None, cfg, calib_b)
             for idx in masks1:
-                stasis, hamming = P.detect_stasis(masks1[idx], masks2[idx])
-                assert stasis, f"{criterion} layer {idx} moved by {hamming}"
+                hamming = int(np.sum(masks1[idx] != masks2[idx]))
+                assert hamming == 0, f"{criterion} layer {idx} moved by {hamming}"
 
     def test_sensitivity_escapes_stasis_on_domain_shift(self, prune_setup):
         net, calib_a, calib_b = prune_setup
@@ -391,7 +363,7 @@ class TestPruneStep:
         state = I.init_state(net)
         net1, masks1, _ = P.prune_step(net, state, cfg, calib_a, base_net=net)
         net2, masks2, _ = P.prune_step(net1, state, cfg, calib_b, base_net=net)
-        total_hamming = sum(P.detect_stasis(masks1[i], masks2[i])[1] for i in masks1)
+        total_hamming = sum(int(np.sum(masks1[i] != masks2[i])) for i in masks1)
         assert total_hamming > 0
 
     def test_sensitivity_reopens_weights_from_base_values(self, prune_setup):
@@ -402,7 +374,7 @@ class TestPruneStep:
         net2, masks2, _ = P.prune_step(net1, state, cfg, calib_b, base_net=net)
         reopened_any = False
         for idx in masks1:
-            reopened = (masks1[idx].bits == 0) & (masks2[idx].bits == 1)
+            reopened = (masks1[idx] == 0) & (masks2[idx] == 1)
             if reopened.any():
                 reopened_any = True
                 np.testing.assert_array_equal(
@@ -417,16 +389,17 @@ class TestPruneStep:
         net2, masks2, _ = P.prune_step(net1, None, cfg, calib_b, base_net=net)
         # magnitude is data-free: identical scores from restored base weights
         for idx in masks1:
-            assert P.detect_stasis(masks1[idx], masks2[idx])[0]
+            np.testing.assert_array_equal(masks1[idx], masks2[idx])
             np.testing.assert_array_equal(net1.layers[idx].weight, net2.layers[idx].weight)
 
-    def test_nm_masks_through_prune_step(self, prune_setup):
+    def test_nm_masks_through_prune_step(self, prune_setup, tmp_path):
         net, calib_a, _ = prune_setup
         cfg = P.PruneConfig(criterion="magnitude", nm=(2, 4), seed=0)
         _, masks, frag = P.prune_step(net, None, cfg, calib_a)
         assert frag["overall_sparsity"] == pytest.approx(0.5)
-        for mask in masks.values():
-            assert mask.structure == (2, 4)
+        summary = json.loads(P.export_masks(masks, cfg, tmp_path).read_text())
+        for idx in masks:
+            assert summary[str(idx)]["structure"] == [2, 4]
 
     def test_sensitivity_state_is_the_mean_of_sampled_scorings(self, desk_model, desk_corpora):
         # the closed form is the expectation of the sampled estimator: the
@@ -574,11 +547,9 @@ class TestMonotoneDegradation:
 
 class TestExportMasks:
     def test_export_writes_packed_bits_and_summary(self, tmp_path, rng):
-        import json
-
         bits = (rng.random((6, 8)) > 0.5).astype(np.uint8)
-        masks = {0: P.Mask(bits=bits), 2: P.Mask(bits=np.ones((4, 4), dtype=np.uint8), structure=(2, 4))}
-        out = P.export_masks(masks, tmp_path / "m")
+        masks = {0: bits, 2: np.ones((4, 4), dtype=np.uint8)}
+        out = P.export_masks(masks, P.PruneConfig(criterion="magnitude", nm=(2, 4)), tmp_path / "m")
         summary = json.loads(out.read_text())
         assert summary["0"]["shape"] == [6, 8]
         assert summary["2"]["structure"] == [2, 4]
@@ -588,3 +559,7 @@ class TestExportMasks:
             np.frombuffer(payload[: summary["0"]["packed_bytes"]], dtype=np.uint8)
         )[: bits.size].reshape(6, 8)
         np.testing.assert_array_equal(unpacked, bits)
+        unstructured = P.PruneConfig(criterion="magnitude", sparsity=0.5)
+        out = P.export_masks(masks, unstructured, tmp_path / "u")
+        assert [v["structure"] for v in json.loads(out.read_text()).values()] == ["unstructured"] * 2
+        assert (tmp_path / "u" / "masks.bin").read_bytes() == payload
