@@ -45,15 +45,22 @@ def _add_corpora_args(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_corpora(args) -> dict[str, str]:
-    """The corpora the flags name, by name; possibly none."""
+    """The corpora the flags name, by name; possibly none. A ``--corpus``
+    entry overrides a ``--corpora-dir`` file of the same stem, and names a
+    corpus no other ``--corpus`` entry names."""
     entries: dict[str, str] = {}
     if args.corpora_dir:
         for path in sorted(Path(args.corpora_dir).glob("*.bin")):
             entries[path.stem] = str(path)
+    flagged: set[str] = set()
     for spec in args.corpus:
         name, _, path = spec.partition("=")
         if not path:
             raise UsageError(f"--corpus expects NAME=PATH, got {spec!r}")
+        harness.check_corpus_name(name, f"--corpus {spec!r}")
+        if name in flagged:
+            raise UsageError(f"--corpus {spec!r} repeats the name {name!r}")
+        flagged.add(name)
         entries[name] = path
     return entries
 

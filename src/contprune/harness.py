@@ -39,13 +39,14 @@ Within one grid, a prune step depends only on the ordering's prefix up to
 it, and under global initialization only on its dataset, so
 ``run_grid_cell`` runs each distinct step once: on three corpora, the 18
 steps of the six orderings are 15 prefixes for a sequential criterion and 3
-datasets for a global one. The steps form one table rooted at the base
-(key ``()``: the base and the empty state). Each is computed from its
-parent, the step keyed one dataset shorter, by ``pruner.prune_step`` with
-the memo's scores in place of ``score_step``; a global step is keyed by its
-dataset alone, so its parent is always the root. States are keyed by the
-prefix, not by the set of datasets seen, because two orders of one set give
-sums that differ in their last bits (see ``importance``).
+datasets for a global one. The steps form one table of ``Step`` records
+rooted at the base (key ``()``: the base and the empty state). Each is
+computed from its parent, the step keyed one dataset shorter, by
+``pruner.prune_step`` with the memo's scores in place of ``score_step``; a
+global step is keyed by its dataset alone, so its parent is always the root.
+States are keyed by the prefix, not by the set of datasets seen, because two
+orders of one set give sums that differ in their last bits (see
+``importance``). An ordering's report rows are read off its key path.
 Only successes are kept: a score, evaluation or step that raises raises
 again in every ordering that reaches it.
 """
@@ -57,16 +58,17 @@ import json
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import CalibrationSet, Corpus, load_corpus, permutations, sample_calibration
 from .errors import RECOVERABLE_ERRORS, InputError, UsageError
-from .importance import init_state
+from .importance import ImportanceState, init_state
 from .metrics import EvalCell, aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
-from .pruner import DatasetScores, PruneConfig, ScoredNetwork, prune_step, score_step
+from .pruner import PruneConfig, ScoredNetwork, prune_step, score_step
 from .seeding import derive_seed
 from .sensitivity import DEFAULT_EPSILON
 
@@ -102,8 +104,10 @@ class ExperimentConfig:
                 raise UsageError(f"{name} must be of type {kinds}, got {value!r}")
             if parse is not None:
                 setattr(self, name, parse_items(name, value, parse))
-        if not all(isinstance(v, str) for v in self.corpora.values()):
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.corpora.items()):
             raise UsageError(f"corpora must map names to paths, got {self.corpora!r}")
+        for name in self.corpora:
+            check_corpus_name(name, f"corpora entry {name!r}")
         if not self.corpora:
             raise UsageError("need at least one corpus")
         if not self.criteria or not self.ablate_criteria:
@@ -111,6 +115,13 @@ class ExperimentConfig:
         missing = [p for p in [self.model_path, *self.corpora.values()] if not Path(p).exists()]
         if missing:
             raise InputError(f"missing input files: {missing}")
+
+
+def check_corpus_name(name: str, entry: str) -> None:
+    """UsageError naming ``entry`` when ``name`` is empty or holds ``>``,
+    which joins the corpus names of an ordering's label."""
+    if not name or ">" in name:
+        raise UsageError(f"{entry}: a corpus name must be non-empty and hold no '>'")
 
 
 def parse_items(name: str, value, parse) -> tuple:
@@ -177,7 +188,7 @@ class Memo:
         self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
         self._calib: dict[tuple, CalibrationSet] = {}
-        self._scores: dict[tuple, DatasetScores] = {}
+        self._scores: dict[tuple, dict[int, np.ndarray]] = {}
         self._ppl: dict[bytes, dict[str, float]] = {}
 
     def calibration(self, name: str, n_samples: int) -> CalibrationSet:
@@ -189,7 +200,8 @@ class Memo:
             )
         return self._calib[key]
 
-    def scores(self, net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
+    def scores(self, net: Network, config: PruneConfig,
+               calib: CalibrationSet) -> dict[int, np.ndarray]:
         """``score_step(net, config, calib)``. The rest of ``config`` (epsilon
         and draws, which scale sensitivity scores) comes from the command's
         one ``ExperimentConfig``."""
@@ -232,12 +244,24 @@ def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
     )
 
 
+class Step(NamedTuple):
+    """One finished grid step; ``state`` is None for the baselines, and the
+    root step has no masks, sparsity or perplexities."""
+
+    net: Network
+    masks: dict[int, np.ndarray] | None
+    sparsity: float | None
+    ppls: dict[str, float] | None
+    state: ImportanceState | None
+
+
 def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     """Full permutation grid for one (criterion, sparsity spec) pair, as its
-    ``grid.json`` entry. A failed ordering adds only an ``errors`` entry.
-    ``steps`` is one table rooted at the base (``()``); each finished step,
-    keyed by its prefix (under global initialization by its dataset alone),
-    hangs off its parent ``steps[key[:-1]]``."""
+    ``grid.json`` entry. ``steps`` is one table rooted at the base (``()``);
+    each ``Step``, keyed by its prefix (under global initialization by its
+    dataset alone), hangs off its parent ``steps[key[:-1]]``. An ordering
+    builds the steps its key path lacks, adding only an ``errors`` entry if
+    that fails; its rows are then read off the path."""
     names = sorted(memo.corpora)
     calib_sets = {name: memo.calibration(name, n_samples) for name in names}
     pconfig = _prune_config(memo.cfg, criterion, spec)
@@ -249,47 +273,32 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     step_stats: list[dict] = []
     errors: list[dict] = []
     root_state = init_state(memo.base) if criterion == "sensitivity" else None
-    steps: dict[tuple, tuple] = {(): (memo.base, None, None, None, root_state)}
+    steps: dict[tuple, Step] = {(): Step(memo.base, None, None, None, root_state)}
     for pi in permutations(names):
         if sequential:  # orderings come sorted, so a prefix off this path never recurs
             steps = {prefix: v for prefix, v in steps.items() if pi[: len(prefix)] == prefix}
-        perm_cells: list[EvalCell] = []
-        perm_stats: list[dict] = []
+        keys = [pi[:step] if sequential else (name,) for step, name in enumerate(pi, start=1)]
         try:
-            prev_masks = None
-            transitions_stasis: list[bool] = []
-            for step, ds_name in enumerate(pi, start=1):
-                key = pi[:step] if sequential else (ds_name,)
+            for key in keys:  # a key ends with the dataset its step prunes
                 if key not in steps:
                     steps[key] = _prune_and_evaluate(memo, steps[key[:-1]], pconfig,
-                                                     calib_sets[ds_name])
-                _, masks, sparsity, ppls, _ = steps[key]
-                hamming_total = None
-                if prev_masks is not None:
-                    hamming_total = sum(int(np.sum(prev_masks[i] != masks[i])) for i in masks)
-                    transitions_stasis.append(hamming_total == 0)
-                prev_masks = masks
-                perm_stats.append(
-                    {
-                        "permutation": ">".join(pi),
-                        "step": step,
-                        "pruned_dataset": ds_name,
-                        "overall_sparsity": sparsity,
-                        "hamming_vs_prev": hamming_total,
-                    }
-                )
-                for ds, ppl in ppls.items():
-                    perm_cells.append(
-                        EvalCell(permutation=pi, step=step, eval_dataset=ds, perplexity=ppl)
-                    )
+                                                     calib_sets[key[-1]])
         except RECOVERABLE_ERRORS as exc:  # keep other orderings running
             errors.append({"permutation": ">".join(pi), "error": f"{type(exc).__name__}: {exc}"})
             continue
-        cells += perm_cells
-        step_stats += perm_stats
+        path = [steps[key] for key in keys]
+        hamming = [None] + [sum(int(np.sum(prev.masks[i] != cur.masks[i])) for i in cur.masks)
+                            for prev, cur in zip(path, path[1:])]
+        for step, (ds_name, cur, distance) in enumerate(zip(pi, path, hamming), start=1):
+            step_stats.append({"permutation": ">".join(pi), "step": step,
+                               "pruned_dataset": ds_name, "overall_sparsity": cur.sparsity,
+                               "hamming_vs_prev": distance})
+            cells += [EvalCell(permutation=pi, step=step, eval_dataset=ds, perplexity=ppl)
+                      for ds, ppl in cur.ppls.items()]
         completed.append(pi)
-        if transitions_stasis and all(transitions_stasis):
+        if len(path) > 1 and not any(hamming[1:]):  # every transition kept every mask bit
             ws_perms.append(">".join(pi))
+        del path, cur  # so that the next ordering's filter frees the steps off its path
     return {
         "criterion": criterion,
         "spec": pconfig.spec_label(),
@@ -302,15 +311,14 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     }
 
 
-def _prune_and_evaluate(memo: Memo, parent: tuple, pconfig: PruneConfig,
-                        calib: CalibrationSet) -> tuple:
-    """One prune step after the ``parent`` step record, and the pruned
-    network's perplexities, as a step record: ``(network, masks, overall
-    sparsity, perplexities, state)``. The step adds to a copy of the parent's
-    importance state (None for the baselines), so a kept state never changes."""
-    state = deepcopy(parent[4])
-    pruned, masks, frag = prune_step(parent[0], state, pconfig, calib, memo.base, memo.scores)
-    return pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state
+def _prune_and_evaluate(memo: Memo, parent: Step, pconfig: PruneConfig,
+                        calib: CalibrationSet) -> Step:
+    """One prune step after ``parent``, and the pruned network's perplexities,
+    as a ``Step``. The step adds to a copy of the parent's importance state,
+    so a kept state never changes."""
+    state = deepcopy(parent.state)
+    pruned, masks, frag = prune_step(parent.net, state, pconfig, calib, memo.base, memo.scores)
+    return Step(pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state)
 
 
 def dense_row(memo: Memo) -> dict:

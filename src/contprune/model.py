@@ -181,15 +181,6 @@ class Network:
         return Network(layers=layers, vocab_size=self.vocab_size, embed=self.embed.copy())
 
 
-@dataclass(frozen=True, eq=False)
-class CaptureRecord:
-    """Input/output feature pair of one prunable layer during a forward pass."""
-
-    layer_index: int
-    input: np.ndarray  # (in_dim, n_positions)
-    output: np.ndarray  # (out_dim, n_positions)
-
-
 def make_decoder(
     vocab_size: int = 256,
     d: int = 64,
@@ -198,7 +189,11 @@ def make_decoder(
     act: str = "gelu",
     seed: int = 0,
 ) -> Network:
-    """Random-init decoder stack: embed -> [linear, act, linear, norm] x blocks."""
+    """Random-init decoder stack: embed -> [linear, act, linear, norm] x blocks.
+    UsageError when a width is below 1 or ``blocks`` is negative."""
+    if d < 1 or hidden < 1 or blocks < 0:
+        raise UsageError(f"need d >= 1, hidden >= 1 and blocks >= 0, "
+                         f"got d={d}, hidden={hidden}, blocks={blocks}")
     rng = np.random.default_rng(seed)
     embed = rng.standard_normal((vocab_size, d)) * 0.1
     layers: list[Layer] = []
@@ -232,12 +227,11 @@ def forward(net: Network, tokens) -> np.ndarray:
     return (net.embed @ layer_inputs(net, tokens)[-1]).T
 
 
-def forward_capture(net: Network, tokens) -> tuple[np.ndarray, list[CaptureRecord]]:
-    """Like forward, additionally returning one CaptureRecord per linear layer."""
+def forward_capture(net: Network, tokens) -> dict[int, np.ndarray]:
+    """Each prunable layer's (in_dim, len(tokens) - 1) input on ``tokens``,
+    keyed by its layer index."""
     xs = layer_inputs(net, tokens)
-    records = [CaptureRecord(layer_index=i, input=xs[i], output=xs[i + 1])
-               for i in net.prunable_indices()]
-    return (net.embed @ xs[-1]).T, records
+    return {i: xs[i] for i in net.prunable_indices()}
 
 
 def layer_inputs(net: Network, tokens) -> list[np.ndarray]:

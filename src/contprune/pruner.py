@@ -17,16 +17,16 @@ sensitivity  the accumulated importance state; this is the continual
              addition is not associative, though: two orders give states
              that agree only to rounding (see ``importance``).
 
-A prune step is the composition of two halves. ``score_step`` does the work
-that depends only on the scored network and one calibration set: one score
-matrix per prunable layer, for every criterion. For sensitivity that matrix
-is the dataset's importance, the expected sum of its calibration positions'
-``|W * grad|`` terms; for wanda it is ``|W|`` scaled by the feature norms,
-for magnitude ``|W|``. ``mask_step`` does the rest under one sparsity spec:
-sensitivity adds the dataset's importance to the carried state and ranks the
-state, the baselines rank their scores. ``prune_step`` is their one
-composition; its ``score`` argument lets a harness memoize the scores, so
-that it scores a dataset once and masks it under many specs and orderings.
+A prune step is the composition of two halves, which pass plain dicts
+keyed by prunable layer index. ``score_step`` does the work that depends
+only on the scored network and one calibration set: a score matrix per
+layer, for every criterion. For sensitivity that is the dataset's
+importance, the expected sum of its calibration positions' ``|W * grad|``
+terms; for wanda ``|W|`` scaled by the feature norms, for magnitude ``|W|``.
+``mask_step`` does the rest under one sparsity spec and returns a mask per
+layer: sensitivity adds the dataset's importance to the carried state and
+ranks the state, the baselines rank their scores. ``prune_step`` is their
+one composition; its ``score`` argument lets a harness memoize the scores.
 Scoring reads each layer's inputs from one capture of the network on the
 vocabulary, which a ``ScoredNetwork`` takes once for every calibration set
 scored on it. Every layer is positionwise, so a calibration position enters
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -178,13 +178,6 @@ def _build_mask(scores: np.ndarray, config: PruneConfig) -> np.ndarray:
     return build_mask_nm(scores, *config.nm)
 
 
-def _vocabulary_inputs(net: Network) -> dict[int, np.ndarray]:
-    """Each prunable layer's input on ``model.vocabulary_tokens(net)``, from
-    one ``forward_capture``: column ``a`` is the layer's input for token ``a``."""
-    _, records = forward_capture(net, vocabulary_tokens(net))
-    return {rec.layer_index: rec.input for rec in records}
-
-
 class ScoredNetwork(Network):
     """A network that does not change while it is scored, so its vocabulary
     inputs are captured once, on first use, and shared by every calibration
@@ -193,23 +186,15 @@ class ScoredNetwork(Network):
 
     @cached_property
     def vocabulary_inputs(self) -> dict[int, np.ndarray]:
-        return _vocabulary_inputs(self)
+        """Column ``a`` of each prunable layer's input is its input for token ``a``."""
+        return forward_capture(self, vocabulary_tokens(self))
 
 
-@dataclass(frozen=True, eq=False)
-class DatasetScores:
-    """What ``score_step`` computes from one calibration set: ``layers``
-    maps each prunable layer to its score matrix."""
-
-    corpus_name: str
-    n_samples: int
-    layers: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> DatasetScores:
+def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> dict[int, np.ndarray]:
     """The half of a prune step that depends only on the scored network
     ``net``, the criterion's settings and one calibration set; neither the
-    importance state nor the sparsity spec enters it. Magnitude scores
+    importance state nor the sparsity spec enters it. Returns one score
+    matrix, shaped like the weight, per prunable layer index. Magnitude scores
     ``|W|``. Wanda and sensitivity check every segment's tokens and read the
     calibration set only through ``counts``, how many calibration positions
     read each token as input, and each layer's vocabulary inputs ``X``.
@@ -219,55 +204,52 @@ def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> Data
     expected importance into a zero matrix; ``epsilon`` and ``w_draws`` only
     scale it, and ``seed`` does not enter it."""
     prunable = net.prunable_indices()
-    scores = DatasetScores(calib.corpus_name, calib.n_samples)
     if config.criterion == "magnitude":
-        for idx in prunable:
-            scores.layers[idx] = np.abs(net.layers[idx].weight)
-        return scores
+        return {idx: np.abs(net.layers[idx].weight) for idx in prunable}
     tokens = np.concatenate([check_tokens(net, seg)[:-1] for seg in calib.segments])
     counts = np.bincount(tokens, minlength=net.vocab_size)
-    inputs = net.vocabulary_inputs if isinstance(net, ScoredNetwork) else _vocabulary_inputs(net)
+    inputs = (net.vocabulary_inputs if isinstance(net, ScoredNetwork)
+              else forward_capture(net, vocabulary_tokens(net)))
     if config.criterion == "wanda":
-        for idx in prunable:
-            x = inputs[idx]
-            scores.layers[idx] = np.abs(net.layers[idx].weight) * np.sqrt((x * x) @ counts)
-        return scores
+        return {idx: np.abs(net.layers[idx].weight) * np.sqrt((inputs[idx] * inputs[idx]) @ counts)
+                for idx in prunable}
     importance = init_state(net)
     for idx in prunable:
         w = net.layers[idx].weight
         grad = expected_gradient_magnitude(w, inputs[idx], counts, config.epsilon, config.w_draws)
         accumulate(importance, idx, w, grad)
-    return DatasetScores(calib.corpus_name, calib.n_samples, importance.per_layer)
+    return importance.per_layer
 
 
 def mask_step(
     net: Network,
     state: ImportanceState | None,
     config: PruneConfig,
-    scores: DatasetScores,
+    calib: CalibrationSet,
+    scores: dict[int, np.ndarray],
 ) -> tuple[Network, dict[int, np.ndarray], dict]:
     """The half of a prune step that applies one sparsity spec: masks for
-    ``net`` (the scored network) from ``scores``, the re-masked network, which
-    shares all but its linear layers with ``net``, and a report fragment with
-    per-layer sparsity statistics.
+    ``net`` (the scored network) from ``scores``, ``score_step``'s for
+    ``calib``; the re-masked network, which shares all but its linear layers
+    with ``net``; and a report fragment with per-layer sparsity statistics.
 
     For sensitivity each layer's dataset importance is first added to
-    ``state`` and the dataset is marked as seen; the masks then rank the
-    state. The state is thus a running sum of per-dataset sums.
+    ``state`` and ``calib``'s dataset is marked as seen; the masks then rank
+    the state. The state is thus a running sum of per-dataset sums.
     """
-    ranked = scores.layers
+    ranked = scores
     if config.criterion == "sensitivity":
         if state is None:
             raise UsageError("sensitivity criterion requires an importance state")
         check_against(state, net)
-        for idx, importance in scores.layers.items():
+        for idx, importance in scores.items():
             state.per_layer[idx] += importance
-        finish_dataset(state, scores.corpus_name, scores.n_samples)
+        finish_dataset(state, calib.corpus_name, calib.n_samples)
         ranked = state.per_layer
 
     masks = {idx: _build_mask(ranked[idx], config) for idx in net.prunable_indices()}
     pruned = Network(list(net.layers), net.vocab_size, net.embed)
-    frag: dict = {"corpus": scores.corpus_name, "criterion": config.criterion, "layers": {}}
+    frag: dict = {"corpus": calib.corpus_name, "criterion": config.criterion, "layers": {}}
     for idx, bits in masks.items():
         weight = net.layers[idx].weight
         pruned.layers[idx] = linear(weight * bits)
@@ -299,7 +281,7 @@ def prune_step(
     one carried across datasets; it is updated in place."""
     if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
         net = base_net
-    return mask_step(net, state, config, score(net, config, calib))
+    return mask_step(net, state, config, calib, score(net, config, calib))
 
 
 def export_masks(masks: dict[int, np.ndarray], config: PruneConfig, out_dir):

@@ -660,6 +660,63 @@ class TestCli:
         assert checked == [f.name for f in dataclasses.fields(H.ExperimentConfig)]
 
     @pytest.mark.parametrize(
+        "entries, want",
+        [
+            (["={prose}", "x={numeric}"], "--corpus '={prose}': a corpus name must be non-empty"),
+            (["a>b={prose}", "x={numeric}"],
+             "--corpus 'a>b={prose}': a corpus name must be non-empty and hold no '>'"),
+            (["a={prose}", "a={numeric}"], "--corpus 'a={numeric}' repeats the name 'a'"),
+        ],
+        ids=["empty", "angle", "repeated"],
+    )
+    @pytest.mark.parametrize("command", ["run-grid", "train"])
+    def test_bad_corpus_flag_is_named_before_any_work(
+        self, tiny_cfg_kwargs, tmp_path, capsys, monkeypatch, command, entries, want
+    ):
+        monkeypatch.setattr(H, "load_checkpoint", lambda *args: pytest.fail("loaded"))
+        monkeypatch.setattr(cli.corpus_mod, "load_corpus", lambda *args: pytest.fail("loaded"))
+        paths = tiny_cfg_kwargs["corpora"]
+        argv = [command, "--seed", "0", "--out", str(tmp_path / "out")]
+        argv += ["--model", tiny_cfg_kwargs["model_path"]] if command == "run-grid" else []
+        for entry in entries:
+            argv += ["--corpus", entry.format(**paths)]
+        line = main_error(capsys, argv)
+        assert line.startswith(f"contprune: UsageError: {want.format(**paths)}"), line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["", "a>b"], ids=["empty", "angle"])
+    def test_bad_corpus_name_in_a_config_file_is_named(self, tiny_cfg_kwargs, tmp_path, capsys,
+                                                       name):
+        corpora = {name: tiny_cfg_kwargs["corpora"]["prose"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpora": corpora}))
+        line = main_error(capsys, [
+            "run-grid", "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
+            "--corpus", f"numeric={tiny_cfg_kwargs['corpora']['numeric']}", "--seed", "0",
+            "--out", str(tmp_path / "runs"),
+        ])
+        assert line == (f"contprune: UsageError: corpora entry {name!r}: a corpus name must be "
+                        f"non-empty and hold no '>'")
+        assert not (tmp_path / "runs").exists()
+        with pytest.raises(UsageError, match=f"corpora entry {re.escape(repr(name))}"):
+            H.ExperimentConfig(**{**tiny_cfg_kwargs, "corpora": corpora})
+
+    def test_corpus_flag_overrides_a_directory_stem_and_a_config_entry(
+        self, tiny_dir, tiny_cfg_kwargs, tmp_path
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpora": {"extra": str(tiny_dir / "prose.bin")}}))
+        numeric = str(tiny_dir / "numeric.bin")
+        args = cli.build_parser().parse_args([
+            "run-grid", "--config", str(cfg_path), "--model", tiny_cfg_kwargs["model_path"],
+            "--corpora-dir", str(tiny_dir), "--corpus", f"prose={numeric}",
+            "--corpus", f"extra={numeric}", "--seed", "0",
+        ])
+        corpora = cli._experiment_config(args).corpora
+        assert corpora == {"bracket": str(tiny_dir / "bracket.bin"), "numeric": numeric,
+                           "prose": numeric, "extra": numeric}
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["run-grid", "--sparsity", "0.5,1"],
@@ -731,10 +788,21 @@ class TestCli:
             (["train", "--corpus", "prose={prose}", "--steps", "2", "--seed", "-1",
               "--out", "{tmp}/m.ckpt"],
              r"UsageError: seed must be >= 0, got -1"),
+            (["train", "--corpus", "prose={prose}", "--dim", "0", "--seed", "0",
+              "--out", "{tmp}/m.ckpt"],
+             r"UsageError: need d >= 1, hidden >= 1 and blocks >= 0, got d=0, hidden=128, "
+             r"blocks=2"),
+            (["train", "--corpus", "prose={prose}", "--hidden", "0", "--seed", "0",
+              "--out", "{tmp}/m.ckpt"],
+             r"UsageError: need d >= 1, hidden >= 1 and blocks >= 0, got d=64, hidden=0, blocks=2"),
+            (["train", "--corpus", "prose={prose}", "--blocks", "-1", "--seed", "0",
+              "--out", "{tmp}/m.ckpt"],
+             r"UsageError: need d >= 1, hidden >= 1 and blocks >= 0, got d=64, hidden=128, "
+             r"blocks=-1"),
         ],
         ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state", "save-state-magnitude",
              "state-wanda", "zero-tokens", "negative-tokens", "negative-corpora-seed",
-             "negative-train-seed"],
+             "negative-train-seed", "zero-dim", "zero-hidden", "negative-blocks"],
     )
     def test_failed_command_prints_one_line_and_exits_1(
         self, tiny_cfg_kwargs, tmp_path, capsys, argv, want

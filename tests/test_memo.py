@@ -10,7 +10,7 @@ memo's zero-pattern key is pinned.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +246,24 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
     assert not any(matrix.any() for matrix in root[4].per_layer.values())
 
 
+def test_a_step_is_built_while_only_its_ancestors_are_held(three_corpora, monkeypatch):
+    # the sequential table drops the steps off each new ordering's path, and
+    # nothing else may hold them: the next ordering's steps are built without them
+    cfg = H.ExperimentConfig(**three_corpora, init_mode_override="sequential")
+    memo = H._load_inputs(cfg, [("magnitude", 0.5, cfg.n_samples)])
+    real, nets, alive = H._prune_and_evaluate, [], []
+
+    def recording(memo, parent, pconfig, calib):
+        alive.append(sum(ref() is not None for ref in nets))
+        step = real(memo, parent, pconfig, calib)
+        nets.append(weakref.ref(step.net))
+        return step
+
+    monkeypatch.setattr(H, "_prune_and_evaluate", recording)
+    assert H.run_grid_cell(memo, "magnitude", 0.5, cfg.n_samples)["complete"]
+    assert len(alive) == 15 and max(alive) == len(CORPORA) - 1
+
+
 def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
     real, captured = P.forward_capture, []
 
@@ -335,9 +353,8 @@ def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora):
     # sensitivity at 4 and 2 samples, wanda and magnitude: each scores the base
     assert len(memo._scores) == 4 * len(CORPORA)
     for key, scores in memo._scores.items():
-        assert [f.name for f in fields(scores)] == ["corpus_name", "n_samples", "layers"], key
-        assert sorted(scores.layers) == prunable, key
-        for idx, matrix in scores.layers.items():
+        assert sorted(scores) == prunable, key
+        for idx, matrix in scores.items():
             assert matrix.shape == memo.base.layers[idx].weight.shape, key
 
 

@@ -115,32 +115,23 @@ class TestForward:
 
 
 class TestForwardCapture:
-    def test_one_record_per_linear_layer(self, rng):
+    def test_holds_each_prunable_layer_input(self, rng):
         net = two_layer_net(rng)
-        _, records = M.forward_capture(net, [1, 2, 3])
-        assert [r.layer_index for r in records] == net.prunable_indices()
-
-    def test_records_replay(self, rng):
-        net = two_layer_net(rng)
-        _, records = M.forward_capture(net, list(rng.integers(0, 16, size=8)))
-        for rec in records:
-            replay = M.layer_forward(net.layers[rec.layer_index], rec.input)
-            np.testing.assert_array_equal(replay, rec.output)
-
-    def test_logits_identical_to_forward(self, rng):
-        net = two_layer_net(rng)
-        tokens = list(rng.integers(0, 16, size=12))
-        logits, _ = M.forward_capture(net, tokens)
-        assert logits.tobytes() == M.forward(net, tokens).tobytes()
+        tokens = list(rng.integers(0, 16, size=8))
+        captured = M.forward_capture(net, tokens)
+        assert list(captured) == net.prunable_indices()
+        xs = M.layer_inputs(net, tokens)
+        for idx, x in captured.items():
+            assert x.tobytes() == xs[idx].tobytes()
 
     def test_deterministic_across_runs(self, rng):
         net = two_layer_net(rng)
         tokens = list(rng.integers(0, 16, size=12))
-        _, rec1 = M.forward_capture(net, tokens)
-        _, rec2 = M.forward_capture(net, tokens)
-        for a, b in zip(rec1, rec2):
-            assert a.input.tobytes() == b.input.tobytes()
-            assert a.output.tobytes() == b.output.tobytes()
+        first = M.forward_capture(net, tokens)
+        second = M.forward_capture(net, tokens)
+        assert list(first) == list(second)
+        for idx, x in first.items():
+            assert x.tobytes() == second[idx].tobytes()
 
 
 class TestVocabularyBound:

@@ -21,8 +21,8 @@ class TestCriterionScores:
     def test_magnitude(self, prune_setup):
         net, calib_a, _ = prune_setup
         scores = P.score_step(net, P.PruneConfig(criterion="magnitude", sparsity=0.5), calib_a)
-        assert sorted(scores.layers) == net.prunable_indices()
-        for idx, got in scores.layers.items():
+        assert sorted(scores) == net.prunable_indices()
+        for idx, got in scores.items():
             np.testing.assert_array_equal(got, np.abs(net.layers[idx].weight))
 
     @pytest.mark.parametrize("name", ["prose", "numeric", "bracket"])
@@ -32,13 +32,13 @@ class TestCriterionScores:
         corpus = C.load_corpus(tiny_dir / f"{name}.bin", name)
         calib = C.sample_calibration(corpus, 16, 128, seed=derive_seed(0, "calib", name))
         captures = captured_inputs(tiny_model, calib)
-        oracle = P.DatasetScores(name, calib.n_samples, {
-            idx: wanda_definition(tiny_model.layers[idx].weight, [seg[idx] for seg in captures])
-            for idx in tiny_model.prunable_indices()})
+        oracle = {idx: wanda_definition(tiny_model.layers[idx].weight,
+                                        [seg[idx] for seg in captures])
+                  for idx in tiny_model.prunable_indices()}
         for spec in ({"sparsity": 0.5}, {"nm": (2, 4)}):
             cfg = P.PruneConfig(criterion="wanda", **spec)
             _, masks, _ = P.prune_step(tiny_model, None, cfg, calib)
-            _, want, _ = P.mask_step(tiny_model, None, cfg, oracle)
+            _, want, _ = P.mask_step(tiny_model, None, cfg, calib, oracle)
             assert sorted(masks) == sorted(want)
             for idx, mask in masks.items():
                 assert np.array_equal(mask, want[idx]), (spec, idx)
@@ -259,14 +259,13 @@ def make_calib(corpus_tokens, name, n_samples=4, seq_len=32, seed=0):
 def gathered_inputs(net, calib):
     """Each segment's per-layer inputs, gathered from one capture on the
     vocabulary: column ``a`` of a layer's capture is its input for token ``a``."""
-    inputs = P._vocabulary_inputs(net)
+    inputs = M.forward_capture(net, M.vocabulary_tokens(net))
     return [{idx: x[:, seg[:-1]] for idx, x in inputs.items()} for seg in calib.segments]
 
 
 def captured_inputs(net, calib):
     """The reference for ``gathered_inputs``: one ``forward_capture`` per segment."""
-    return [{rec.layer_index: rec.input for rec in M.forward_capture(net, seg)[1]}
-            for seg in calib.segments]
+    return [M.forward_capture(net, seg) for seg in calib.segments]
 
 
 def wanda_definition(weight, segment_inputs):
@@ -430,7 +429,7 @@ class TestPruneStep:
         state, running, reversed_ = I.init_state(net), I.init_state(net), I.init_state(net)
         for calib in (calib_a, calib_b):
             P.prune_step(net, state, cfg, calib)
-            for idx, total in P.score_step(net, cfg, calib).layers.items():
+            for idx, total in P.score_step(net, cfg, calib).items():
                 running.per_layer[idx] += total
         for calib in (calib_b, calib_a):
             P.prune_step(net, reversed_, cfg, calib)
@@ -449,7 +448,7 @@ class TestPruneStep:
         transposed.per_layer[first] = transposed.per_layer[first].T.copy()
         for state in (missing, transposed):
             with pytest.raises(ShapeError):
-                P.mask_step(net, state, cfg, scores)
+                P.mask_step(net, state, cfg, calib_a, scores)
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
@@ -485,8 +484,8 @@ class TestVocabularyCaptures:
         heavy = make_calib(rng.integers(0, 8, size=2000), "B", n_samples=6, seq_len=41)
         for cal, captures in ((calib, want), (heavy, captured_inputs(net, heavy))):
             wanda = P.score_step(net, P.PruneConfig(criterion="wanda", sparsity=0.5), cal)
-            assert sorted(wanda.layers) == net.prunable_indices()
-            for idx, scores in wanda.layers.items():
+            assert sorted(wanda) == net.prunable_indices()
+            for idx, scores in wanda.items():
                 oracle = wanda_definition(net.layers[idx].weight, [seg[idx] for seg in captures])
                 np.testing.assert_allclose(scores, oracle, rtol=1e-12)
 
