@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,16 @@ class CalibrationSet:
     @property
     def seq_len(self) -> int:
         return self.segments.shape[1]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Entry ``a`` is how many positions read token ``a`` as input: every
+        token of a segment but its last, which is only a target. Its length is
+        one past the largest input token; InputError for a negative token."""
+        if self.segments.min() < 0:
+            raise InputError(f"calibration set {self.corpus_name!r} holds a token id out of "
+                             f"range: {self.segments.min()}")
+        return np.bincount(self.segments[:, :-1].ravel())
 
 
 def load_corpus(path, name: str, eval_fraction: float = DEFAULT_EVAL_FRACTION) -> Corpus:

@@ -22,10 +22,11 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
 - a calibration set per (corpus, ``n_samples``);
 - the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
   scores of every corpus weigh by that corpus's calibration token counts;
-- a dataset's scores (``pruner.score_step``), one matrix per prunable layer,
-  per (criterion, scored network, corpus, ``n_samples``). Sensitivity always
-  scores the base, and so do the baselines under global initialization, so
-  all orderings and specs share a few scores;
+- scores (``pruner.score_step``), one matrix per prunable layer, per
+  (criterion, scored network, input-token counts): a calibration set's counts
+  for the baselines, and for sensitivity the counts of every set its state
+  has seen. Sensitivity always scores the base, and so do the baselines under
+  global initialization, so all orderings and specs share a few scores;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one vocabulary table per network): magnitude under global
   initialization, for one, prunes the base to the same network whatever the
@@ -35,18 +36,21 @@ Every network a command meets is the base times a {0, 1} mask per prunable
 layer, so a network is keyed by its zero pattern (``Memo._key``), the base
 included.
 
-Within one grid, a prune step depends only on the ordering's prefix up to
-it, and under global initialization only on its dataset, so
-``run_grid_cell`` runs each distinct step once: on three corpora, the 18
-steps of the six orderings are 15 prefixes for a sequential criterion and 3
-datasets for a global one. The steps form one table of ``Step`` records
-rooted at the base (key ``()``: the base and the empty state). Each is
-computed from its parent, the step keyed one dataset shorter, by
-``pruner.prune_step`` with the memo's scores in place of ``score_step``; a
-global step is keyed by its dataset alone, so its parent is always the root.
-States are keyed by the prefix, not by the set of datasets seen, because two
-orders of one set give sums that differ in their last bits (see
-``importance``). An ordering's report rows are read off its key path.
+Within one grid, a prune step depends only on what precedes it in its
+ordering, and ``run_grid_cell`` runs each distinct step once. A sequential
+sensitivity step scores the base on the token counts of the datasets seen so
+far, which add exactly in any order (``importance``; this rests on
+``model``'s positionwise contract), so it depends only on that set of
+datasets. A sequential baseline scores its parent's masked network, so it
+depends on the ordering's prefix. Under global initialization a step depends
+only on its dataset. On three corpora, the 18 steps of the six orderings are
+7 sets for sequential sensitivity, 15 prefixes for a sequential baseline and
+3 datasets for a global step. The steps form one table of ``Step`` records
+rooted at the base (key ``()``: the base and the empty state), keyed by a
+``frozenset`` of datasets, a prefix tuple or a one-dataset tuple. Each is
+computed from its parent, the step before it on the ordering's path (the
+root for a global step), by ``pruner.prune_step`` with the memo's scores in
+place of ``score_step``. An ordering's report rows are read off its key path.
 Only successes are kept: a score, evaluation or step that raises raises
 again in every ordering that reaches it.
 """
@@ -201,13 +205,13 @@ class Memo:
         return self._calib[key]
 
     def scores(self, net: Network, config: PruneConfig,
-               calib: CalibrationSet) -> dict[int, np.ndarray]:
-        """``score_step(net, config, calib)``. The rest of ``config`` (epsilon
+               counts: np.ndarray) -> dict[int, np.ndarray]:
+        """``score_step(net, config, counts)``. The rest of ``config`` (epsilon
         and draws, which scale sensitivity scores) comes from the command's
         one ``ExperimentConfig``."""
-        key = (config.criterion, self._key(net), calib.corpus_name, calib.n_samples)
+        key = (config.criterion, self._key(net), counts.tobytes())
         if key not in self._scores:
-            self._scores[key] = score_step(net, config, calib)
+            self._scores[key] = score_step(net, config, counts)
         return self._scores[key]
 
     def perplexities(self, net: Network) -> dict[str, float]:
@@ -258,14 +262,16 @@ class Step(NamedTuple):
 def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     """Full permutation grid for one (criterion, sparsity spec) pair, as its
     ``grid.json`` entry. ``steps`` is one table rooted at the base (``()``);
-    each ``Step``, keyed by its prefix (under global initialization by its
-    dataset alone), hangs off its parent ``steps[key[:-1]]``. An ordering
-    builds the steps its key path lacks, adding only an ``errors`` entry if
-    that fails; its rows are then read off the path."""
+    each ``Step`` is keyed by its set of datasets (sequential sensitivity),
+    its prefix (a sequential baseline) or its dataset alone (global), and
+    hangs off the step before it on an ordering's path, or off the root. An
+    ordering builds the steps its key path lacks, adding only an ``errors``
+    entry if that fails; its rows are then read off the path."""
     names = sorted(memo.corpora)
     calib_sets = {name: memo.calibration(name, n_samples) for name in names}
     pconfig = _prune_config(memo.cfg, criterion, spec)
     sequential = pconfig.init_mode == "sequential"
+    by_set = sequential and criterion == "sensitivity"
 
     cells: list[EvalCell] = []
     completed: list[tuple[str, ...]] = []
@@ -273,16 +279,18 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     step_stats: list[dict] = []
     errors: list[dict] = []
     root_state = init_state(memo.base) if criterion == "sensitivity" else None
-    steps: dict[tuple, Step] = {(): Step(memo.base, None, None, None, root_state)}
+    steps: dict[tuple | frozenset, Step] = {(): Step(memo.base, None, None, None, root_state)}
     for pi in permutations(names):
-        if sequential:  # orderings come sorted, so a prefix off this path never recurs
+        if sequential and not by_set:  # sorted orderings: a prefix off this path never recurs
             steps = {prefix: v for prefix, v in steps.items() if pi[: len(prefix)] == prefix}
-        keys = [pi[:step] if sequential else (name,) for step, name in enumerate(pi, start=1)]
+        keys = [frozenset(pi[:step]) if by_set else pi[:step] if sequential else (name,)
+                for step, name in enumerate(pi, start=1)]
+        parents = [(), *keys[:-1]] if sequential else [()] * len(keys)
         try:
-            for key in keys:  # a key ends with the dataset its step prunes
+            for key, parent, name in zip(keys, parents, pi):
                 if key not in steps:
-                    steps[key] = _prune_and_evaluate(memo, steps[key[:-1]], pconfig,
-                                                     calib_sets[key[-1]])
+                    steps[key] = _prune_and_evaluate(memo, steps[parent], pconfig,
+                                                     calib_sets[name])
         except RECOVERABLE_ERRORS as exc:  # keep other orderings running
             errors.append({"permutation": ">".join(pi), "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -314,8 +322,8 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
 def _prune_and_evaluate(memo: Memo, parent: Step, pconfig: PruneConfig,
                         calib: CalibrationSet) -> Step:
     """One prune step after ``parent``, and the pruned network's perplexities,
-    as a ``Step``. The step adds to a copy of the parent's importance state,
-    so a kept state never changes."""
+    as a ``Step``. A sensitivity step adds to a copy of the parent's importance
+    state, so a kept state never changes."""
     state = deepcopy(parent.state)
     pruned, masks, frag = prune_step(parent.net, state, pconfig, calib, memo.base, memo.scores)
     return Step(pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state)

@@ -6,33 +6,31 @@ magnitude    |W|; data-free.
 wanda        |W| scaled column-wise by the L2 norm of the corresponding
              input feature over the calibration positions, in closed form
              from the token counts: ``sqrt((X * X) @ counts)``.
-sensitivity  the accumulated importance state; this is the continual
-             criterion. Each dataset adds the expected ``|W * grad|`` of its
-             finite-difference sensitivities under Gaussian weight and input
-             perturbations, in closed form from its token counts
+sensitivity  the continual criterion: ``|W|`` times the expected
+             ``|grad|`` of the finite-difference sensitivities under Gaussian
+             weight and input perturbations, in closed form from the token
+             counts of every calibration set seen so far
              (``sensitivity.expected_gradient_magnitude``), so scoring draws
              no noise. Scores are always taken against the base (unmasked)
-             weights, so previously pruned positions can re-enter, and the
-             final state sums the same terms in any dataset order. Float
-             addition is not associative, though: two orders give states
-             that agree only to rounding (see ``importance``).
+             weights, so previously pruned positions can re-enter. The
+             importance state is those counts (``importance``), which add
+             exactly, so every order of one set of datasets gives the same
+             state, importance and masks, bit for bit.
 
 A prune step is the composition of two halves, which pass plain dicts
 keyed by prunable layer index. ``score_step`` does the work that depends
-only on the scored network and one calibration set: a score matrix per
-layer, for every criterion. For sensitivity that is the dataset's
-importance, the expected sum of its calibration positions' ``|W * grad|``
-terms; for wanda ``|W|`` scaled by the feature norms, for magnitude ``|W|``.
-``mask_step`` does the rest under one sparsity spec and returns a mask per
-layer: sensitivity adds the dataset's importance to the carried state and
-ranks the state, the baselines rank their scores. ``prune_step`` is their
-one composition; its ``score`` argument lets a harness memoize the scores.
-Scoring reads each layer's inputs from one capture of the network on the
-vocabulary, which a ``ScoredNetwork`` takes once for every calibration set
-scored on it. Every layer is positionwise, so a calibration position enters
-only through its input token, and both data criteria read a calibration set
-only through ``counts``, how many of its positions read each token: they
-weigh every column of the capture by its token's count.
+only on the scored network and one vector of input-token counts: a score
+matrix per layer, for every criterion. ``mask_step`` does the rest under one
+sparsity spec and returns a mask per layer. ``prune_step`` is their one
+composition: for sensitivity it first adds the calibration set's counts to
+the carried state and scores the state's counts, for the baselines it scores
+the calibration set's own counts. Its ``score`` argument lets a harness
+memoize the scores. Scoring reads each layer's inputs from one capture of the
+network on the vocabulary, which a ``ScoredNetwork`` takes once for every
+count vector scored on it. Every layer is positionwise, so a calibration
+position enters only through its input token, and both data criteria read
+calibration data only through ``counts``, how many of its positions read each
+token: they weigh every column of the capture by its token's count.
 
 A mask is a uint8 array of {0, 1}, shaped like its layer's weight, with 0
 where the weight is pruned. Unstructured selection prunes exactly the
@@ -65,7 +63,7 @@ import numpy as np
 
 from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
-from .importance import ImportanceState, accumulate, check_against, finish_dataset, init_state
+from .importance import ImportanceState, accumulate, check_against
 from .model import Network, check_tokens, forward_capture, linear, vocabulary_tokens
 from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude
 # perfbench's tracer patches accumulate and forward_capture by their names in
@@ -190,64 +188,40 @@ class ScoredNetwork(Network):
         return forward_capture(self, vocabulary_tokens(self))
 
 
-def score_step(net: Network, config: PruneConfig, calib: CalibrationSet) -> dict[int, np.ndarray]:
+def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[int, np.ndarray]:
     """The half of a prune step that depends only on the scored network
-    ``net``, the criterion's settings and one calibration set; neither the
+    ``net``, the criterion's settings and ``counts``, how many calibration
+    positions read each token of ``net``'s vocabulary as input; neither the
     importance state nor the sparsity spec enters it. Returns one score
     matrix, shaped like the weight, per prunable layer index. Magnitude scores
-    ``|W|``. Wanda and sensitivity check every segment's tokens and read the
-    calibration set only through ``counts``, how many calibration positions
-    read each token as input, and each layer's vocabulary inputs ``X``.
+    ``|W|``. Wanda and sensitivity read each layer's vocabulary inputs ``X``.
     Wanda scales ``|W|`` column-wise by the feature norms
     ``sqrt((X * X) @ counts)``, the L2 norm of each input feature over the
-    calibration positions. Sensitivity adds each layer's closed-form
-    expected importance into a zero matrix; ``epsilon`` and ``w_draws`` only
-    scale it, and ``seed`` does not enter it."""
+    calibration positions. Sensitivity scores the importance
+    ``|W| * expected_gradient_magnitude(W, X, counts)``; ``epsilon`` and
+    ``w_draws`` only scale it, and ``seed`` does not enter it."""
     prunable = net.prunable_indices()
     if config.criterion == "magnitude":
         return {idx: np.abs(net.layers[idx].weight) for idx in prunable}
-    tokens = np.concatenate([check_tokens(net, seg)[:-1] for seg in calib.segments])
-    counts = np.bincount(tokens, minlength=net.vocab_size)
     inputs = (net.vocabulary_inputs if isinstance(net, ScoredNetwork)
               else forward_capture(net, vocabulary_tokens(net)))
     if config.criterion == "wanda":
         return {idx: np.abs(net.layers[idx].weight) * np.sqrt((inputs[idx] * inputs[idx]) @ counts)
                 for idx in prunable}
-    importance = init_state(net)
-    for idx in prunable:
-        w = net.layers[idx].weight
-        grad = expected_gradient_magnitude(w, inputs[idx], counts, config.epsilon, config.w_draws)
-        accumulate(importance, idx, w, grad)
-    return importance.per_layer
+    weights = {idx: net.layers[idx].weight for idx in prunable}
+    return {idx: np.abs(w) * expected_gradient_magnitude(w, inputs[idx], counts, config.epsilon,
+                                                         config.w_draws)
+            for idx, w in weights.items()}
 
 
 def mask_step(
-    net: Network,
-    state: ImportanceState | None,
-    config: PruneConfig,
-    calib: CalibrationSet,
-    scores: dict[int, np.ndarray],
+    net: Network, config: PruneConfig, calib: CalibrationSet, scores: dict[int, np.ndarray]
 ) -> tuple[Network, dict[int, np.ndarray], dict]:
     """The half of a prune step that applies one sparsity spec: masks for
-    ``net`` (the scored network) from ``scores``, ``score_step``'s for
-    ``calib``; the re-masked network, which shares all but its linear layers
-    with ``net``; and a report fragment with per-layer sparsity statistics.
-
-    For sensitivity each layer's dataset importance is first added to
-    ``state`` and ``calib``'s dataset is marked as seen; the masks then rank
-    the state. The state is thus a running sum of per-dataset sums.
-    """
-    ranked = scores
-    if config.criterion == "sensitivity":
-        if state is None:
-            raise UsageError("sensitivity criterion requires an importance state")
-        check_against(state, net)
-        for idx, importance in scores.items():
-            state.per_layer[idx] += importance
-        finish_dataset(state, calib.corpus_name, calib.n_samples)
-        ranked = state.per_layer
-
-    masks = {idx: _build_mask(ranked[idx], config) for idx in net.prunable_indices()}
+    ``net`` (the scored network) from ``scores``; the re-masked network, which
+    shares all but its linear layers with ``net``; and a report fragment with
+    per-layer sparsity statistics for the step on ``calib``."""
+    masks = {idx: _build_mask(scores[idx], config) for idx in net.prunable_indices()}
     pruned = Network(list(net.layers), net.vocab_size, net.embed)
     frag: dict = {"corpus": calib.corpus_name, "criterion": config.criterion, "layers": {}}
     for idx, bits in masks.items():
@@ -276,12 +250,22 @@ def prune_step(
     as ``score_step`` is) then ``mask_step`` on the scored network. That is
     the base ``base_net`` for sensitivity, and for the other criteria under
     global initialization, and ``net`` otherwise or when no base is given.
-    Returns the re-masked network, per-layer masks, and a report fragment
-    with per-layer sparsity statistics. A sensitivity ``state`` must be the
-    one carried across datasets; it is updated in place."""
+    Sensitivity first adds ``calib``'s counts to ``state``, the one carried
+    across datasets, in place, and scores the state's counts; the baselines
+    score ``calib``'s own. Returns the re-masked network, per-layer masks, and
+    a report fragment with per-layer sparsity statistics. InputError when a
+    calibration token is outside the scored network's vocabulary."""
     if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
         net = base_net
-    return mask_step(net, state, config, calib, score(net, config, calib))
+    check_tokens(net, calib.segments.ravel())  # so calib.counts fits the vocabulary
+    if config.criterion == "sensitivity":
+        if state is None:
+            raise UsageError("sensitivity criterion requires an importance state")
+        check_against(state, net)
+        counts = accumulate(state, calib).counts
+    else:
+        counts = np.pad(calib.counts, (0, net.vocab_size - calib.counts.size))
+    return mask_step(net, config, calib, score(net, config, counts))
 
 
 def export_masks(masks: dict[int, np.ndarray], config: PruneConfig, out_dir):

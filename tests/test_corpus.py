@@ -86,6 +86,20 @@ class TestSampleCalibration:
         assert (hi - lo) / max_start >= 0.9
 
 
+    def test_input_counts_skip_each_segment_last_token_and_are_counted_once(self):
+        calib = C.sample_calibration(self.make_corpus(), 8, 32, seed=3)
+        want = np.bincount(calib.segments[:, :-1].ravel())
+        np.testing.assert_array_equal(calib.counts, want)
+        assert calib.counts.sum() == 8 * 31
+        assert calib.counts is calib.counts  # cached
+
+    def test_negative_token_in_input_counts_is_an_input_error(self):
+        segments = np.array([[3, 1, 2], [0, -2, 5]])
+        calib = C.CalibrationSet(corpus_name="x", segments=segments, offsets=np.zeros(2), seed=0)
+        with pytest.raises(InputError, match="set 'x' holds a token id out of range: -2"):
+            calib.counts
+
+
 class TestPermutations:
     def test_two(self):
         assert C.permutations(["A", "B"]) == [("A", "B"), ("B", "A")]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -814,6 +815,29 @@ class TestCli:
         assert re.fullmatch(f"contprune: {want}", main_error(capsys, argv))
         if "--out" in argv:
             assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    @pytest.mark.parametrize("kind, want", [
+        ("other-vocabulary",
+         "ShapeError: state counts 255 tokens, network has a vocabulary of 256"),
+        ("version-2", "FormatError: unsupported state version 2"),
+    ], ids=["other-vocabulary", "version-2"])
+    def test_prune_refuses_a_state_it_cannot_continue(self, tiny_cfg_kwargs, tmp_path, capsys,
+                                                       kind, want):
+        state = tmp_path / "s.bin"
+        if kind == "other-vocabulary":
+            other = M.make_decoder(vocab_size=255, d=4, hidden=4, blocks=1)
+            I.save_state(I.init_state(other), state)
+        else:  # one float64 importance matrix per prunable layer
+            blob = json.dumps({"base_sha256": None, "datasets_seen": [], "sample_count": {},
+                               "layers": []}).encode()
+            state.write_bytes(I.STATE_MAGIC + struct.pack("<II", 2, len(blob)) + blob)
+        line = main_error(capsys, [
+            "prune", "--model", tiny_cfg_kwargs["model_path"],
+            "--corpus-path", tiny_cfg_kwargs["corpora"]["prose"], "--state", str(state),
+            "--seed", "0", "--out", str(tmp_path / "p.ckpt"),
+        ])
+        assert line == f"contprune: {want}"
+        assert not (tmp_path / "p.ckpt").exists()
 
     @pytest.mark.parametrize(
         "argv, written",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contprune import corpus as C
 from contprune import importance as I
 from contprune import model as M
 from contprune.errors import FormatError, ShapeError, UsageError
@@ -20,24 +21,29 @@ def small_net(rng):
     return M.Network(layers=layers, vocab_size=8, embed=rng.standard_normal((8, 4)))
 
 
+def calib_set(name, segments):
+    segments = np.asarray(segments)
+    return C.CalibrationSet(corpus_name=name, segments=segments,
+                            offsets=np.zeros(len(segments), dtype=np.int64), seed=0)
+
+
+def random_calib(rng, name, n_samples=3, seq_len=10, vocab=8):
+    return calib_set(name, rng.integers(0, vocab, size=(n_samples, seq_len)))
+
+
 class TestInitState:
     def test_all_zero(self, rng):
         state = I.init_state(small_net(rng))
-        assert all(not a.any() for a in state.per_layer.values())
+        assert state.counts.dtype == np.int64 and not state.counts.any()
 
-    def test_tracks_exactly_the_linear_layers(self, rng):
-        net = small_net(rng)
-        state = I.init_state(net)
-        assert sorted(state.per_layer) == net.prunable_indices() == [0, 2]
-        assert state.per_layer[0].shape == (6, 4)
-        assert state.per_layer[2].shape == (4, 6)
+    def test_counts_span_the_vocabulary(self, rng):
+        assert I.init_state(small_net(rng)).counts.shape == (8,)
 
     def test_two_inits_equal(self, rng):
         net = small_net(rng)
         a, b = I.init_state(net), I.init_state(net)
         assert a.datasets_seen == b.datasets_seen == []
-        for k in a.per_layer:
-            assert np.array_equal(a.per_layer[k], b.per_layer[k])
+        assert np.array_equal(a.counts, b.counts)
 
     def test_no_prunable_layers_rejected(self):
         net = M.Network(layers=[M.activation("relu")], vocab_size=4, embed=np.zeros((4, 2)))
@@ -47,116 +53,87 @@ class TestInitState:
 
 class TestAccumulate:
     def test_arithmetic_example(self, rng):
-        net = small_net(rng)
-        state = I.init_state(net)
-        state.per_layer[0][:] = 1.0
-        weight = np.full((6, 4), 2.0)
-        weight[0, 1] = -1.0
-        grad = np.full((6, 4), -3.0)
-        grad[0, 1] = 4.0
-        I.accumulate(state, 0, weight, grad)
-        # |2 * -3| + 1 = 7 everywhere, |-1 * 4| + 1 = 5 at the flipped entry
-        expected = np.full((6, 4), 7.0)
-        expected[0, 1] = 5.0
-        np.testing.assert_array_equal(state.per_layer[0], expected)
-
-    def test_zero_grad_is_noop(self, rng):
-        net = small_net(rng)
-        state = I.accumulate(I.init_state(net), 0, rng.standard_normal((6, 4)), np.zeros((6, 4)))
-        assert not state.per_layer[0].any()
+        state = I.init_state(small_net(rng))
+        state.counts[:] = 1
+        # a segment's last token is only a target: 7 and 2 are no inputs
+        I.accumulate(state, calib_set("A", [[1, 3, 3, 7], [3, 0, 1, 2]]))
+        np.testing.assert_array_equal(state.counts, [2, 3, 1, 4, 1, 1, 1, 1])
 
     def test_twice_equals_doubled(self, rng):
-        net = small_net(rng)
-        w = rng.standard_normal((6, 4))
-        g = rng.standard_normal((6, 4))
-        state = I.init_state(net)
-        I.accumulate(I.accumulate(state, 0, w, g), 0, w, g)
-        np.testing.assert_allclose(state.per_layer[0], 2.0 * np.abs(w * g), rtol=1e-15)
+        segments = rng.integers(0, 8, size=(3, 10))
+        state = I.init_state(small_net(rng))
+        I.accumulate(I.accumulate(state, calib_set("A", segments)), calib_set("B", segments))
+        once = np.bincount(segments[:, :-1].ravel(), minlength=8)
+        np.testing.assert_array_equal(state.counts, 2 * once)
 
     def test_shape_checked(self, rng):
         state = I.init_state(small_net(rng))
-        with pytest.raises(ShapeError):
-            I.accumulate(state, 0, np.ones((6, 4)), np.ones((4, 6)))
-        with pytest.raises(UsageError):
-            I.accumulate(state, 1, np.ones((6, 4)), np.ones((6, 4)))
+        with pytest.raises(ShapeError, match="reads token 8, beyond the state's vocabulary of 8"):
+            I.accumulate(state, calib_set("A", [[1, 8, 2]]))
+        assert not state.counts.any() and state.datasets_seen == []
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_monotone_nondecreasing(self, seed):
         rng = np.random.default_rng(seed)
-        net = small_net(rng)
-        state = I.init_state(net)
-        for _ in range(3):
-            before = state.per_layer[0].copy()
-            I.accumulate(state, 0, rng.standard_normal((6, 4)), rng.standard_normal((6, 4)))
-            assert (state.per_layer[0] >= before).all()
+        state = I.init_state(small_net(rng))
+        for name in "ABC":
+            before = state.counts.copy()
+            I.accumulate(state, random_calib(rng, name))
+            assert (state.counts >= before).all()
+            assert state.counts.sum() == before.sum() + 3 * 9
 
     def test_disjoint_partitions_merge_to_the_same_total(self, rng):
         net = small_net(rng)
-        pairs = [(rng.standard_normal((6, 4)), rng.standard_normal((6, 4))) for _ in range(8)]
-        full = I.init_state(net)
-        for w, g in pairs:
-            I.accumulate(full, 0, w, g)
-        half_a, half_b = I.init_state(net), I.init_state(net)
-        for w, g in pairs[:4]:
-            I.accumulate(half_a, 0, w, g)
-        for w, g in pairs[4:]:
-            I.accumulate(half_b, 0, w, g)
-        merged = half_a.per_layer[0] + half_b.per_layer[0]
-        assert np.max(np.abs(merged - full.per_layer[0])) <= 1e-12
+        sets = [random_calib(rng, name) for name in "ABCDEFGH"]
+        full, half_a, half_b = I.init_state(net), I.init_state(net), I.init_state(net)
+        for calib in sets:
+            I.accumulate(full, calib)
+        for calib in sets[:4]:
+            I.accumulate(half_a, calib)
+        for calib in sets[4:]:
+            I.accumulate(half_b, calib)
+        np.testing.assert_array_equal(half_a.counts + half_b.counts, full.counts)
 
 
 class TestFinishDataset:
+    """``accumulate`` finishes a dataset: it records the set as seen."""
+
     def test_ordering_recorded(self, rng):
         state = I.init_state(small_net(rng))
-        I.finish_dataset(state, "A", 16)
-        I.finish_dataset(state, "B", 16)
+        I.accumulate(state, random_calib(rng, "A", n_samples=16))
+        I.accumulate(state, random_calib(rng, "B", n_samples=16))
         assert state.datasets_seen == ["A", "B"]
         assert state.sample_count == {"A": 16, "B": 16}
 
     def test_duplicate_consecutive_rejected(self, rng):
         state = I.init_state(small_net(rng))
-        I.finish_dataset(state, "A", 4)
+        I.accumulate(state, random_calib(rng, "A"))
+        before = state.counts.copy()
         with pytest.raises(UsageError):
-            I.finish_dataset(state, "A", 4)
-
-    def test_matrices_untouched(self, rng):
-        net = small_net(rng)
-        state = I.init_state(net)
-        I.accumulate(state, 0, np.ones((6, 4)), np.ones((6, 4)))
-        snapshot = {k: v.copy() for k, v in state.per_layer.items()}
-        I.finish_dataset(state, "A", 1)
-        for k in snapshot:
-            assert np.array_equal(state.per_layer[k], snapshot[k])
+            I.accumulate(state, random_calib(rng, "A"))
+        np.testing.assert_array_equal(state.counts, before)
 
     def test_accumulation_is_order_invariant(self, rng):
-        # contributions keyed by dataset, not by visiting order
+        # integer counts add exactly, so two orders give equal states
         net = small_net(rng)
-        contribs = {
-            name: [(rng.standard_normal((6, 4)), rng.standard_normal((6, 4))) for _ in range(4)]
-            for name in ("A", "B")
-        }
+        sets = {name: random_calib(rng, name) for name in ("A", "B")}
 
         def run(order):
             state = I.init_state(net)
             for name in order:
-                for w, g in contribs[name]:
-                    I.accumulate(state, 0, w, g)
-                I.finish_dataset(state, name, 4)
+                I.accumulate(state, sets[name])
             return state
 
         ab, ba = run(["A", "B"]), run(["B", "A"])
-        assert np.max(np.abs(ab.per_layer[0] - ba.per_layer[0])) <= 1e-12
+        np.testing.assert_array_equal(ab.counts, ba.counts)
+        assert ab.sample_count == ba.sample_count
 
 
 class TestPersistence:
     def fill(self, rng):
         net = small_net(rng)
-        state = I.init_state(net)
-        for idx in state.per_layer:
-            I.accumulate(state, idx, rng.standard_normal(state.per_layer[idx].shape),
-                         rng.standard_normal(state.per_layer[idx].shape))
-        I.finish_dataset(state, "A", 16)
+        state = I.accumulate(I.init_state(net), random_calib(rng, "A", n_samples=16))
         state.base_sha256 = "0123456789abcdef" * 4
         return net, state
 
@@ -168,8 +145,8 @@ class TestPersistence:
         assert loaded.datasets_seen == state.datasets_seen
         assert loaded.sample_count == state.sample_count
         assert loaded.base_sha256 == state.base_sha256
-        for k in state.per_layer:
-            assert state.per_layer[k].tobytes() == loaded.per_layer[k].tobytes()
+        assert loaded.counts.dtype == np.int64
+        np.testing.assert_array_equal(loaded.counts, state.counts)
         # saving the loaded state reproduces the file byte for byte
         path2 = tmp_path / "state2.bin"
         I.save_state(loaded, path2)
@@ -180,10 +157,10 @@ class TestPersistence:
         path = tmp_path / "state.bin"
         I.save_state(state, path)
         other = M.Network(
-            layers=[M.linear(rng.standard_normal((3, 3)))], vocab_size=8,
-            embed=rng.standard_normal((8, 3)),
+            layers=[M.linear(rng.standard_normal((3, 3)))], vocab_size=9,
+            embed=rng.standard_normal((9, 3)),
         )
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="counts 8 tokens, network has a vocabulary of 9"):
             I.load_state(path, other)
 
     def test_corruption_detected(self, tmp_path, rng):
@@ -194,9 +171,10 @@ class TestPersistence:
         path.write_bytes(b"XX" + data[2:])
         with pytest.raises(FormatError):
             I.load_state(path)
-        path.write_bytes(data[: len(data) - 16])
-        with pytest.raises(FormatError):
-            I.load_state(path)
+        for cut in (1, 8, 16):  # part of a count, one count, two counts
+            path.write_bytes(data[: len(data) - cut])
+            with pytest.raises(FormatError, match="state payload truncated"):
+                I.load_state(path)
 
     def test_version_1_rejected(self, tmp_path, rng):
         # version 1 named no base and summed sampled sensitivity terms, so
@@ -205,9 +183,20 @@ class TestPersistence:
         path = tmp_path / "state.bin"
         I.save_state(state, path)
         data = path.read_bytes()
-        assert struct.unpack("<I", data[8:12]) == (2,)
+        assert struct.unpack("<I", data[8:12]) == (3,)
         path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
         with pytest.raises(FormatError, match="unsupported state version 1"):
+            I.load_state(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 held one float64 importance matrix per prunable layer
+        manifest = {"base_sha256": None, "datasets_seen": ["A"], "sample_count": {"A": 2},
+                    "layers": [{"index": 0, "rows": 2, "cols": 3}]}
+        blob = json.dumps(manifest, sort_keys=True).encode()
+        path = tmp_path / "state.bin"
+        path.write_bytes(I.STATE_MAGIC + struct.pack("<II", 2, len(blob)) + blob
+                         + np.arange(6, dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="unsupported state version 2"):
             I.load_state(path)
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
@@ -231,7 +220,7 @@ class TestPersistence:
         path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + blob_len :])
         return path
 
-    @pytest.mark.parametrize("key", ["layers", "datasets_seen", "sample_count", "base_sha256"])
+    @pytest.mark.parametrize("key", ["vocab_size", "datasets_seen", "sample_count", "base_sha256"])
     def test_manifest_without_key_rejected(self, tmp_path, rng, key):
         path = self.saved_with_manifest(tmp_path, rng, lambda m: m.pop(key))
         with pytest.raises(FormatError, match=key):
@@ -240,29 +229,21 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "change",
         [
-            lambda m: m["layers"][0].pop("rows"),
             lambda m: m["sample_count"].update(A="x"),
-            lambda m: m["layers"][0].update(rows=-1),
-            lambda m: m.update(layers=5),
             lambda m: m.update(sample_count=[]),
-            lambda m: m["layers"][1].update(index=m["layers"][0]["index"]),
             lambda m: m.update(base_sha256=m["base_sha256"].upper()),
             lambda m: m.update(base_sha256=m["base_sha256"][:-1]),
+            lambda m: m.update(vocab_size=0),
+            lambda m: m.update(vocab_size=-8),
+            lambda m: m.update(vocab_size="8"),
+            lambda m: m.update(vocab_size=True),
         ],
-        ids=["layer-without-rows", "count-not-int", "negative-rows", "layers-not-list",
-             "counts-not-object", "duplicate-index", "base-digest-upper-case",
-             "base-digest-short"],
+        ids=["count-not-int", "counts-not-object", "base-digest-upper-case", "base-digest-short",
+             "vocab-zero", "vocab-negative", "vocab-not-int", "vocab-bool"],
     )
     def test_malformed_manifest_rejected(self, tmp_path, rng, change):
         path = self.saved_with_manifest(tmp_path, rng, change)
         with pytest.raises(FormatError, match="state manifest"):
-            I.load_state(path)
-
-    def test_layer_indices_must_increase(self, tmp_path, rng):
-        # the writer sorts by index; layers [2, 0] would load, and saving the
-        # loaded state would no longer reproduce the file
-        path = self.saved_with_manifest(tmp_path, rng, lambda m: m["layers"].reverse())
-        with pytest.raises(FormatError, match=r"indices must increase strictly, got \[2, 0\]"):
             I.load_state(path)
 
     @pytest.mark.parametrize(
@@ -278,8 +259,9 @@ class TestPersistence:
         with pytest.raises(FormatError, match="sample_count must map each seen dataset"):
             I.load_state(path)
 
-    def test_inflated_layer_size_is_a_format_error(self, tmp_path, rng):
-        path = self.saved_with_manifest(tmp_path, rng, lambda m: m["layers"][0].update(rows=2**40))
+    @pytest.mark.parametrize("vocab", [9, 2**40], ids=["one-more-token", "huge"])
+    def test_inflated_vocab_size_is_a_format_error(self, tmp_path, rng, vocab):
+        path = self.saved_with_manifest(tmp_path, rng, lambda m: m.update(vocab_size=vocab))
         with pytest.raises(FormatError, match="state payload truncated"):
             I.load_state(path)
 
@@ -287,15 +269,14 @@ class TestPersistence:
         net, state = self.fill(rng)
         p1 = tmp_path / "s1.bin"
         I.save_state(state, p1)
+        (blob_len,) = struct.unpack("<I", p1.read_bytes()[12:16])
+        assert p1.stat().st_size == 16 + blob_len + 8 * net.vocab_size
         # consume far more data; the file stays the same size
-        for _ in range(50):
-            I.accumulate(state, 0, rng.standard_normal((6, 4)), rng.standard_normal((6, 4)))
-        I.finish_dataset(state, "B", 800)
+        I.accumulate(state, random_calib(rng, "B", n_samples=800, seq_len=128))
         p2 = tmp_path / "s2.bin"
         I.save_state(state, p2)
         delta = abs(p2.stat().st_size - p1.stat().st_size)
         assert delta < 64  # only the manifest entry for "B" differs
-
 
 
 # the field each reader must name; make_decoder's layers are linear,
@@ -303,23 +284,23 @@ class TestPersistence:
 PAYLOAD_FIELDS = {
     "embed": "checkpoint embedding", "weight": "checkpoint layer 2 weight",
     "gain": "checkpoint layer 3 gain", "bias": "checkpoint layer 3 bias",
-    "state": "state layer 2",
+    "state": "state counts hold a negative entry",
 }
 
 
 @pytest.mark.parametrize(
     "field, value",
     [*((f, v) for f in ("embed", "weight", "gain", "bias") for v in (np.nan, np.inf)),
-     *(("state", v) for v in (np.nan, np.inf, -1.0))],
+     ("state", -1.0)],
 )
 def test_reader_rejects_non_finite_or_negative_payload(tmp_path, field, value):
-    """Both artifact readers reject a non-finite entry, naming its field; the
-    state reader also rejects a negative one, as importance sums |W * grad|."""
+    """The checkpoint reader rejects a non-finite entry, naming its field; the
+    state reader rejects a negative count (its payload is integers)."""
     net = M.make_decoder(vocab_size=8, d=4, hidden=6, blocks=1, seed=1)
     path = tmp_path / "artifact.bin"
     if field == "state":
         state = I.init_state(net)
-        state.per_layer[2][1, 1] = value
+        state.counts[1] = value
         I.save_state(state, path)
         read = I.load_state
     else:
@@ -336,10 +317,7 @@ def saved_artifacts(tmp_path):
     """A saved checkpoint and importance state of one small decoder, each with
     the length of its leading part that holds every size field."""
     net = M.make_decoder(vocab_size=8, d=4, hidden=6, blocks=1, seed=1)
-    state = I.init_state(net)
-    for i, acc in state.per_layer.items():
-        acc += np.arange(acc.size, dtype=np.float64).reshape(acc.shape) / (i + 1)
-    I.finish_dataset(state, "prose", 4)
+    state = I.accumulate(I.init_state(net), calib_set("prose", np.arange(32).reshape(4, 8) % 8))
     M.save_checkpoint(net, tmp_path / "model.ckpt")
     I.save_state(state, tmp_path / "state.bin")
     ckpt, blob = (tmp_path / "model.ckpt").read_bytes(), (tmp_path / "state.bin").read_bytes()

@@ -176,13 +176,13 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     assert all(g["complete"] for g in out["grids"].values())
     # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 prune steps and
     # 54 x 3 + 3 dense = 165 evaluations. Memoized, every criterion scores
-    # the base once per corpus, and each distinct network is evaluated once,
-    # on all 3 corpora from one vocabulary table: the base; magnitude prunes
-    # it to one network whatever the corpus, wanda to one per corpus, and
-    # sensitivity to one per ordering prefix (15) at most. On this data,
-    # prefixes that have seen the same set of datasets reach equal masks:
-    # 7 networks, so 12 tables give the 3 * 12 = 36 distinct values.
-    assert len(scores) == 3 * 3
+    # the base once per count vector: the baselines once per corpus, and
+    # sensitivity once per non-empty set of corpora (7). Each distinct
+    # network is evaluated once, on all 3 corpora from one vocabulary table:
+    # the base; magnitude prunes it to one network whatever the corpus, wanda
+    # to one per corpus, and sensitivity to one per set of corpora seen (7),
+    # so 12 tables give the 3 * 12 = 36 distinct values.
+    assert len(scores) == 3 + 3 + 7
     assert len(evals) == 1 + 1 + 3 + 7
     assert len({sha256(net) for net, _, _ in evals}) == len(evals)
     assert all(sorted(corpora) == list(CORPORA) for _, corpora, _ in evals)
@@ -191,10 +191,11 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
 @pytest.mark.parametrize(
     "init_mode, want",
     [
-        # sensitivity runs sequentially: one step per ordering prefix, 3 + 6 + 6;
+        # sensitivity runs sequentially: one step per set of datasets seen,
+        # 3 + 3 + 1; a sequential baseline one per ordering prefix, 3 + 6 + 6;
         # the baselines run globally: one step per dataset
-        (None, {"sensitivity": 15, "magnitude": 3, "wanda": 3}),
-        ("sequential", {"sensitivity": 15, "magnitude": 15, "wanda": 15}),
+        (None, {"sensitivity": 7, "magnitude": 3, "wanda": 3}),
+        ("sequential", {"sensitivity": 7, "magnitude": 15, "wanda": 15}),
         ("global", {"sensitivity": 3, "magnitude": 3, "wanda": 3}),
     ],
     ids=["default", "sequential", "global"],
@@ -223,7 +224,7 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
 
     monkeypatch.setattr(H, "_prune_and_evaluate", recording)
     assert H.run_grid_cell(memo, "sensitivity", 0.5, cfg.n_samples)["complete"]
-    assert len(steps) == (15 if init_mode == "sequential" else 3)
+    assert len(steps) == (7 if init_mode == "sequential" else 3)
     root = steps[0][0]
     assert root[:4] == (memo.base, None, None, None)
     for parent, pconfig, calib, step in steps:
@@ -232,7 +233,7 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
         assert all(np.array_equal(again[1][i], m) for i, m in step[1].items())
         assert again[2:4] == step[2:4]
         for state in (again[4], step[4]):
-            assert all(np.array_equal(state.per_layer[i], a) for i, a in step[4].per_layer.items())
+            assert np.array_equal(state.counts, step[4].counts)
             assert (state.datasets_seen, state.sample_count) == (step[4].datasets_seen,
                                                                  step[4].sample_count)
         # the parent's state is as the parent's own step left it
@@ -243,7 +244,7 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
             assert parent is root
         assert step[4].datasets_seen == seen
     assert root[4].datasets_seen == [] and root[4].sample_count == {}
-    assert not any(matrix.any() for matrix in root[4].per_layer.values())
+    assert not root[4].counts.any()
 
 
 def test_a_step_is_built_while_only_its_ancestors_are_held(three_corpora, monkeypatch):
@@ -278,7 +279,7 @@ def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
     assert len(captured) == 1
 
 
-@pytest.mark.parametrize("init_mode, n_steps", [(None, 21), ("sequential", 45)],
+@pytest.mark.parametrize("init_mode, n_steps", [(None, 13), ("sequential", 37)],
                          ids=["default", "sequential"])
 def test_step_networks_share_all_but_their_linear_weights_with_the_base(
     three_corpora, tmp_path, monkeypatch, init_mode, n_steps
@@ -321,13 +322,21 @@ def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(
     three_corpora, tmp_path, monkeypatch
 ):
     real, attempts = H.score_step, []
+    memos, real_load = [], H._load_inputs
 
-    def failing_numeric(net, config, calib):
-        if config.criterion == "wanda" and calib.corpus_name == "numeric":
-            attempts.append(calib.corpus_name)
+    def load(*args):
+        memos.append(real_load(*args))
+        return memos[-1]
+
+    def failing_numeric(net, config, counts):
+        numeric = memos[0].calibration("numeric", memos[0].cfg.n_samples).counts
+        if config.criterion == "wanda" and np.array_equal(
+                counts, np.pad(numeric, (0, counts.size - numeric.size))):
+            attempts.append(counts)
             raise NumericalError("synthetic failure")
-        return real(net, config, calib)
+        return real(net, config, counts)
 
+    monkeypatch.setattr(H, "_load_inputs", load)
     monkeypatch.setattr(H, "score_step", failing_numeric)
     cfg = H.ExperimentConfig(
         **three_corpora, output_dir=str(tmp_path / "runs"), criteria=("wanda", "magnitude")
@@ -350,8 +359,9 @@ def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora):
     for run in runs:
         H.run_grid_cell(memo, *run)
     prunable = memo.base.prunable_indices()
-    # sensitivity at 4 and 2 samples, wanda and magnitude: each scores the base
-    assert len(memo._scores) == 4 * len(CORPORA)
+    # each scores the base: wanda and magnitude once per corpus, sensitivity
+    # at 4 and at 2 samples once per non-empty set of corpora (7)
+    assert len(memo._scores) == 2 * len(CORPORA) + 2 * 7
     for key, scores in memo._scores.items():
         assert sorted(scores) == prunable, key
         for idx, matrix in scores.items():

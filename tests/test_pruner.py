@@ -20,7 +20,8 @@ from contprune.seeding import derive_seed
 class TestCriterionScores:
     def test_magnitude(self, prune_setup):
         net, calib_a, _ = prune_setup
-        scores = P.score_step(net, P.PruneConfig(criterion="magnitude", sparsity=0.5), calib_a)
+        scores = P.score_step(net, P.PruneConfig(criterion="magnitude", sparsity=0.5),
+                              input_counts(net, calib_a))
         assert sorted(scores) == net.prunable_indices()
         for idx, got in scores.items():
             np.testing.assert_array_equal(got, np.abs(net.layers[idx].weight))
@@ -38,7 +39,7 @@ class TestCriterionScores:
         for spec in ({"sparsity": 0.5}, {"nm": (2, 4)}):
             cfg = P.PruneConfig(criterion="wanda", **spec)
             _, masks, _ = P.prune_step(tiny_model, None, cfg, calib)
-            _, want, _ = P.mask_step(tiny_model, None, cfg, calib, oracle)
+            _, want, _ = P.mask_step(tiny_model, cfg, calib, oracle)
             assert sorted(masks) == sorted(want)
             for idx, mask in masks.items():
                 assert np.array_equal(mask, want[idx]), (spec, idx)
@@ -256,6 +257,12 @@ def make_calib(corpus_tokens, name, n_samples=4, seq_len=32, seed=0):
     return C.sample_calibration(corpus, n_samples, seq_len, seed)
 
 
+def input_counts(net, calib):
+    """How many of ``calib``'s positions read each token of ``net``'s
+    vocabulary as input: every segment token but the last."""
+    return np.bincount(calib.segments[:, :-1].ravel(), minlength=net.vocab_size)
+
+
 def gathered_inputs(net, calib):
     """Each segment's per-layer inputs, gathered from one capture on the
     vocabulary: column ``a`` of a layer's capture is its input for token ``a``."""
@@ -414,41 +421,62 @@ class TestPruneStep:
         layers = (0, 2)
         inputs = [{idx: x for idx, x in seg.items() if idx in layers}
                   for seg in captured_inputs(net, calib)]
-        mean = {idx: np.zeros_like(state.per_layer[idx]) for idx in layers}
+        importance = P.score_step(net, P.PruneConfig(criterion="sensitivity", sparsity=0.5),
+                                  state.counts)
+        mean = {idx: np.zeros_like(importance[idx]) for idx in layers}
         for k in range(draws):
             for idx, w, grad in sensitivity_terms(net, calib, k, 1, inputs):
                 mean[idx] += np.abs(w * grad) / draws
         for idx in layers:
-            closed = state.per_layer[idx]
+            closed = importance[idx]
             assert np.linalg.norm(mean[idx] - closed) / np.linalg.norm(closed) < 0.03
 
     def test_state_is_the_running_sum_of_per_dataset_sums(self, prune_setup):
-        # each dataset's importance, scored on its own, added in visit order
+        # each dataset's input-token counts, added in visit order; integers
+        # add exactly, so another visit order gives the same state and scores
         net, calib_a, calib_b = prune_setup
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, w_draws=2)
-        state, running, reversed_ = I.init_state(net), I.init_state(net), I.init_state(net)
+        state, reversed_ = I.init_state(net), I.init_state(net)
+        running = np.zeros(net.vocab_size, dtype=np.int64)
         for calib in (calib_a, calib_b):
             P.prune_step(net, state, cfg, calib)
-            for idx, total in P.score_step(net, cfg, calib).items():
-                running.per_layer[idx] += total
+            running += input_counts(net, calib)
+            np.testing.assert_array_equal(state.counts, running)
         for calib in (calib_b, calib_a):
             P.prune_step(net, reversed_, cfg, calib)
+        np.testing.assert_array_equal(state.counts, reversed_.counts)
+        forward, backward = (P.score_step(net, cfg, s.counts) for s in (state, reversed_))
         for idx in net.prunable_indices():
-            np.testing.assert_array_equal(state.per_layer[idx], running.per_layer[idx])
-            # another visit order sums the same terms, equal up to rounding
-            np.testing.assert_allclose(state.per_layer[idx], reversed_.per_layer[idx], rtol=1e-15)
+            assert np.array_equal(forward[idx], backward[idx])
 
     def test_state_not_matching_the_network_is_a_shape_error(self, prune_setup):
         net, calib_a, _ = prune_setup
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, seed=0)
-        scores = P.score_step(net, cfg, calib_a)
-        first = net.prunable_indices()[0]
-        missing, transposed = I.init_state(net), I.init_state(net)
-        del missing.per_layer[first]
-        transposed.per_layer[first] = transposed.per_layer[first].T.copy()
-        for state in (missing, transposed):
-            with pytest.raises(ShapeError):
-                P.mask_step(net, state, cfg, calib_a, scores)
+        for vocab in (net.vocab_size - 1, net.vocab_size + 1):
+            state = I.init_state(M.make_decoder(vocab_size=vocab, d=16, hidden=24, blocks=1))
+            with pytest.raises(ShapeError, match=f"state counts {vocab} tokens"):
+                P.prune_step(net, state, cfg, calib_a)
+            assert not state.counts.any() and state.datasets_seen == []
+
+    def test_every_order_gives_bit_equal_state_importance_and_masks(self, tiny_dir, tiny_model):
+        names = ("bracket", "numeric", "prose")
+        calib = {n: C.sample_calibration(C.load_corpus(tiny_dir / f"{n}.bin", n), 16, 128,
+                                         derive_seed(0, "calib", n)) for n in names}
+        for spec in ({"sparsity": 0.5}, {"nm": (2, 4)}):
+            cfg = P.PruneConfig(criterion="sensitivity", init_mode="sequential", **spec)
+            finals = []
+            for order in C.permutations(names):
+                net, state = tiny_model, I.init_state(tiny_model)
+                for name in order:
+                    net, masks, _ = P.prune_step(net, state, cfg, calib[name], base_net=tiny_model)
+                finals.append((state.counts, P.score_step(tiny_model, cfg, state.counts), masks))
+            assert len(finals) == 6
+            counts, importance, masks = finals[0]
+            for other_counts, other_importance, other_masks in finals[1:]:
+                assert np.array_equal(other_counts, counts)
+                for idx in tiny_model.prunable_indices():
+                    assert np.array_equal(other_importance[idx], importance[idx]), (spec, idx)
+                    assert np.array_equal(other_masks[idx], masks[idx]), (spec, idx)
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
@@ -483,7 +511,8 @@ class TestVocabularyCaptures:
         # above 1
         heavy = make_calib(rng.integers(0, 8, size=2000), "B", n_samples=6, seq_len=41)
         for cal, captures in ((calib, want), (heavy, captured_inputs(net, heavy))):
-            wanda = P.score_step(net, P.PruneConfig(criterion="wanda", sparsity=0.5), cal)
+            wanda = P.score_step(net, P.PruneConfig(criterion="wanda", sparsity=0.5),
+                                 input_counts(net, cal))
             assert sorted(wanda) == net.prunable_indices()
             for idx, scores in wanda.items():
                 oracle = wanda_definition(net.layers[idx].weight, [seg[idx] for seg in captures])
@@ -497,6 +526,7 @@ class TestVocabularyCaptures:
         cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, epsilon=eps, w_draws=draws)
         state = I.init_state(net)
         P.prune_step(net, state, cfg, calib_a)
+        importance = P.score_step(net, cfg, state.counts)
         for idx in net.prunable_indices():
             w = net.layers[idx].weight
             grad = np.zeros_like(w)
@@ -506,7 +536,7 @@ class TestVocabularyCaptures:
                     sd = eps * np.sqrt(np.mean(w * w) * np.sum(x[:, p] ** 2)
                                        + np.mean(x[:, p] ** 2) * np.sum(w * w, axis=1))
                     grad += draws * 2 * np.outer(np.sqrt(2 / np.pi) * sd, np.abs(x[:, p]))
-            np.testing.assert_allclose(state.per_layer[idx], np.abs(w) * grad, rtol=1e-12)
+            np.testing.assert_allclose(importance[idx], np.abs(w) * grad, rtol=1e-12)
 
     @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
     @pytest.mark.parametrize("bad", [-1, 64])

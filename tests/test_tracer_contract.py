@@ -10,7 +10,8 @@ their modules call and must keep importing under those names. A rename or a
 moved import makes ``tracer.install`` fail, or leaves a span that counts
 nothing; this test runs ``perfbench/child.py --trace-out`` on a tiny grid to
 catch both. Sensitivity scores in closed form, so the kernel and noise spans
-stay empty and each scored corpus adds one term per prunable layer.
+stay empty, and each sensitivity step adds one calibration set's token counts
+to its state.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, tiny_model, tmp_path):
+def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, tmp_path):
     trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
@@ -47,14 +48,12 @@ def test_traced_tiny_grid_records_the_pruning_spans(tiny_dir, tiny_model_path, t
     # scoring draws no noise and runs no sampled kernel
     assert spans.get("sensitivity.kernel", {}).get("calls", 0) == 0
     assert spans.get("sensitivity.noise", {}).get("calls", 0) == 0
-    # one closed-form term per prunable layer for each of the 2 corpora,
-    # each scored once
-    assert calls["importance.accumulate"] == len(tiny_model.prunable_indices()) * 2
+    # one calibration set's counts added per sensitivity step
+    assert calls["importance.accumulate"] == calls["pruner.prune_step.sensitivity"] == 3
     # one report per grid entry: sensitivity and wanda at the default 0.5
     assert calls["metrics.aggregate"] == 2
     # both criteria score only the base network, whose capture is taken once
     assert calls["model.forward_capture"] == 1
-    # each distinct step once: sensitivity runs one per ordering prefix of two
-    # corpora (a, a>b, b, b>a), wanda under global initialization one per corpus
-    assert calls["pruner.prune_step.sensitivity"] == 4
+    # each distinct step once: sensitivity runs one per set of datasets seen
+    # ({a}, {b}, {a, b}), wanda under global initialization one per corpus
     assert calls["pruner.prune_step.wanda"] == 2
