@@ -22,15 +22,16 @@ keyed by prunable layer index. ``score_step`` does the work that depends
 only on the scored network and one vector of input-token counts: a score
 matrix per layer, for every criterion. ``mask_step`` does the rest under one
 sparsity spec and returns a mask per layer. ``prune_step`` is their one
-composition: for sensitivity it first adds the calibration set's counts to
-the carried state and scores the state's counts, for the baselines it scores
-the calibration set's own counts. Its ``score`` argument lets a harness
-memoize the scores. Scoring reads each layer's inputs from one capture of the
-network on the vocabulary, which a ``ScoredNetwork`` takes once for every
-count vector scored on it. Every layer is positionwise, so a calibration
-position enters only through its input token, and both data criteria read
-calibration data only through ``counts``, how many of its positions read each
-token: they weigh every column of the capture by its token's count.
+composition: for sensitivity it scores the carried state's counts with the
+calibration set's added, and commits them to the state only if the step
+succeeds; for the baselines it scores the calibration set's own counts. Its
+``score`` argument lets a harness memoize the scores. Scoring reads each
+layer's inputs from one capture of the network on the vocabulary, which a
+``ScoredNetwork`` takes once for every count vector scored on it. Every layer
+is positionwise, so a calibration position enters only through its input
+token, and both data criteria read calibration data only through ``counts``,
+how many of its positions read each token: they weigh every column of the
+capture by its token's count.
 
 A mask is a uint8 array of {0, 1}, shaped like its layer's weight, with 0
 where the weight is pruned. Unstructured selection prunes exactly the
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -250,22 +252,25 @@ def prune_step(
     as ``score_step`` is) then ``mask_step`` on the scored network. That is
     the base ``base_net`` for sensitivity, and for the other criteria under
     global initialization, and ``net`` otherwise or when no base is given.
-    Sensitivity first adds ``calib``'s counts to ``state``, the one carried
-    across datasets, in place, and scores the state's counts; the baselines
-    score ``calib``'s own. Returns the re-masked network, per-layer masks, and
-    a report fragment with per-layer sparsity statistics. InputError when a
-    calibration token is outside the scored network's vocabulary."""
+    Sensitivity scores the counts of ``state``, the one carried across
+    datasets, with ``calib``'s added; ``state`` takes them, in place, only
+    once the step has succeeded. The baselines score ``calib``'s own counts.
+    Returns the re-masked network, per-layer masks, and a report fragment
+    with per-layer sparsity statistics. InputError when a calibration token is
+    outside the scored network's vocabulary."""
     if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
         net = base_net
     check_tokens(net, calib.segments.ravel())  # so calib.counts fits the vocabulary
-    if config.criterion == "sensitivity":
-        if state is None:
-            raise UsageError("sensitivity criterion requires an importance state")
-        check_against(state, net)
-        counts = accumulate(state, calib).counts
-    else:
+    if config.criterion != "sensitivity":
         counts = np.pad(calib.counts, (0, net.vocab_size - calib.counts.size))
-    return mask_step(net, config, calib, score(net, config, counts))
+        return mask_step(net, config, calib, score(net, config, counts))
+    if state is None:
+        raise UsageError("sensitivity criterion requires an importance state")
+    check_against(state, net)
+    staged = accumulate(deepcopy(state), calib)
+    step = mask_step(net, config, calib, score(net, config, staged.counts))
+    vars(state).update(vars(staged))
+    return step
 
 
 def export_masks(masks: dict[int, np.ndarray], config: PruneConfig, out_dir):

@@ -3,13 +3,16 @@
 Plain stochastic gradient descent with global-norm clipping; reverse-mode
 gradients exist only here (the pruning criteria never backpropagate).
 Batches are windows drawn uniformly from the calibration ranges of the
-given corpora, so the evaluation splits stay unseen.
+given corpora, so the evaluation splits stay unseen; ``train`` refuses a
+corpus whose calibration range is shorter than ``seq_len`` before any step.
 
 The forward pass is the model's: every layer is positionwise, so a batch's
 loss is a sum over its bigram counts of the vocabulary table's rows. A step
 runs ``model.layer_inputs`` only on the batch's distinct previous tokens
 (about 60 of the 256 for a 16 x 64 batch on the shipped corpora), which
 gives every input the backward pass needs. Only the backward pass lives here.
+It returns one list of (parameter, gradient) pairs, the embedding first and
+then the layers in backward order; the clip norm sums in that order.
 """
 from __future__ import annotations
 
@@ -43,23 +46,18 @@ class TrainConfig:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
-def _sample_batch(corpora: list[Corpus], batch: int, seq_len: int, rng) -> np.ndarray:
-    windows = np.empty((batch, seq_len), dtype=np.int64)
-    picks = rng.integers(0, len(corpora), size=batch)
-    for b in range(batch):
-        calib = corpora[picks[b]].calibration_tokens()
-        if len(calib) < seq_len:
-            raise UsageError(
-                f"corpus {corpora[picks[b]].name!r} calibration range shorter "
-                f"than seq_len={seq_len}"
-            )
-        start = rng.integers(0, len(calib) - seq_len + 1)
-        windows[b] = calib[start : start + seq_len]
-    return windows
+def _sample_batch(calibs: list[np.ndarray], batch: int, seq_len: int, rng) -> np.ndarray:
+    """A corpus pick per window, then all window starts in one draw, which
+    takes the generator's values as one draw per window would."""
+    picks = rng.integers(0, len(calibs), size=batch)
+    highs = np.array([len(calib) - seq_len + 1 for calib in calibs])
+    starts = rng.integers(0, highs[picks])
+    return np.stack([calibs[p][s : s + seq_len] for p, s in zip(picks, starts)])
 
 
 def _loss_and_grads(net: Network, windows: np.ndarray):
-    """Mean cross-entropy over all next-token positions plus gradients.
+    """Mean cross-entropy over all next-token positions, and the (parameter,
+    gradient) pairs of ``net``, in the order ``train`` sums the clip norm.
 
     Position ``(a, b)`` (previous token, target) reads row ``a`` of the
     vocabulary table, so with the batch's bigram counts ``C[a, b]`` over
@@ -74,8 +72,8 @@ def _loss_and_grads(net: Network, windows: np.ndarray):
     prev, targets = windows[:, :-1].ravel(), windows[:, 1:].ravel()
     n = prev.size
     active, row = np.unique(prev, return_inverse=True)
-    counts = np.zeros((active.size, net.vocab_size))
-    np.add.at(counts, (row, targets), 1.0)
+    V = net.vocab_size
+    counts = np.bincount(row * V + targets, minlength=active.size * V).reshape(active.size, V)
 
     # column i: token active[i] (the trailing 0 is never an input)
     xs = layer_inputs(net, np.append(vocabulary_tokens(net)[active], 0))
@@ -90,24 +88,23 @@ def _loss_and_grads(net: Network, windows: np.ndarray):
     d_embed = dlogits.T @ h.T  # head side: every row
     dx = net.embed.T @ dlogits.T
 
-    grads: dict[int, dict[str, np.ndarray]] = {}
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer, x = net.layers[idx], xs[idx]
+    pairs = [(net.embed, d_embed)]
+    for layer, x in zip(reversed(net.layers), reversed(xs[:-1])):
         if layer.kind == "linear":
-            grads[idx] = {"weight": dx @ x.T}
+            pairs.append((layer.weight, dx @ x.T))
             dx = layer.weight.T @ dx
         elif layer.kind == "activation":
             dx = dx * activation_grad(layer.activation_kind, x)
         else:
             xhat, std = standardize(x)
-            grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}
+            pairs += [(layer.gain, (dx * xhat).sum(axis=1)), (layer.bias, dx.sum(axis=1))]
             dxhat = dx * layer.gain[:, None]
             m1 = dxhat.mean(axis=0, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
             dx = (dxhat - m1 - xhat * m2) / std
 
     d_embed[active] += dx.T  # lookup side, tied with the head: each active row once
-    return loss, d_embed, grads
+    return loss, pairs
 
 
 def train(
@@ -123,32 +120,22 @@ def train(
     """
     if not corpora:
         raise UsageError("need at least one corpus to train on")
+    calibs = [corpus.calibration_tokens() for corpus in corpora]
+    for corpus, calib in zip(corpora, calibs):
+        if len(calib) < cfg.seq_len:
+            raise UsageError(f"corpus {corpus.name!r} calibration range shorter than seq_len={cfg.seq_len}")
     out = net.copy()
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     for step in range(cfg.steps):
-        windows = _sample_batch(corpora, cfg.batch, cfg.seq_len, rng)
-        loss, d_embed, grads = _loss_and_grads(out, windows)
+        loss, pairs = _loss_and_grads(out, _sample_batch(calibs, cfg.batch, cfg.seq_len, rng))
         if not np.isfinite(loss):
-            raise TrainingError(
-                f"loss became non-finite at step {step}; try a smaller learning_rate"
-            )
+            raise TrainingError(f"loss became non-finite at step {step}; try a smaller learning_rate")
         if loss_log is not None:
             loss_log.append(loss)
 
-        sq = float((d_embed * d_embed).sum())
-        for g in grads.values():
-            for arr in g.values():
-                sq += float((arr * arr).sum())
-        norm = np.sqrt(sq)
+        norm = np.sqrt(sum(float((g * g).sum()) for _, g in pairs))
         factor = lr if norm <= CLIP_NORM else lr * CLIP_NORM / norm
-
-        out.embed -= factor * d_embed
-        for idx, g in grads.items():
-            layer = out.layers[idx]
-            if "weight" in g:
-                layer.weight -= factor * g["weight"]
-            else:
-                layer.gain -= factor * g["gain"]
-                layer.bias -= factor * g["bias"]
+        for p, g in pairs:
+            p -= factor * g
     return out

@@ -495,6 +495,21 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "5"])
+    def test_train_refuses_a_corpus_shorter_than_seq_len(self, tmp_path, capsys, steps):
+        data = tmp_path / "data"
+        assert cli.main(["gen-corpora", "--out", str(data), "--tokens", "2000", "--seed", "1"]) == 0
+        (data / "short.bin").write_bytes(bytes(range(65, 85)))  # 16 calibration tokens
+        model = tmp_path / "m.ckpt"
+        line = main_error(capsys, [
+            "train", "--corpora-dir", str(data), "--out", str(model), "--steps", steps,
+            "--batch", "2", "--seq-len", "17", "--dim", "8", "--hidden", "12", "--blocks", "1",
+            "--seed", "0",
+        ])
+        assert line == ("contprune: UsageError: corpus 'short' calibration range shorter "
+                        "than seq_len=17")
+        assert not model.exists()
+
     def test_train_loss_line_averages_disjoint_ends(self, tmp_path, capsys, monkeypatch):
         # under 100 steps each end averages steps // 2 losses, so the two
         # ends never overlap and the line shows the loss moving

@@ -458,6 +458,28 @@ class TestPruneStep:
                 P.prune_step(net, state, cfg, calib_a)
             assert not state.counts.any() and state.datasets_seen == []
 
+    @pytest.mark.parametrize("stage", ["score", "mask"])
+    def test_failed_step_leaves_the_state_untouched(self, prune_setup, stage):
+        net, calib_a, calib_b = prune_setup
+        cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5)
+        state = I.init_state(net)
+        P.prune_step(net, state, cfg, calib_a)
+        counts, seen, samples = state.counts.copy(), list(state.datasets_seen), dict(state.sample_count)
+
+        def failing(net, config, counts):
+            if stage == "score":
+                raise NumericalError("scoring failed")
+            return {idx: np.full(net.layers[idx].weight.shape, np.nan) for idx in net.prunable_indices()}
+
+        with pytest.raises(NumericalError):
+            P.prune_step(net, state, cfg, calib_b, score=failing)
+        assert np.array_equal(state.counts, counts)
+        assert state.datasets_seen == seen == ["A"] and state.sample_count == samples
+        # the same step, once it succeeds, updates the caller's state in place
+        P.prune_step(net, state, cfg, calib_b)
+        assert np.array_equal(state.counts, counts + input_counts(net, calib_b))
+        assert state.datasets_seen == ["A", "B"]
+
     def test_every_order_gives_bit_equal_state_importance_and_masks(self, tiny_dir, tiny_model):
         names = ("bracket", "numeric", "prose")
         calib = {n: C.sample_calibration(C.load_corpus(tiny_dir / f"{n}.bin", n), 16, 128,

@@ -94,6 +94,15 @@ class TestTrain:
         with pytest.raises(InputError, match="out of range"):
             T.train(net, [corpus], T.TrainConfig(steps=1, batch=4, seq_len=16, seed=0))
 
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_corpus_shorter_than_seq_len_is_refused_before_any_step(self, rng, monkeypatch, steps):
+        net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=1, seed=0)
+        short = C.Corpus(name="short", tokens=rng.integers(0, 64, size=20))  # 16 calibration tokens
+        monkeypatch.setattr(T, "_loss_and_grads", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(UsageError, match="corpus 'short' calibration range shorter than seq_len=17$"):
+            T.train(net, [byte_corpus(rng), short], T.TrainConfig(steps=steps, batch=2, seq_len=17))
+        T.train(net, [short], T.TrainConfig(steps=0, batch=2, seq_len=16))  # exactly seq_len fits
+
 
 def _oracle_activation_forward(kind, x):
     if kind == "relu":
@@ -154,12 +163,12 @@ def oracle_loss_and_grads(net, windows):
     d_embed = dlogits @ h.T  # head side
     dx = net.embed.T @ dlogits
 
-    grads = {}
+    pairs = [(net.embed, d_embed)]
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         kind, cache = caches[idx]
         if kind == "linear":
-            grads[idx] = {"weight": dx @ cache.T}
+            pairs.append((layer.weight, dx @ cache.T))
             dx = layer.weight.T @ dx
         elif kind == "activation":
             dx = dx * _oracle_activation_grad(layer.activation_kind, cache)
@@ -171,10 +180,10 @@ def oracle_loss_and_grads(net, windows):
             m1 = dxhat.mean(axis=0, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
             dx = inv_std * (dxhat - m1 - xhat * m2)
-            grads[idx] = {"gain": dgain, "bias": dbias}
+            pairs += [(layer.gain, dgain), (layer.bias, dbias)]
 
     np.add.at(d_embed, inputs, dx.T)  # lookup side, tied with the head
-    return loss, d_embed, grads
+    return loss, pairs
 
 
 def table_loss_and_grads(net, windows):
@@ -199,28 +208,29 @@ def table_loss_and_grads(net, windows):
     d_embed = dlogits.T @ h.T  # head side
     dx = net.embed.T @ dlogits.T
 
-    grads = {}
+    pairs = [(net.embed, d_embed)]
     for idx in range(len(net.layers) - 1, -1, -1):
         layer, x = net.layers[idx], xs[idx]
         if layer.kind == "linear":
-            grads[idx] = {"weight": dx @ x.T}
+            pairs.append((layer.weight, dx @ x.T))
             dx = layer.weight.T @ dx
         elif layer.kind == "activation":
             dx = dx * M.activation_grad(layer.activation_kind, x)
         else:
             xhat, std = M.standardize(x)
-            grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}
+            pairs += [(layer.gain, (dx * xhat).sum(axis=1)), (layer.bias, dx.sum(axis=1))]
             dxhat = dx * layer.gain[:, None]
             m1 = dxhat.mean(axis=0, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
             dx = (dxhat - m1 - xhat * m2) / std
 
     d_embed += dx.T  # lookup side, tied with the head: row a looked up once
-    return loss, d_embed, grads
+    return loss, pairs
 
 
-def flat(loss, d_embed, grads):
-    return [loss, d_embed] + [g[k] for _, g in sorted(grads.items()) for k in sorted(g)]
+def flat(loss, pairs):
+    """The loss, then the parameters and the gradients, each in pair order."""
+    return loss, [p for p, _ in pairs], [g for _, g in pairs]
 
 
 def parameters(net):
@@ -246,10 +256,11 @@ class TestBackprop:
         net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=2, act=act, seed=1)
         # 44 positions over 20 previous tokens: rows repeat, and rows 20..63 are never read
         windows = rng.integers(0, 20, size=(4, 12))
-        loss, *got = flat(*T._loss_and_grads(net, windows))
-        want_loss, *want = flat(*oracle_loss_and_grads(net, windows))
+        loss, params, got = flat(*T._loss_and_grads(net, windows))
+        want_loss, want_params, want = flat(*oracle_loss_and_grads(net, windows))
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        assert len(got) == len(want)
+        assert len(params) == len(want_params) == len(parameters(net))
+        assert all(a is b for a, b in zip(params, want_params))
         for a, b in zip(got, want):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -259,10 +270,11 @@ class TestBackprop:
         net = M.make_decoder(vocab_size=256, d=8, hidden=12, blocks=2, act=act, seed=2)
         # 16 x 64 batch over 40 spread-out tokens: 216 of the 256 rows are never read
         windows = rng.choice(256, size=40, replace=False)[rng.integers(0, 40, size=(16, 64))]
-        loss, *got = flat(*T._loss_and_grads(net, windows))
-        want_loss, *want = flat(*table_loss_and_grads(net, windows))
+        loss, params, got = flat(*T._loss_and_grads(net, windows))
+        want_loss, want_params, want = flat(*table_loss_and_grads(net, windows))
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        assert len(got) == len(want)
+        assert len(params) == len(want_params) == len(parameters(net))
+        assert all(a is b for a, b in zip(params, want_params))
         for a, b in zip(got, want):
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -292,30 +304,135 @@ class TestBackprop:
         rng = np.random.default_rng(7)
         net = M.make_decoder(vocab_size=31, d=8, hidden=12, blocks=2, act="gelu", seed=3)
         windows = rng.integers(0, 31, size=(3, 9))
-        _, d_embed, grads = T._loss_and_grads(net, windows)
+        _, pairs = T._loss_and_grads(net, windows)
+        assert {id(p) for p, _ in pairs} == {id(a) for a in parameters(net)}
 
         h = 1e-6
-
-        def loss_of(n):
-            return T._loss_and_grads(n, windows)[0]
-
-        def check(getter, analytic):
-            flat = analytic.ravel()
-            idxs = rng.choice(flat.size, size=min(10, flat.size), replace=False)
-            for i in idxs:
-                net2 = net.copy()
-                arr = getter(net2).ravel()
-                arr[i] += h
-                lp = loss_of(net2)
-                arr[i] -= 2 * h
-                lm = loss_of(net2)
+        for param, grad in pairs:
+            values = param.reshape(-1)  # a view: perturbing it perturbs net
+            for i in rng.choice(values.size, size=min(10, values.size), replace=False):
+                value = values[i]
+                values[i] = value + h
+                lp = T._loss_and_grads(net, windows)[0]
+                values[i] = value - h
+                lm = T._loss_and_grads(net, windows)[0]
+                values[i] = value
                 fd = (lp - lm) / (2 * h)
-                assert abs(fd - flat[i]) <= 1e-5 * max(abs(fd), 1e-6)
+                assert abs(fd - grad.flat[i]) <= 1e-5 * max(abs(fd), 1e-6)
 
-        check(lambda n: n.embed, d_embed)
+
+
+def parent_sample_batch(corpora, batch, seq_len, rng):
+    """The sampler before the batch draw: one scalar draw per window."""
+    windows = np.empty((batch, seq_len), dtype=np.int64)
+    picks = rng.integers(0, len(corpora), size=batch)
+    for b in range(batch):
+        calib = corpora[picks[b]].calibration_tokens()
+        if len(calib) < seq_len:
+            raise UsageError(f"corpus {corpora[picks[b]].name!r} calibration range shorter "
+                             f"than seq_len={seq_len}")
+        start = rng.integers(0, len(calib) - seq_len + 1)
+        windows[b] = calib[start : start + seq_len]
+    return windows
+
+
+def parent_loss_and_grads(net, windows):
+    """The step before the pair list: np.add.at bigram counts, and the
+    gradients as a dict of dicts keyed by layer index."""
+    windows = M.check_tokens(net, windows.ravel()).reshape(windows.shape)
+    prev, targets = windows[:, :-1].ravel(), windows[:, 1:].ravel()
+    n = prev.size
+    active, row = np.unique(prev, return_inverse=True)
+    counts = np.zeros((active.size, net.vocab_size))
+    np.add.at(counts, (row, targets), 1.0)
+
+    xs = M.layer_inputs(net, np.append(M.vocabulary_tokens(net)[active], 0))
+    h = xs[-1]
+    logits = (net.embed @ h).T
+    z = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    sumz = expz.sum(axis=1, keepdims=True)
+    loss = float(-(counts * (z - np.log(sumz))).sum() / n)
+    dlogits = (counts.sum(axis=1, keepdims=True) * (expz / sumz) - counts) / n
+
+    d_embed = dlogits.T @ h.T
+    dx = net.embed.T @ dlogits.T
+
+    grads = {}
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer, x = net.layers[idx], xs[idx]
+        if layer.kind == "linear":
+            grads[idx] = {"weight": dx @ x.T}
+            dx = layer.weight.T @ dx
+        elif layer.kind == "activation":
+            dx = dx * M.activation_grad(layer.activation_kind, x)
+        else:
+            xhat, std = M.standardize(x)
+            grads[idx] = {"gain": (dx * xhat).sum(axis=1), "bias": dx.sum(axis=1)}
+            dxhat = dx * layer.gain[:, None]
+            m1 = dxhat.mean(axis=0, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=0, keepdims=True)
+            dx = (dxhat - m1 - xhat * m2) / std
+
+    d_embed[active] += dx.T
+    return loss, d_embed, grads
+
+
+def parent_train(net, corpora, cfg, loss_log):
+    """The training loop before the pair list: a nested norm loop and a
+    branch per layer kind for the update."""
+    out = net.copy()
+    rng = np.random.default_rng(cfg.seed)
+    lr = cfg.learning_rate
+    for _ in range(cfg.steps):
+        windows = parent_sample_batch(corpora, cfg.batch, cfg.seq_len, rng)
+        loss, d_embed, grads = parent_loss_and_grads(out, windows)
+        loss_log.append(loss)
+
+        sq = float((d_embed * d_embed).sum())
+        for g in grads.values():
+            for arr in g.values():
+                sq += float((arr * arr).sum())
+        norm = np.sqrt(sq)
+        factor = lr if norm <= T.CLIP_NORM else lr * T.CLIP_NORM / norm
+
+        out.embed -= factor * d_embed
         for idx, g in grads.items():
+            layer = out.layers[idx]
             if "weight" in g:
-                check(lambda n, i=idx: n.layers[i].weight, g["weight"])
+                layer.weight -= factor * g["weight"]
             else:
-                check(lambda n, i=idx: n.layers[i].gain, g["gain"])
-                check(lambda n, i=idx: n.layers[i].bias, g["bias"])
+                layer.gain -= factor * g["gain"]
+                layer.bias -= factor * g["bias"]
+    return out
+
+
+class TestSameBytesAsTheScalarLoops:
+    """The batch draw and the pair-list update give the bytes of the
+    per-window draws and the dict-and-branch update they replace."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2024])
+    def test_batch_draw_takes_the_scalar_draws_values(self, batch, seed):
+        # unequal calibration lengths, down to one that fits a single window
+        corpora = [C.Corpus(name=f"c{n}", tokens=np.arange(n) % 251) for n in (80, 81, 300, 5000)]
+        seq_len = 64
+        calibs = [c.calibration_tokens() for c in corpora]
+        assert min(len(c) for c in calibs) == seq_len
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            got = T._sample_batch(calibs, batch, seq_len, got_rng)
+            want = parent_sample_batch(corpora, batch, seq_len, want_rng)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_train_gives_the_dict_and_branch_loops_bytes(self, tiny_corpora):
+        net = M.make_decoder(d=32, hidden=64, blocks=1, seed=3)
+        cfg = T.TrainConfig(steps=60, batch=8, seq_len=48, learning_rate=0.3, seed=11)
+        corpora = list(tiny_corpora.values())
+        got_losses, want_losses = [], []
+        got = T.train(net, corpora, cfg, loss_log=got_losses)
+        want = parent_train(net, corpora, cfg, want_losses)
+        assert got_losses == want_losses
+        for a, b in zip(parameters(got), parameters(want), strict=True):
+            assert a.tobytes() == b.tobytes()
