@@ -17,7 +17,8 @@ and the corpus name, reports carry no timestamps, and rerunning a grid
 reproduces its output files byte for byte.
 
 One command (``run_continual`` or an ablation sweep) computes each of these
-at most once, in a ``Memo`` shared by the dense row and every grid:
+at most once, held until its last read, in a ``Memo`` shared by the dense row
+and every grid:
 
 - a calibration set per (corpus, ``n_samples``);
 - the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
@@ -26,7 +27,9 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
   (criterion, scored network, input-token counts): a calibration set's counts
   for the baselines, and for sensitivity the counts of every set its state
   has seen. Sensitivity always scores the base, and so do the baselines under
-  global initialization, so all orderings and specs share a few scores;
+  global initialization, so all orderings and specs share a few scores. A
+  base-scored set is read once per run of its (criterion, ``n_samples``)
+  group, and leaves the memo on its last read;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one vocabulary table per network): magnitude under global
   initialization, for one, prunes the base to the same network whatever the
@@ -50,7 +53,10 @@ rooted at the base (key ``()``: the base and the empty state), keyed by a
 ``frozenset`` of datasets, a prefix tuple or a one-dataset tuple. Each is
 computed from its parent, the step before it on the ordering's path (the
 root for a global step), by ``pruner.prune_step`` with the memo's scores in
-place of ``score_step``. An ordering's report rows are read off its key path.
+place of ``score_step``. A step keeps its pruned network only when a later
+step scores it, as a sequential baseline's does; the others keep masks,
+sparsity, perplexities and state. An ordering's report rows are read off its
+key path.
 Only successes are kept: a score, evaluation or step that raises raises
 again in every ordering that reaches it.
 """
@@ -59,6 +65,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -179,20 +186,23 @@ def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
         name: load_corpus(path, name, eval_fraction=cfg.eval_fraction)
         for name, path in cfg.corpora.items()
     }
-    return Memo(cfg, net, corpora)
+    return Memo(cfg, net, corpora, runs)
 
 
 class Memo:
     """One command's base network and corpora, and what it computes from
-    them at most once (see the module docstring)."""
+    them at most once for its ``(criterion, spec, n_samples)`` runs (see the
+    module docstring)."""
 
-    def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus]):
+    def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus], runs):
         self.cfg = cfg
         # never modified: prune_step builds new linear layers and shares the rest
         self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
+        self._runs = Counter((criterion, n_samples) for criterion, _, n_samples in runs)
         self._calib: dict[tuple, CalibrationSet] = {}
-        self._scores: dict[tuple, dict[int, np.ndarray]] = {}
+        # a score set and how many more reads it is held for
+        self._scores: dict[tuple, tuple[dict[int, np.ndarray], int]] = {}
         self._ppl: dict[bytes, dict[str, float]] = {}
 
     def calibration(self, name: str, n_samples: int) -> CalibrationSet:
@@ -204,15 +214,23 @@ class Memo:
             )
         return self._calib[key]
 
-    def scores(self, net: Network, config: PruneConfig,
-               counts: np.ndarray) -> dict[int, np.ndarray]:
-        """``score_step(net, config, counts)``. The rest of ``config`` (epsilon
-        and draws, which scale sensitivity scores) comes from the command's
-        one ``ExperimentConfig``."""
+    def scores(self, net: Network, config: PruneConfig, counts: np.ndarray,
+               n_samples: int) -> dict[int, np.ndarray]:
+        """``score_step(net, config, counts)``, held for as many reads as the
+        command has runs of ``(config.criterion, n_samples)``: a base-scored
+        set is read once per run, so it leaves the memo on its last read. A
+        set that fewer runs read, as a sequential baseline's step network's,
+        stays until the command ends. The rest of ``config`` (epsilon and
+        draws, which scale sensitivity scores) comes from the command's one
+        ``ExperimentConfig``."""
         key = (config.criterion, self._key(net), counts.tobytes())
         if key not in self._scores:
-            self._scores[key] = score_step(net, config, counts)
-        return self._scores[key]
+            self._scores[key] = (score_step(net, config, counts),
+                                 self._runs[config.criterion, n_samples])
+        scores, reads = self._scores.pop(key)
+        if reads > 1:
+            self._scores[key] = (scores, reads - 1)
+        return scores
 
     def perplexities(self, net: Network) -> dict[str, float]:
         """Perplexity of ``net`` on every corpus, in name order, from one
@@ -249,10 +267,11 @@ def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
 
 
 class Step(NamedTuple):
-    """One finished grid step; ``state`` is None for the baselines, and the
-    root step has no masks, sparsity or perplexities."""
+    """One finished grid step; ``net`` is None once no later step scores it
+    (every step but a sequential baseline's), ``state`` is None for the
+    baselines, and the root step has no masks, sparsity or perplexities."""
 
-    net: Network
+    net: Network | None
     masks: dict[int, np.ndarray] | None
     sparsity: float | None
     ppls: dict[str, float] | None
@@ -323,10 +342,17 @@ def _prune_and_evaluate(memo: Memo, parent: Step, pconfig: PruneConfig,
                         calib: CalibrationSet) -> Step:
     """One prune step after ``parent``, and the pruned network's perplexities,
     as a ``Step``. A sensitivity step adds to a copy of the parent's importance
-    state, so a kept state never changes."""
+    state, so a kept state never changes. Only a sequential baseline's step
+    keeps its network: every other step scores the base."""
     state = deepcopy(parent.state)
-    pruned, masks, frag = prune_step(parent.net, state, pconfig, calib, memo.base, memo.scores)
-    return Step(pruned, masks, frag["overall_sparsity"], memo.perplexities(pruned), state)
+    pruned, masks, frag = prune_step(
+        parent.net, state, pconfig, calib, memo.base,
+        lambda net, config, counts: memo.scores(net, config, counts, calib.n_samples),
+    )
+    ppls = memo.perplexities(pruned)
+    if pconfig.init_mode != "sequential" or pconfig.criterion == "sensitivity":
+        pruned = None
+    return Step(pruned, masks, frag["overall_sparsity"], ppls, state)
 
 
 def dense_row(memo: Memo) -> dict:
@@ -383,7 +409,9 @@ def _dense_summary(out: dict) -> list:
 def _write_outputs(cfg: ExperimentConfig, out: dict) -> None:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "grid.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    with open(out_dir / "grid.json", "w") as f:  # streamed: no whole-document string
+        f.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(out))
+        f.write("\n")
     for key, g in out["grids"].items():
         if g["report"] is None:
             continue

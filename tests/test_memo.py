@@ -10,6 +10,7 @@ memo's zero-pattern key is pinned.
 from __future__ import annotations
 
 import hashlib
+import json
 import weakref
 from pathlib import Path
 
@@ -168,6 +169,32 @@ def counting(monkeypatch, name):
     return calls
 
 
+def recording(monkeypatch, name):
+    """Replace ``harness.<name>`` by a wrapper; returns the list of calls'
+    ``(args, result)``, which keeps alive what a finished ``Step`` lets go."""
+    real, calls = getattr(H, name), []
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(H, name, wrapper)
+    return calls
+
+
+def loaded_memos(monkeypatch):
+    """Replace ``harness._load_inputs`` by a wrapper; returns the list of the
+    memos it made."""
+    real, memos = H._load_inputs, []
+
+    def load(*args):
+        memos.append(real(*args))
+        return memos[-1]
+
+    monkeypatch.setattr(H, "_load_inputs", load)
+    return memos
+
+
 def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypatch):
     scores = counting(monkeypatch, "score_step")
     evals = counting(monkeypatch, "perplexities")
@@ -216,20 +243,21 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
     cfg = H.ExperimentConfig(**three_corpora, init_mode_override=init_mode)
     memo = H._load_inputs(cfg, [("sensitivity", 0.5, cfg.n_samples)])
     real, steps = H._prune_and_evaluate, []
+    pruned = recording(monkeypatch, "prune_step")  # the networks the steps let go
 
-    def recording(memo, parent, pconfig, calib):
+    def step_recording(memo, parent, pconfig, calib):
         step = real(memo, parent, pconfig, calib)
-        steps.append((parent, pconfig, calib, step))
+        steps.append((parent, pconfig, calib, step, pruned[-1][1][0]))
         return step
 
-    monkeypatch.setattr(H, "_prune_and_evaluate", recording)
+    monkeypatch.setattr(H, "_prune_and_evaluate", step_recording)
     assert H.run_grid_cell(memo, "sensitivity", 0.5, cfg.n_samples)["complete"]
     assert len(steps) == (7 if init_mode == "sequential" else 3)
     root = steps[0][0]
     assert root[:4] == (memo.base, None, None, None)
-    for parent, pconfig, calib, step in steps:
+    for parent, pconfig, calib, step, net in steps:
         again = real(memo, parent, pconfig, calib)
-        assert sha256(again[0]) == sha256(step[0])
+        assert sha256(pruned[-1][1][0]) == sha256(net)
         assert all(np.array_equal(again[1][i], m) for i, m in step[1].items())
         assert again[2:4] == step[2:4]
         for state in (again[4], step[4]):
@@ -265,6 +293,87 @@ def test_a_step_is_built_while_only_its_ancestors_are_held(three_corpora, monkey
     assert len(alive) == 15 and max(alive) == len(CORPORA) - 1
 
 
+@pytest.mark.parametrize("criterion, init_mode, kept", [
+    ("sensitivity", None, False),  # scores the base with every set of datasets seen
+    ("sensitivity", "global", False),
+    ("wanda", None, False),  # global: scores the base with each dataset
+    ("magnitude", "sequential", True),  # the next step scores this one's network
+])
+def test_a_step_keeps_its_network_only_while_a_later_step_scores_it(
+    three_corpora, monkeypatch, criterion, init_mode, kept
+):
+    cfg = H.ExperimentConfig(**three_corpora, init_mode_override=init_mode)
+    memo = H._load_inputs(cfg, [(criterion, 0.5, cfg.n_samples)])
+    real_prune, real_step, nets, alive, parents = H.prune_step, H._prune_and_evaluate, [], [], []
+
+    def prune(*args):
+        result = real_prune(*args)
+        nets.append(weakref.ref(result[0]))
+        return result
+
+    def step(memo, parent, pconfig, calib):
+        # a child is built from its parent's live network, or from the base
+        parents.append("base" if parent.net is memo.base else "none" if parent.net is None
+                       else "live" if any(parent.net is ref() for ref in nets) else "other")
+        result = real_step(memo, parent, pconfig, calib)
+        alive.append(nets[-1]() is not None)  # once its perplexities are taken
+        return result
+
+    monkeypatch.setattr(H, "prune_step", prune)
+    monkeypatch.setattr(H, "_prune_and_evaluate", step)
+    assert H.run_grid_cell(memo, criterion, 0.5, cfg.n_samples)["complete"]
+    assert alive == [kept] * len(alive)
+    assert parents.count("base") == len(CORPORA)
+    assert parents.count("live" if kept else "none") == len(alive) - len(CORPORA)
+
+
+def test_score_sets_leave_the_memo_after_their_groups_last_run(three_corpora, tmp_path,
+                                                                 monkeypatch):
+    memos = loaded_memos(monkeypatch)
+    real, held = H.run_grid_cell, []
+
+    def cell(memo, criterion, spec, n_samples):
+        entry = real(memo, criterion, spec, n_samples)
+        held.append(sorted({key[0] for key in memo._scores}))
+        return entry
+
+    monkeypatch.setattr(H, "run_grid_cell", cell)
+    out = H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs")))
+    assert all(g["complete"] for g in out["grids"].values())
+    # each (criterion, n_samples) group is one run, and every set is base-scored
+    assert len(memos) == 1 and held == [[], [], []]
+
+
+@pytest.mark.parametrize("command", ["two-spec grid", "sparsity ablation"])
+def test_each_score_key_is_computed_once_and_none_is_left(three_corpora, tmp_path, monkeypatch,
+                                                          command):
+    memos = loaded_memos(monkeypatch)
+    scored = counting(monkeypatch, "score_step")
+    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                             sparsities=(0.5,), nm_patterns=((2, 4),))
+    if command == "two-spec grid":  # every key is read twice
+        assert all(g["complete"] for g in H.run_continual(cfg)["grids"].values())
+    else:  # the 0.3, 0.5 and 0.7 sweep: every key is read three times
+        assert not any(row.get("error") for row in H.run_ablation_sparsity(cfg))
+    (memo,) = memos
+    keys = [(config.criterion, memo._key(net), counts.tobytes()) for net, config, counts in scored]
+    # sensitivity: one per non-empty set of corpora; each baseline: one per corpus
+    assert len(set(keys)) == len(keys) == 7 + 3 + 3
+    assert memo._scores == {}
+
+
+def test_grid_json_is_streamed_as_the_bytes_of_dumps(three_corpora, tmp_path, monkeypatch):
+    def whole_document(*args, **kwargs):
+        raise AssertionError("grid.json was built as one string")
+
+    monkeypatch.setattr(json, "dumps", whole_document)
+    out = H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                                             criteria=("magnitude", "wanda")))
+    monkeypatch.undo()
+    want = (json.dumps(out, indent=2, sort_keys=True) + "\n").encode()
+    assert (tmp_path / "runs" / "grid.json").read_bytes() == want
+
+
 def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
     real, captured = P.forward_capture, []
 
@@ -284,19 +393,8 @@ def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
 def test_step_networks_share_all_but_their_linear_weights_with_the_base(
     three_corpora, tmp_path, monkeypatch, init_mode, n_steps
 ):
-    memos, steps = [], []
-    real_load, real_step = H._load_inputs, H._prune_and_evaluate
-
-    def load(*args):
-        memos.append(real_load(*args))
-        return memos[-1]
-
-    def step(*args):
-        steps.append(real_step(*args))
-        return steps[-1]
-
-    monkeypatch.setattr(H, "_load_inputs", load)
-    monkeypatch.setattr(H, "_prune_and_evaluate", step)
+    memos = loaded_memos(monkeypatch)
+    steps = recording(monkeypatch, "prune_step")
     H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
                                        init_mode_override=init_mode))
     (memo,) = memos
@@ -306,7 +404,7 @@ def test_step_networks_share_all_but_their_linear_weights_with_the_base(
     assert (tmp_path / "base.ckpt").read_bytes() == Path(three_corpora["model_path"]).read_bytes()
     assert len(steps) == n_steps
     weights = []
-    for net, *_ in steps:
+    for _, (net, *_) in steps:
         assert net.embed is base.embed
         assert len(net.layers) == len(base.layers)
         for layer, base_layer in zip(net.layers, base.layers):
@@ -322,11 +420,7 @@ def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(
     three_corpora, tmp_path, monkeypatch
 ):
     real, attempts = H.score_step, []
-    memos, real_load = [], H._load_inputs
-
-    def load(*args):
-        memos.append(real_load(*args))
-        return memos[-1]
+    memos = loaded_memos(monkeypatch)
 
     def failing_numeric(net, config, counts):
         numeric = memos[0].calibration("numeric", memos[0].cfg.n_samples).counts
@@ -336,7 +430,6 @@ def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(
             raise NumericalError("synthetic failure")
         return real(net, config, counts)
 
-    monkeypatch.setattr(H, "_load_inputs", load)
     monkeypatch.setattr(H, "score_step", failing_numeric)
     cfg = H.ExperimentConfig(
         **three_corpora, output_dir=str(tmp_path / "runs"), criteria=("wanda", "magnitude")
@@ -351,18 +444,23 @@ def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(
     assert grids["magnitude:unstructured-0.5"]["complete"]
 
 
-def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora):
+def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora, monkeypatch):
     cfg = H.ExperimentConfig(**three_corpora, criteria=("sensitivity", "wanda", "magnitude"))
     runs = [("sensitivity", 0.5, 4), ("sensitivity", (2, 4), 4), ("wanda", 0.5, 4),
             ("magnitude", 0.5, 4), ("sensitivity", 0.5, 2)]
     memo = H._load_inputs(cfg, runs)
+    scored = recording(monkeypatch, "score_step")
     for run in runs:
         H.run_grid_cell(memo, *run)
     prunable = memo.base.prunable_indices()
     # each scores the base: wanda and magnitude once per corpus, sensitivity
-    # at 4 and at 2 samples once per non-empty set of corpora (7)
-    assert len(memo._scores) == 2 * len(CORPORA) + 2 * 7
-    for key, scores in memo._scores.items():
+    # at 4 and at 2 samples once per non-empty set of corpora (7); each set
+    # is computed once and none is left after the last run
+    keys = [(config.criterion, memo._key(net), counts.tobytes())
+            for (net, config, counts), _ in scored]
+    assert len(set(keys)) == len(keys) == 2 * len(CORPORA) + 2 * 7
+    assert memo._scores == {}
+    for key, (_, scores) in zip(keys, scored):
         assert sorted(scores) == prunable, key
         for idx, matrix in scores.items():
             assert matrix.shape == memo.base.layers[idx].weight.shape, key
