@@ -1,8 +1,11 @@
 """Dataset ingestion, calibration sampling, and dataset-order permutations.
 
-Corpora are byte-level token streams. Each corpus reserves a contiguous
-suffix for perplexity evaluation; calibration windows are drawn only from
-the prefix, so the two ranges never overlap.
+Corpora are byte-level token streams. A loaded corpus's tokens are its
+file's bytes, held as a read-only uint8 array, one byte per token; readers
+index with them, and ``model.check_tokens`` returns int64 wherever a token
+enters arithmetic. Each corpus reserves a contiguous suffix for perplexity
+evaluation; calibration windows are drawn only from the prefix, so the two
+ranges never overlap.
 
 Three procedural generators ship with the package so that the experiment
 harness has reproducible corpora with genuinely different statistics:
@@ -29,7 +32,7 @@ GENERATOR_NAMES = ("prose", "bracket", "numeric")
 @dataclass(frozen=True, eq=False)
 class Corpus:
     name: str
-    tokens: np.ndarray  # 1-D int token ids
+    tokens: np.ndarray  # 1-D integer token ids: uint8 when loaded from a file
     eval_fraction: float = DEFAULT_EVAL_FRACTION
 
     def __post_init__(self) -> None:
@@ -88,13 +91,13 @@ class CalibrationSet:
 
 
 def load_corpus(path, name: str, eval_fraction: float = DEFAULT_EVAL_FRACTION) -> Corpus:
-    """Load a corpus from a raw byte file: each byte is one token id."""
+    """Load a corpus from a raw byte file: each byte is one token id, and the
+    tokens are the file's bytes, a read-only uint8 array."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) == 0:
         raise InputError(f"corpus file {path} is empty")
-    tokens = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return Corpus(name=name, tokens=tokens, eval_fraction=eval_fraction)
+    return Corpus(name=name, tokens=np.frombuffer(raw, np.uint8), eval_fraction=eval_fraction)
 
 
 def sample_calibration(

@@ -17,27 +17,30 @@ and the corpus name, reports carry no timestamps, and rerunning a grid
 reproduces its output files byte for byte.
 
 One command (``run_continual`` or an ablation sweep) computes each of these
-at most once, held until its last read, in a ``Memo`` shared by the dense row
-and every grid:
+at most once, in a ``Memo`` shared by the dense row and every grid:
 
 - a calibration set per (corpus, ``n_samples``);
 - the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
   scores of every corpus weigh by that corpus's calibration token counts;
-- scores (``pruner.score_step``), one matrix per prunable layer, per
-  (criterion, scored network, input-token counts): a calibration set's counts
-  for the baselines, and for sensitivity the counts of every set its state
-  has seen. Sensitivity always scores the base, and so do the baselines under
-  global initialization, so all orderings and specs share a few scores. A
-  base-scored set is read once per run of its (criterion, ``n_samples``)
-  group, and leaves the memo on its last read;
+- masks, one uint8 array per prunable layer, per (criterion, input-token
+  counts, ``n_samples``) scored on the base: a calibration set's counts for
+  the baselines, and for sensitivity the counts of every set its state has
+  seen. Sensitivity always scores the base, and so do the baselines under
+  global initialization, so all orderings and specs share a few score sets.
+  The first read of such a key takes one score set (``pruner.score_step``),
+  builds from it the masks of every spec that the command runs for that
+  (criterion, ``n_samples``) group, and drops the float scores; the masks
+  are held until the command ends, at an eighth of the scores' bytes. A
+  network other than the base, a sequential baseline's step network, is
+  scored on each read and nothing of it is held;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one vocabulary table per network): magnitude under global
   initialization, for one, prunes the base to the same network whatever the
   dataset.
 
-Every network a command meets is the base times a {0, 1} mask per prunable
-layer, so a network is keyed by its zero pattern (``Memo._key``), the base
-included.
+Every network a command evaluates is the base times a {0, 1} mask per
+prunable layer, so a network is keyed by its zero pattern (``Memo._key``),
+the base included.
 
 Within one grid, a prune step depends only on what precedes it in its
 ordering, and ``run_grid_cell`` runs each distinct step once. A sequential
@@ -52,20 +55,20 @@ only on its dataset. On three corpora, the 18 steps of the six orderings are
 rooted at the base (key ``()``: the base and the empty state), keyed by a
 ``frozenset`` of datasets, a prefix tuple or a one-dataset tuple. Each is
 computed from its parent, the step before it on the ordering's path (the
-root for a global step), by ``pruner.prune_step`` with the memo's scores in
-place of ``score_step``. A step keeps its pruned network only when a later
-step scores it, as a sequential baseline's does; the others keep masks,
+root for a global step), by ``pruner.prune_step`` with the memo's masks in
+place of ``pruner.score_masks``. A step keeps its pruned network only when a
+later step scores it, as a sequential baseline's does; the others keep masks,
 sparsity, perplexities and state. An ordering's report rows are read off its
 key path.
-Only successes are kept: a score, evaluation or step that raises raises
-again in every ordering that reaches it.
+Only successes are kept: a score, mask build, evaluation or step that raises
+raises again in every ordering that reaches it, and an ordering that retries
+a step whose masks were built reads them from the memo.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -79,7 +82,7 @@ from .importance import ImportanceState, init_state
 from .metrics import EvalCell, aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
-from .pruner import PruneConfig, ScoredNetwork, prune_step, score_step
+from .pruner import PruneConfig, ScoredNetwork, build_masks, prune_step, score_step
 from .seeding import derive_seed
 from .sensitivity import DEFAULT_EPSILON
 
@@ -192,17 +195,23 @@ def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
 class Memo:
     """One command's base network and corpora, and what it computes from
     them at most once for its ``(criterion, spec, n_samples)`` runs (see the
-    module docstring)."""
+    module docstring): calibration sets, the masks of every base-scored key
+    for every spec of its group, and each distinct network's perplexities,
+    all held until the command ends. It holds no score set and nothing
+    keyed by a step network."""
 
     def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus], runs):
         self.cfg = cfg
         # never modified: prune_step builds new linear layers and shares the rest
         self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
-        self._runs = Counter((criterion, n_samples) for criterion, _, n_samples in runs)
+        self._configs: dict[tuple, list[PruneConfig]] = {}  # per (criterion, n_samples)
+        for criterion, spec, n_samples in runs:
+            self._configs.setdefault((criterion, n_samples), []).append(
+                _prune_config(cfg, criterion, spec))
         self._calib: dict[tuple, CalibrationSet] = {}
-        # a score set and how many more reads it is held for
-        self._scores: dict[tuple, tuple[dict[int, np.ndarray], int]] = {}
+        # per base-scored key, every spec's masks, by (sparsity, nm)
+        self._masks: dict[tuple, dict[tuple, dict[int, np.ndarray]]] = {}
         self._ppl: dict[bytes, dict[str, float]] = {}
 
     def calibration(self, name: str, n_samples: int) -> CalibrationSet:
@@ -214,23 +223,24 @@ class Memo:
             )
         return self._calib[key]
 
-    def scores(self, net: Network, config: PruneConfig, counts: np.ndarray,
-               n_samples: int) -> dict[int, np.ndarray]:
-        """``score_step(net, config, counts)``, held for as many reads as the
-        command has runs of ``(config.criterion, n_samples)``: a base-scored
-        set is read once per run, so it leaves the memo on its last read. A
-        set that fewer runs read, as a sequential baseline's step network's,
-        stays until the command ends. The rest of ``config`` (epsilon and
-        draws, which scale sensitivity scores) comes from the command's one
-        ``ExperimentConfig``."""
-        key = (config.criterion, self._key(net), counts.tobytes())
-        if key not in self._scores:
-            self._scores[key] = (score_step(net, config, counts),
-                                 self._runs[config.criterion, n_samples])
-        scores, reads = self._scores.pop(key)
-        if reads > 1:
-            self._scores[key] = (scores, reads - 1)
-        return scores
+    def masks(self, net: Network, config: PruneConfig, counts: np.ndarray,
+              n_samples: int) -> dict[int, np.ndarray]:
+        """``build_masks(score_step(net, config, counts), config)``. On the
+        base, the first read of a ``(criterion, counts, n_samples)`` key builds
+        the masks of every spec of the command's ``(criterion, n_samples)``
+        runs from one score set, drops the scores and holds the masks until
+        the command ends. Any other network, such as a sequential baseline's
+        step network, is scored on every read and nothing is held. The rest of
+        ``config`` (epsilon and draws, which scale sensitivity scores) comes
+        from the command's one ``ExperimentConfig``."""
+        if net is not self.base:
+            return build_masks(score_step(net, config, counts), config)
+        key = (config.criterion, counts.tobytes(), n_samples)
+        if key not in self._masks:
+            scores = score_step(net, config, counts)
+            self._masks[key] = {(c.sparsity, c.nm): build_masks(scores, c)
+                                for c in self._configs[config.criterion, n_samples]}
+        return self._masks[key][config.sparsity, config.nm]
 
     def perplexities(self, net: Network) -> dict[str, float]:
         """Perplexity of ``net`` on every corpus, in name order, from one
@@ -347,7 +357,7 @@ def _prune_and_evaluate(memo: Memo, parent: Step, pconfig: PruneConfig,
     state = deepcopy(parent.state)
     pruned, masks, frag = prune_step(
         parent.net, state, pconfig, calib, memo.base,
-        lambda net, config, counts: memo.scores(net, config, counts, calib.n_samples),
+        lambda net, config, counts: memo.masks(net, config, counts, calib.n_samples),
     )
     ppls = memo.perplexities(pruned)
     if pconfig.init_mode != "sequential" or pconfig.criterion == "sensitivity":

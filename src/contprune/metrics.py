@@ -61,9 +61,10 @@ def perplexities(net: Network, corpora: dict[str, Corpus], seq_len: int = 128) -
             finite = np.all(np.isfinite(logits), axis=1)
             logits[~finite] = 0.0  # rows that no window reads
             # log-softmax via log-sum-exp, row by row; no token can hit
-            # probability zero
+            # probability zero. exp in place: one (V, V) temporary
             zmax = logits.max(axis=1, keepdims=True)
-            logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+            shifted = logits - zmax
+            logz = zmax[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
         prev, targets = windows[:, :-1], windows[:, 1:]
         bad = ~np.all(finite[prev], axis=1)
         if bad.any():

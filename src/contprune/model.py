@@ -222,26 +222,36 @@ def forward(net: Network, tokens) -> np.ndarray:
 
     Row t is the prediction for tokens[t + 1]. Every layer is positionwise
     (see the module docstring), so row t depends on tokens[t] alone: it is
-    row ``tokens[t]`` of ``forward(net, vocabulary_tokens(net))``.
+    row ``tokens[t]`` of ``forward(net, vocabulary_tokens(net))``. Only the
+    running activation is held, never the earlier layers' inputs.
     """
-    return (net.embed @ layer_inputs(net, tokens)[-1]).T
+    for x in _stream(net, tokens):
+        pass
+    return (net.embed @ x).T
 
 
 def forward_capture(net: Network, tokens) -> dict[int, np.ndarray]:
     """Each prunable layer's (in_dim, len(tokens) - 1) input on ``tokens``,
-    keyed by its layer index."""
-    xs = layer_inputs(net, tokens)
-    return {i: xs[i] for i in net.prunable_indices()}
+    keyed by its layer index; no other layer's input is held."""
+    prunable = net.prunable_indices()
+    return {i: x for i, x in enumerate(_stream(net, tokens)) if i in prunable}
 
 
 def layer_inputs(net: Network, tokens) -> list[np.ndarray]:
     """Entry ``i`` is the (dim, len(tokens) - 1) input of ``net.layers[i]``;
     the last entry is the input of the tied head, ``logits = (embed @ it).T``."""
+    return list(_stream(net, tokens))
+
+
+def _stream(net: Network, tokens):
+    """The one forward pass: yields each layer's input in turn, then the
+    head's, and holds only the one it is computing from."""
     toks = check_tokens(net, tokens)
-    xs = [net.embed[toks[:-1]].T]
+    x = net.embed[toks[:-1]].T
     for layer in net.layers:
-        xs.append(layer_forward(layer, xs[-1]))
-    return xs
+        yield x
+        x = layer_forward(layer, x)
+    yield x
 
 
 def vocabulary_tokens(net: Network) -> np.ndarray:

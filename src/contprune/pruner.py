@@ -17,21 +17,23 @@ sensitivity  the continual criterion: ``|W|`` times the expected
              exactly, so every order of one set of datasets gives the same
              state, importance and masks, bit for bit.
 
-A prune step is the composition of two halves, which pass plain dicts
-keyed by prunable layer index. ``score_step`` does the work that depends
-only on the scored network and one vector of input-token counts: a score
-matrix per layer, for every criterion. ``mask_step`` does the rest under one
-sparsity spec and returns a mask per layer. ``prune_step`` is their one
-composition: for sensitivity it scores the carried state's counts with the
-calibration set's added, and commits them to the state only if the step
-succeeds; for the baselines it scores the calibration set's own counts. Its
-``score`` argument lets a harness memoize the scores. Scoring reads each
-layer's inputs from one capture of the network on the vocabulary, which a
-``ScoredNetwork`` takes once for every count vector scored on it. Every layer
-is positionwise, so a calibration position enters only through its input
-token, and both data criteria read calibration data only through ``counts``,
-how many of its positions read each token: they weigh every column of the
-capture by its token's count.
+A prune step passes plain dicts keyed by prunable layer index through
+three stages. ``score_step`` does the work that depends only on the scored
+network and one vector of input-token counts: a score matrix per layer, for
+every criterion. ``build_masks`` turns scores into a mask per layer under one
+sparsity spec, and ``mask_step`` applies those masks to the scored network.
+``prune_step`` is their one composition: for sensitivity it scores the
+carried state's counts with the calibration set's added, and commits them to
+the state only if the step succeeds; for the baselines it scores the
+calibration set's own counts. Its ``masks`` hook, by default ``score_masks``
+(scores, then masks), lets a harness hold masks instead of recomputing them,
+and drop the float scores as soon as every spec's masks are built. Scoring
+reads each layer's inputs from one capture of the network on the vocabulary,
+which a ``ScoredNetwork`` takes once for every count vector scored on it.
+Every layer is positionwise, so a calibration position enters only through
+its input token, and both data criteria read calibration data only through
+``counts``, how many of its positions read each token: they weigh every
+column of the capture by its token's count.
 
 A mask is a uint8 array of {0, 1}, shaped like its layer's weight, with 0
 where the weight is pruned. Unstructured selection prunes exactly the
@@ -172,10 +174,11 @@ def _top_k_bits(scores: np.ndarray, k: int) -> np.ndarray:
     return (rank < k).T.astype(np.uint8)
 
 
-def _build_mask(scores: np.ndarray, config: PruneConfig) -> np.ndarray:
+def build_masks(scores: dict[int, np.ndarray], config: PruneConfig) -> dict[int, np.ndarray]:
+    """A mask per layer of ``scores``, under ``config``'s sparsity spec."""
     if config.sparsity is not None:
-        return build_mask_unstructured(scores, config.sparsity)
-    return build_mask_nm(scores, *config.nm)
+        return {idx: build_mask_unstructured(s, config.sparsity) for idx, s in scores.items()}
+    return {idx: build_mask_nm(s, *config.nm) for idx, s in scores.items()}
 
 
 class ScoredNetwork(Network):
@@ -191,7 +194,7 @@ class ScoredNetwork(Network):
 
 
 def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[int, np.ndarray]:
-    """The half of a prune step that depends only on the scored network
+    """The part of a prune step that depends only on the scored network
     ``net``, the criterion's settings and ``counts``, how many calibration
     positions read each token of ``net``'s vocabulary as input; neither the
     importance state nor the sparsity spec enters it. Returns one score
@@ -216,14 +219,20 @@ def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[in
             for idx, w in weights.items()}
 
 
+def score_masks(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[int, np.ndarray]:
+    """``build_masks(score_step(net, config, counts), config)``: the masks of
+    one prune step, and ``prune_step``'s default ``masks`` hook."""
+    return build_masks(score_step(net, config, counts), config)
+
+
 def mask_step(
-    net: Network, config: PruneConfig, calib: CalibrationSet, scores: dict[int, np.ndarray]
+    net: Network, config: PruneConfig, calib: CalibrationSet, masks: dict[int, np.ndarray]
 ) -> tuple[Network, dict[int, np.ndarray], dict]:
-    """The half of a prune step that applies one sparsity spec: masks for
-    ``net`` (the scored network) from ``scores``; the re-masked network, which
-    shares all but its linear layers with ``net``; and a report fragment with
-    per-layer sparsity statistics for the step on ``calib``."""
-    masks = {idx: _build_mask(scores[idx], config) for idx in net.prunable_indices()}
+    """The part of a prune step that applies one sparsity spec's ``masks``
+    (one per prunable layer) to ``net``, the scored network: the re-masked
+    network, which shares all but its linear layers with ``net``; ``masks``;
+    and a report fragment with per-layer sparsity statistics for the step on
+    ``calib``."""
     pruned = Network(list(net.layers), net.vocab_size, net.embed)
     frag: dict = {"corpus": calib.corpus_name, "criterion": config.criterion, "layers": {}}
     for idx, bits in masks.items():
@@ -246,29 +255,31 @@ def prune_step(
     config: PruneConfig,
     calib: CalibrationSet,
     base_net: Network | None = None,
-    score=score_step,
+    masks=score_masks,
 ) -> tuple[Network, dict[int, np.ndarray], dict]:
-    """One pruning pass on one dataset's calibration set: ``score`` (called
-    as ``score_step`` is) then ``mask_step`` on the scored network. That is
-    the base ``base_net`` for sensitivity, and for the other criteria under
-    global initialization, and ``net`` otherwise or when no base is given.
-    Sensitivity scores the counts of ``state``, the one carried across
-    datasets, with ``calib``'s added; ``state`` takes them, in place, only
-    once the step has succeeded. The baselines score ``calib``'s own counts.
-    Returns the re-masked network, per-layer masks, and a report fragment
-    with per-layer sparsity statistics. InputError when a calibration token is
-    outside the scored network's vocabulary."""
+    """One pruning pass on one dataset's calibration set: ``masks(net,
+    config, counts)``, by default ``score_masks``, then ``mask_step`` on the
+    scored network ``net``. That is the base ``base_net`` for sensitivity,
+    and for the other criteria under global initialization, and ``net``
+    otherwise or when no base is given. A harness passes its own ``masks``,
+    called as ``score_masks`` is, to hold the masks of the count vectors it
+    scores on the base. Sensitivity scores the counts of ``state``, the one
+    carried across datasets, with ``calib``'s added; ``state`` takes them, in
+    place, only once the step has succeeded. The baselines score ``calib``'s
+    own counts. Returns the re-masked network, per-layer masks, and a report
+    fragment with per-layer sparsity statistics. InputError when a
+    calibration token is outside the scored network's vocabulary."""
     if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
         net = base_net
     check_tokens(net, calib.segments.ravel())  # so calib.counts fits the vocabulary
     if config.criterion != "sensitivity":
         counts = np.pad(calib.counts, (0, net.vocab_size - calib.counts.size))
-        return mask_step(net, config, calib, score(net, config, counts))
+        return mask_step(net, config, calib, masks(net, config, counts))
     if state is None:
         raise UsageError("sensitivity criterion requires an importance state")
     check_against(state, net)
     staged = accumulate(deepcopy(state), calib)
-    step = mask_step(net, config, calib, score(net, config, staged.counts))
+    step = mask_step(net, config, calib, masks(net, config, staged.counts))
     vars(state).update(vars(staged))
     return step
 

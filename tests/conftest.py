@@ -3,6 +3,7 @@ import pytest
 
 from contprune import corpus as corpus_mod
 from contprune import model as model_mod
+from contprune import pruner as pruner_mod
 from contprune import trainer as trainer_mod
 from contprune.seeding import derive_seed
 
@@ -80,6 +81,16 @@ def tiny_model_path(tiny_dir, tiny_corpora):
 @pytest.fixture(scope="session")
 def tiny_model(tiny_model_path):
     return model_mod.load_checkpoint(tiny_model_path)
+
+
+@pytest.fixture(scope="session")
+def masked_tiny_model(tiny_model):
+    """The tiny model with the lower-magnitude half of each linear weight zeroed."""
+    net = tiny_model.copy()
+    for idx in net.prunable_indices():
+        weight = net.layers[idx].weight
+        weight *= pruner_mod.build_mask_unstructured(np.abs(weight), 0.5)
+    return net
 
 
 @pytest.fixture()

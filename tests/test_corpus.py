@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from contprune import corpus as C
+from contprune import metrics as X
+from contprune import model as M
+from contprune import trainer as T
 from contprune.errors import InputError
+
+
+def params(net):
+    return [net.embed, *(p for layer in net.layers for p in (layer.weight, layer.gain, layer.bias)
+                         if p is not None)]
 
 
 class TestLoadCorpus:
@@ -23,6 +31,31 @@ class TestLoadCorpus:
         c = C.load_corpus(path, "b")
         assert c.tokens[0] == 255
         assert c.tokens[2] == 17
+
+    def test_tokens_are_the_files_bytes_without_a_copy(self, tmp_path):
+        path = tmp_path / "u.bin"
+        path.write_bytes(bytes(range(256)) * 3)
+        c = C.load_corpus(path, "u")
+        assert c.tokens.dtype == np.uint8 and c.tokens.nbytes == 768
+        assert c.tokens.tobytes() == path.read_bytes()
+        assert not c.tokens.flags.owndata and not c.tokens.flags.writeable
+
+    def test_int64_tokens_sample_count_and_train_as_the_bytes_do(self, tmp_path):
+        C.generate_corpora(tmp_path, n_tokens=6000, seed=2)
+        loaded = [C.load_corpus(tmp_path / f"{name}.bin", name) for name in ("prose", "numeric")]
+        wide = [C.Corpus(name=c.name, tokens=c.tokens.astype(np.int64)) for c in loaded]
+        for narrow, widened in zip(loaded, wide):
+            a, b = (C.sample_calibration(c, 6, 40, seed=4) for c in (narrow, widened))
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            np.testing.assert_array_equal(a.segments, b.segments)
+            assert a.counts.dtype == b.counts.dtype == np.int64
+            np.testing.assert_array_equal(a.counts, b.counts)
+        net = M.make_decoder(d=8, hidden=12, blocks=1, seed=1)
+        cfg = T.TrainConfig(steps=20, batch=4, seq_len=32, seed=5)
+        trained = [T.train(net, corpora, cfg) for corpora in (loaded, wide)]
+        assert [p.tobytes() for p in params(trained[0])] == [p.tobytes() for p in params(trained[1])]
+        assert X.perplexities(trained[0], dict(zip("ab", loaded)), 32) == X.perplexities(
+            trained[0], dict(zip("ab", wide)), 32)
 
     def test_same_file_loads_equal(self, tmp_path):
         path = tmp_path / "s.bin"

@@ -327,6 +327,26 @@ def test_a_step_keeps_its_network_only_while_a_later_step_scores_it(
     assert parents.count("live" if kept else "none") == len(alive) - len(CORPORA)
 
 
+def held_arrays(memo) -> list[np.ndarray]:
+    """Every array the memo holds beyond its inputs: the base network, the
+    corpora and the calibration sets."""
+    found, todo = [], [v for k, v in vars(memo).items()
+                       if k not in ("cfg", "base", "corpora", "_calib")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            todo += [*item.keys(), *item.values()]
+        elif isinstance(item, (list, tuple)):
+            todo += list(item)
+    return found
+
+
+def only_masks(arrays) -> bool:
+    return bool(arrays) and all(a.dtype == np.uint8 for a in arrays)
+
+
 def test_score_sets_leave_the_memo_after_their_groups_last_run(three_corpora, tmp_path,
                                                                  monkeypatch):
     memos = loaded_memos(monkeypatch)
@@ -334,14 +354,61 @@ def test_score_sets_leave_the_memo_after_their_groups_last_run(three_corpora, tm
 
     def cell(memo, criterion, spec, n_samples):
         entry = real(memo, criterion, spec, n_samples)
-        held.append(sorted({key[0] for key in memo._scores}))
+        held.append(only_masks(held_arrays(memo)))
         return entry
 
     monkeypatch.setattr(H, "run_grid_cell", cell)
     out = H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs")))
     assert all(g["complete"] for g in out["grids"].values())
-    # each (criterion, n_samples) group is one run, and every set is base-scored
-    assert len(memos) == 1 and held == [[], [], []]
+    # each (criterion, n_samples) group is one run, every set is base-scored,
+    # and only its masks are held
+    assert len(memos) == 1 and held == [True, True, True]
+
+
+def test_after_the_first_spec_the_memo_holds_every_specs_masks_and_no_scores(three_corpora):
+    cfg = H.ExperimentConfig(**three_corpora, criteria=("sensitivity",), nm_patterns=((2, 4),))
+    runs = [("sensitivity", 0.5, cfg.n_samples), ("sensitivity", (2, 4), cfg.n_samples)]
+    memo = H._load_inputs(cfg, runs)
+    assert H.run_grid_cell(memo, *runs[0])["complete"]
+    held = held_arrays(memo)
+    # one set of masks per non-empty set of corpora (7) and spec
+    assert only_masks(held)
+    assert len(held) == 7 * 2 * len(memo.base.prunable_indices())
+
+
+def test_sequential_step_networks_are_scored_and_not_held(three_corpora, tmp_path, monkeypatch):
+    memos = loaded_memos(monkeypatch)
+    scored = counting(monkeypatch, "score_step")
+    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                             criteria=("wanda",), nm_patterns=((2, 4),),
+                             init_mode_override="sequential")
+    assert all(g["complete"] for g in H.run_continual(cfg)["grids"].values())
+    (memo,) = memos
+    # the first step of an ordering scores the base, once per corpus; each of
+    # the 12 later prefix steps of each spec scores its parent's network
+    assert sum(net is memo.base for net, _, _ in scored) == 3
+    assert len(scored) == 3 + 2 * 12
+    held = held_arrays(memo)
+    assert only_masks(held) and len(held) == 3 * 2 * len(memo.base.prunable_indices())
+
+
+def test_a_retried_step_reads_its_held_masks(three_corpora, tmp_path, monkeypatch):
+    scored = counting(monkeypatch, "score_step")
+    real, evaluated = H.perplexities, []
+
+    def second_pruned_fails(net, corpora, seq_len):
+        evaluated.append(net)
+        if len(evaluated) == 3:  # the dense row, then the first and second pruned networks
+            raise NumericalError("synthetic failure")
+        return real(net, corpora, seq_len)
+
+    monkeypatch.setattr(H, "perplexities", second_pruned_fails)
+    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                             criteria=("wanda",))
+    g = H.run_continual(cfg)["grids"]["wanda:unstructured-0.5"]
+    assert [e["permutation"] for e in g["errors"]] == ["bracket>numeric>prose"]
+    # one score set per corpus; the orderings that retry numeric read its masks
+    assert len(scored) == 3
 
 
 @pytest.mark.parametrize("command", ["two-spec grid", "sparsity ablation"])
@@ -359,7 +426,7 @@ def test_each_score_key_is_computed_once_and_none_is_left(three_corpora, tmp_pat
     keys = [(config.criterion, memo._key(net), counts.tobytes()) for net, config, counts in scored]
     # sensitivity: one per non-empty set of corpora; each baseline: one per corpus
     assert len(set(keys)) == len(keys) == 7 + 3 + 3
-    assert memo._scores == {}
+    assert only_masks(held_arrays(memo))
 
 
 def test_grid_json_is_streamed_as_the_bytes_of_dumps(three_corpora, tmp_path, monkeypatch):
@@ -455,11 +522,12 @@ def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora, m
     prunable = memo.base.prunable_indices()
     # each scores the base: wanda and magnitude once per corpus, sensitivity
     # at 4 and at 2 samples once per non-empty set of corpora (7); each set
-    # is computed once and none is left after the last run
+    # is computed once, and only its masks, one per spec, are left
     keys = [(config.criterion, memo._key(net), counts.tobytes())
             for (net, config, counts), _ in scored]
     assert len(set(keys)) == len(keys) == 2 * len(CORPORA) + 2 * 7
-    assert memo._scores == {}
+    held = held_arrays(memo)
+    assert only_masks(held) and len(held) == (2 * len(CORPORA) + 7 * 2 + 7) * len(prunable)
     for key, (_, scores) in zip(keys, scored):
         assert sorted(scores) == prunable, key
         for idx, matrix in scores.items():
@@ -482,7 +550,7 @@ def test_key_is_equal_exactly_when_all_parameter_bytes_are(three_corpora, monkey
             return real(net, *args)
         return record
 
-    for name in ("scores", "perplexities"):
+    for name in ("masks", "perplexities"):
         monkeypatch.setattr(memo, name, recording(getattr(memo, name)))
     H.dense_row(memo)
     for run in runs:

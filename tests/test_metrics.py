@@ -161,6 +161,22 @@ def outcome(fn):
         return (type(exc), str(exc))
 
 
+def two_temporary_perplexities(net, corpora, seq_len):
+    """``perplexities`` with the log-softmax that allocates a second (V, V)
+    array for ``exp`` instead of taking it in place; no checks."""
+    logits = M.forward(net, M.vocabulary_tokens(net))
+    zmax = logits.max(axis=1, keepdims=True)
+    logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    out = {}
+    for name in sorted(corpora):
+        ev = corpora[name].eval_tokens()
+        n_windows = len(ev) // seq_len
+        windows = ev[: n_windows * seq_len].astype(np.int64).reshape(n_windows, seq_len)
+        prev, targets = windows[:, :-1], windows[:, 1:]
+        out[name] = float(np.exp(-(logits[prev, targets] - logz[prev]).mean(axis=1)).mean())
+    return out
+
+
 class TestPerplexities:
     """``perplexities`` computes one vocabulary table for all corpora and
     must return and raise exactly what the per-corpus loop does."""
@@ -178,6 +194,14 @@ class TestPerplexities:
         assert list(got) == ["bracket", "numeric", "prose"]
         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
         assert len(tables) == 1
+
+    @pytest.mark.parametrize("masking", ["base", "masked"])
+    def test_bit_equal_to_the_two_temporary_log_softmax(self, tiny_model, masked_tiny_model,
+                                                        three, masking):
+        net = tiny_model if masking == "base" else masked_tiny_model
+        want = two_temporary_perplexities(net, three, 48)
+        got = X.perplexities(net, three, 48)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
     @staticmethod
     def corpora_with(evals):

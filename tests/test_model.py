@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,44 @@ class TestForwardCapture:
         assert list(first) == list(second)
         for idx, x in first.items():
             assert x.tobytes() == second[idx].tobytes()
+
+
+def list_layer_inputs(net, tokens):
+    """The list-based forward loop the streamed pass replaced: every layer's
+    input stays alive until the pass ends."""
+    toks = M.check_tokens(net, tokens)
+    xs = [net.embed[toks[:-1]].T]
+    for layer in net.layers:
+        xs.append(M.layer_forward(layer, xs[-1]))
+    return xs
+
+
+class TestStreamedForward:
+    @pytest.fixture(params=["base", "masked"])
+    def net(self, request, tiny_model, masked_tiny_model):
+        return tiny_model if request.param == "base" else masked_tiny_model
+
+    def test_bit_equal_to_the_list_based_loop(self, net, rng):
+        for tokens in (M.vocabulary_tokens(net), rng.integers(0, net.vocab_size, size=300)):
+            xs = list_layer_inputs(net, tokens)
+            assert M.forward(net, tokens).tobytes() == (net.embed @ xs[-1]).T.tobytes()
+            captured = M.forward_capture(net, tokens)
+            assert list(captured) == net.prunable_indices()
+            for idx, x in captured.items():
+                assert x.tobytes() == xs[idx].tobytes()
+            assert [x.tobytes() for x in M.layer_inputs(net, tokens)] == [x.tobytes() for x in xs]
+
+    def test_forward_holds_one_activation_not_every_layer_input(self):
+        net = M.make_decoder(d=64, hidden=128, blocks=2, seed=0)  # the desk shape
+        tokens = M.vocabulary_tokens(net)
+        every_input = sum(x.nbytes for x in M.layer_inputs(net, tokens))
+        tracemalloc.start()
+        try:
+            M.forward(net, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < every_input
 
 
 class TestVocabularyBound:

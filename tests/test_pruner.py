@@ -39,7 +39,7 @@ class TestCriterionScores:
         for spec in ({"sparsity": 0.5}, {"nm": (2, 4)}):
             cfg = P.PruneConfig(criterion="wanda", **spec)
             _, masks, _ = P.prune_step(tiny_model, None, cfg, calib)
-            _, want, _ = P.mask_step(tiny_model, cfg, calib, oracle)
+            _, want, _ = P.mask_step(tiny_model, cfg, calib, P.build_masks(oracle, cfg))
             assert sorted(masks) == sorted(want)
             for idx, mask in masks.items():
                 assert np.array_equal(mask, want[idx]), (spec, idx)
@@ -469,10 +469,11 @@ class TestPruneStep:
         def failing(net, config, counts):
             if stage == "score":
                 raise NumericalError("scoring failed")
-            return {idx: np.full(net.layers[idx].weight.shape, np.nan) for idx in net.prunable_indices()}
+            return P.build_masks({idx: np.full(net.layers[idx].weight.shape, np.nan)
+                                  for idx in net.prunable_indices()}, config)
 
         with pytest.raises(NumericalError):
-            P.prune_step(net, state, cfg, calib_b, score=failing)
+            P.prune_step(net, state, cfg, calib_b, masks=failing)
         assert np.array_equal(state.counts, counts)
         assert state.datasets_seen == seen == ["A"] and state.sample_count == samples
         # the same step, once it succeeds, updates the caller's state in place
