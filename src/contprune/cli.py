@@ -44,6 +44,14 @@ def _add_corpora_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_named_corpus_args(p: argparse.ArgumentParser) -> None:
+    """The flags of a command that reads one checkpoint and one corpus."""
+    p.add_argument("--model", required=True)
+    p.add_argument("--corpus-path", required=True, dest="corpus_path")
+    p.add_argument("--corpus-name", dest="corpus_name", help="default: the file stem")
+    p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
+
+
 def _collect_corpora(args) -> dict[str, str]:
     """The corpora the flags name, by name; possibly none. A ``--corpus``
     entry overrides a ``--corpora-dir`` file of the same stem, and names a
@@ -251,14 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("prune", help="one prune step on one corpus")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus-path", required=True, dest="corpus_path")
-    p.add_argument("--corpus-name", dest="corpus_name", help="default: the file stem")
+    _add_named_corpus_args(p)
     p.add_argument("--criterion", default="sensitivity", choices=pruner.CRITERIA)
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--nm", help="N:M pattern, e.g. 2:4 (overrides --sparsity)")
     p.add_argument("--n-samples", type=int, default=16, dest="n_samples")
-    p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--state", help="importance state to continue from, built on --model")
     p.add_argument("--save-state", dest="save_state", help="write updated importance state here")
@@ -268,10 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("eval", help="perplexity of a checkpoint on one corpus")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus-path", required=True, dest="corpus_path")
-    p.add_argument("--corpus-name", dest="corpus_name", help="default: the file stem")
-    p.add_argument("--seq-len", type=int, default=128, dest="seq_len")
+    _add_named_corpus_args(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run-grid", help="full permutation grid over criteria")

@@ -41,14 +41,6 @@ class Corpus:
         if not 0.0 < self.eval_fraction < 1.0:
             raise InputError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Corpus)
-            and self.name == other.name
-            and self.eval_fraction == other.eval_fraction
-            and np.array_equal(self.tokens, other.tokens)
-        )
-
     @property
     def n_eval(self) -> int:
         return int(len(self.tokens) * self.eval_fraction)
@@ -69,15 +61,10 @@ class CalibrationSet:
     corpus_name: str
     segments: np.ndarray  # (n_samples, seq_len)
     offsets: np.ndarray  # (n_samples,) start offsets into the calibration range
-    seed: int
 
     @property
     def n_samples(self) -> int:
         return self.segments.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.segments.shape[1]
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -120,9 +107,7 @@ def sample_calibration(
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, max_start + 1, size=n_samples)
     segments = np.stack([calib[o : o + seq_len] for o in offsets])
-    return CalibrationSet(
-        corpus_name=corpus.name, segments=segments, offsets=offsets, seed=seed
-    )
+    return CalibrationSet(corpus_name=corpus.name, segments=segments, offsets=offsets)
 
 
 def permutations(names) -> list[tuple[str, ...]]:

@@ -1,5 +1,9 @@
 """Perplexity evaluation, backward transfer, and permutation aggregates.
 
+``perplexities`` checks every corpus's eval windows, then scores them all
+from one vocabulary table, so evaluating a network on every dataset costs
+one ``forward``.
+
 The evaluation grid is indexed by (permutation, prune step, eval dataset):
 cell ``(pi, i, j)`` holds the perplexity on dataset ``j`` after the i-th
 prune step of ordering ``pi``. Backward transfer for a dataset ``j`` pruned
@@ -45,31 +49,27 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
 def perplexities(net: Network, corpora: dict[str, Corpus], seq_len: int = 128) -> dict[str, float]:
     """``perplexity`` of ``net`` on each corpus, by name in name order.
 
-    The vocabulary table and its log-softmax are computed once, and every
-    window of every corpus is a gather from them. Errors are those of the
-    ``perplexity`` calls in name order: a corpus's tokens are checked
-    (InputError) before its windows are checked against the table
-    (NumericalError), and the table is computed before the first window check.
+    Every corpus's eval windows are checked first (InputError); then the
+    vocabulary table and its log-softmax are computed once, and every window
+    of every corpus is a gather from them. NumericalError names the first
+    window, in name order, that reads a non-finite row of the table.
     """
+    windows = {name: _eval_windows(net, corpora[name], seq_len) for name in sorted(corpora)}
+    logits = forward(net, vocabulary_tokens(net))  # row a: logits after token a
+    finite = np.all(np.isfinite(logits), axis=1)
+    logits[~finite] = 0.0  # rows that no window reads
+    # log-softmax via log-sum-exp, row by row; no token can hit probability
+    # zero. exp in place: one (V, V) temporary
+    zmax = logits.max(axis=1, keepdims=True)
+    shifted = logits - zmax
+    logz = zmax[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
     out: dict[str, float] = {}
-    finite = None
-    for name in sorted(corpora):
-        corpus = corpora[name]
-        windows = _eval_windows(net, corpus, seq_len)
-        if finite is None:
-            logits = forward(net, vocabulary_tokens(net))  # row a: logits after token a
-            finite = np.all(np.isfinite(logits), axis=1)
-            logits[~finite] = 0.0  # rows that no window reads
-            # log-softmax via log-sum-exp, row by row; no token can hit
-            # probability zero. exp in place: one (V, V) temporary
-            zmax = logits.max(axis=1, keepdims=True)
-            shifted = logits - zmax
-            logz = zmax[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
-        prev, targets = windows[:, :-1], windows[:, 1:]
+    for name, w in windows.items():
+        prev, targets = w[:, :-1], w[:, 1:]
         bad = ~np.all(finite[prev], axis=1)
         if bad.any():
             raise NumericalError(
-                f"non-finite logits on window {int(np.argmax(bad))} of {corpus.name!r}"
+                f"non-finite logits on window {int(np.argmax(bad))} of {corpora[name].name!r}"
             )
         logp = logits[prev, targets] - logz[prev]
         out[name] = float(np.exp(-logp.mean(axis=1)).mean())

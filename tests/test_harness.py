@@ -185,6 +185,49 @@ class TestNoUnreachableKnobs:
         assert passed == {f.name for f in dataclasses.fields(real)}
 
 
+class TestNoEffectSettings:
+    """``--epsilon`` and ``--w-draws`` change no output byte but their echo
+    in ``grid.json``: every scored layer is bare linear, so they only scale
+    the importance, and a ranking does not see the scale."""
+
+    @pytest.mark.parametrize("mode", [[], ["--init-mode", "sequential"]],
+                             ids=["default-mode", "sequential"])
+    def test_run_grid_writes_the_same_files(self, tiny_cfg_kwargs, tmp_path, mode):
+        corpora = [f"--corpus={n}={p}" for n, p in tiny_cfg_kwargs["corpora"].items()]
+        argv = ["run-grid", "--model", tiny_cfg_kwargs["model_path"], *corpora, "--seed", "5",
+                "--seq-len", "48", "--n-samples", "4", "--nm", "2:4", *mode]
+        assert cli.main([*argv, "--out", str(tmp_path / "default")]) == 0
+        assert cli.main([*argv, "--epsilon", "0.37", "--w-draws", "3",
+                         "--out", str(tmp_path / "set")]) == 0
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "set").iterdir())
+        for name in names:
+            want, got = ((tmp_path / run / name).read_bytes() for run in ("default", "set"))
+            if name == "grid.json":
+                want, got = json.loads(want), json.loads(got)
+                assert (got["config"]["epsilon"], got["config"]["w_draws"]) == (0.37, 3)
+                got["config"].update(epsilon=want["config"]["epsilon"],
+                                     w_draws=want["config"]["w_draws"])
+            assert got == want, name
+
+    def test_prune_writes_the_same_files(self, tiny_cfg_kwargs, tmp_path, capsys):
+        stdout = []
+        for run, epsilon in (("default", []), ("set", ["--epsilon", "0.37"])):
+            out = tmp_path / run
+            assert cli.main([
+                "prune", "--model", tiny_cfg_kwargs["model_path"], "--corpus-path",
+                tiny_cfg_kwargs["corpora"]["prose"], "--criterion", "sensitivity",
+                "--n-samples", "4", "--seq-len", "48", "--seed", "0", *epsilon,
+                "--save-state", str(out / "state.bin"), "--export-masks", str(out / "masks"),
+                "--out", str(out / "p.ckpt"),
+            ]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+        for rel in ("p.ckpt", "state.bin", "masks/masks.bin", "masks/masks.json"):
+            want, got = ((tmp_path / run / rel).read_bytes() for run in ("default", "set"))
+            assert got == want, rel
+
+
 class TestRunContinual:
     def test_cell_counts_and_files(self, tiny_cfg_kwargs, tmp_path):
         cfg = H.ExperimentConfig(**tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"))
@@ -766,6 +809,31 @@ class TestCli:
         assert line.startswith("contprune: UsageError: ")
         assert len(calls) == 0
         assert not (tmp_path / "runs").exists()
+
+    def test_out_of_range_eval_token_ends_run_grid_and_fails_every_ablation_grid(
+        self, tmp_path, capsys
+    ):
+        # run-grid evaluates the base on every corpus before any grid, and an
+        # ablation row records only that its grid failed, so no command shows
+        # which corpus's error an evaluation raises first
+        net = M.make_decoder(vocab_size=64, d=8, hidden=8, blocks=1)
+        M.save_checkpoint(net, tmp_path / "m.ckpt")
+        corpora = []
+        for bad, name in enumerate("ab", start=64):
+            tokens = (np.arange(1000) % 64).astype(np.uint8)
+            tokens[-50] = bad  # the eval split is the last 200 tokens
+            (tmp_path / f"{name}.bin").write_bytes(tokens.tobytes())
+            corpora.append(f"--corpus={name}={tmp_path / name}.bin")
+        argv = ["--model", str(tmp_path / "m.ckpt"), *corpora, "--seed", "0",
+                "--seq-len", "16", "--n-samples", "2"]
+        line = main_error(capsys, ["run-grid", *argv, "--out", str(tmp_path / "grid")])
+        assert line == "contprune: InputError: token id out of range [0, 64): min=0, max=64"
+        assert not (tmp_path / "grid" / "grid.json").exists()
+        assert cli.main(["ablate-sparsity", *argv, "--criteria", "magnitude,sensitivity",
+                         "--sparsity-sweep", "0.3,0.6", "--out", str(tmp_path / "abl")]) == 0
+        rows = read_csv(tmp_path / "abl" / "ablation_sparsity.csv")
+        assert rows[0] == ["criterion", "sparsity", "a_bwt", "m_bwt"] and len(rows) == 5
+        assert all(row[2:] == ["", ""] for row in rows[1:])
 
     def test_run_grid_requires_seed(self, tiny_cfg_kwargs, tmp_path, capsys):
         line = main_error(capsys, [

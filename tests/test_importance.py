@@ -24,7 +24,7 @@ def small_net(rng):
 def calib_set(name, segments):
     segments = np.asarray(segments)
     return C.CalibrationSet(corpus_name=name, segments=segments,
-                            offsets=np.zeros(len(segments), dtype=np.int64), seed=0)
+                            offsets=np.zeros(len(segments), dtype=np.int64))
 
 
 def random_calib(rng, name, n_samples=3, seq_len=10, vocab=8):

@@ -179,7 +179,10 @@ def two_temporary_perplexities(net, corpora, seq_len):
 
 class TestPerplexities:
     """``perplexities`` computes one vocabulary table for all corpora and
-    must return and raise exactly what the per-corpus loop does."""
+    returns exactly what the per-corpus loop does. It checks every corpus's
+    eval windows before the table, so an InputError of any corpus comes
+    ahead of a NumericalError of an earlier one; otherwise it raises what
+    the per-corpus loop does."""
 
     @pytest.fixture()
     def three(self, tiny_dir):
@@ -230,13 +233,15 @@ class TestPerplexities:
         later[5] = bad_token
         corpora = self.corpora_with({"a": first, "b": later})
         with_nonfinite_row(monkeypatch, 7)
-        want = outcome(lambda: per_corpus_loop(net, corpora, 10))
-        assert want == (NumericalError, "non-finite logits on window 0 of 'a'")
+        assert outcome(lambda: per_corpus_loop(net, corpora, 10)) == (
+            NumericalError, "non-finite logits on window 0 of 'a'")
+        # the later corpus's token is checked before any table row is read
+        want = (InputError, f"token id out of range [0, 64): min={min(bad_token, 0)}, "
+                            f"max={max(bad_token, 0)}")
         assert outcome(lambda: X.perplexities(net, corpora, 10)) == want
-        # with the earlier corpus clean, the later corpus's token is the error
+        # with the earlier corpus clean, the per-corpus loop raises the same
         corpora["a"] = self.corpora_with({"a": np.zeros(40, np.int64)})["a"]
-        want = outcome(lambda: per_corpus_loop(net, corpora, 10))
-        assert want[0] is InputError
+        assert outcome(lambda: per_corpus_loop(net, corpora, 10)) == want
         assert outcome(lambda: X.perplexities(net, corpora, 10)) == want
 
 

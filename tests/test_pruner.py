@@ -567,7 +567,7 @@ class TestVocabularyCaptures:
         net = M.make_decoder(vocab_size=64, d=8, hidden=12, blocks=1, seed=6)
         segments = rng.integers(0, 64, size=(2, 16))
         segments[1, 3] = bad
-        calib = C.CalibrationSet(corpus_name="A", segments=segments, offsets=np.zeros(2), seed=0)
+        calib = C.CalibrationSet(corpus_name="A", segments=segments, offsets=np.zeros(2))
         state = I.init_state(net) if criterion == "sensitivity" else None
         cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, seed=0)
         with pytest.raises(InputError, match="out of range"):
