@@ -25,9 +25,8 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import harness, importance, metrics, model, pruner, trainer
-from .errors import PACKAGE_ERRORS, FormatError, UsageError
+from .errors import PACKAGE_ERRORS, FormatError, InputError, UsageError
 from .seeding import derive_seed
-from .sensitivity import DEFAULT_EPSILON
 
 
 def _add_corpora_args(p: argparse.ArgumentParser) -> None:
@@ -55,10 +54,14 @@ def _add_named_corpus_args(p: argparse.ArgumentParser) -> None:
 def _collect_corpora(args) -> dict[str, str]:
     """The corpora the flags name, by name; possibly none. A ``--corpus``
     entry overrides a ``--corpora-dir`` file of the same stem, and names a
-    corpus no other ``--corpus`` entry names."""
+    corpus no other ``--corpus`` entry names. InputError when
+    ``--corpora-dir`` holds no ``*.bin`` file or is missing."""
     entries: dict[str, str] = {}
     if args.corpora_dir:
-        for path in sorted(Path(args.corpora_dir).glob("*.bin")):
+        paths = sorted(Path(args.corpora_dir).glob("*.bin"))
+        if not paths:
+            raise InputError(f"--corpora-dir {args.corpora_dir} holds no *.bin corpus")
+        for path in paths:
             entries[path.stem] = str(path)
     flagged: set[str] = set()
     for spec in args.corpus:
@@ -125,9 +128,7 @@ def cmd_prune(args) -> int:
         kwargs = {"nm": harness.parse_items("--nm", [args.nm], harness.nm_pair)[0]}
     else:
         kwargs = {"sparsity": args.sparsity}
-    config = pruner.PruneConfig(
-        criterion=args.criterion, seed=args.seed, epsilon=args.epsilon, **kwargs
-    )
+    config = pruner.PruneConfig(criterion=args.criterion, **kwargs)
     state = None
     if args.criterion == "sensitivity":
         base_sha256 = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
@@ -264,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--nm", help="N:M pattern, e.g. 2:4 (overrides --sparsity)")
     p.add_argument("--n-samples", type=int, default=16, dest="n_samples")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--state", help="importance state to continue from, built on --model")
     p.add_argument("--save-state", dest="save_state", help="write updated importance state here")
     p.add_argument("--export-masks", dest="export_masks", help="directory for mask export")

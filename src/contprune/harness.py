@@ -22,17 +22,17 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
 - a calibration set per (corpus, ``n_samples``);
 - the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
   scores of every corpus weigh by that corpus's calibration token counts;
-- masks, one uint8 array per prunable layer, per (criterion, input-token
-  counts, ``n_samples``) scored on the base: a calibration set's counts for
-  the baselines, and for sensitivity the counts of every set its state has
-  seen. Sensitivity always scores the base, and so do the baselines under
-  global initialization, so all orderings and specs share a few score sets.
-  The first read of such a key takes one score set (``pruner.score_step``),
-  builds from it the masks of every spec that the command runs for that
-  (criterion, ``n_samples``) group, and drops the float scores; the masks
-  are held until the command ends, at an eighth of the scores' bytes. A
-  network other than the base, a sequential baseline's step network, is
-  scored on each read and nothing of it is held;
+- masks, one uint8 array per prunable layer, per (scored network,
+  criterion, input-token counts, ``n_samples``): a calibration set's counts
+  for the baselines, and for sensitivity the counts of every set its state
+  has seen. Sensitivity always scores the base, and so do the baselines
+  under global initialization, so all orderings and specs share a few score
+  sets. A sequential baseline scores its parent's step network, and a frozen
+  baseline's step network recurs across orderings. The first read of a key
+  takes one score set (``pruner.score_step``), builds from it the masks of
+  every spec that the command runs for that (criterion, ``n_samples``)
+  group, and drops the float scores; the masks are held until the command
+  ends, at an eighth of the scores' bytes;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one vocabulary table per network): magnitude under global
   initialization, for one, prunes the base to the same network whatever the
@@ -195,10 +195,9 @@ def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
 class Memo:
     """One command's base network and corpora, and what it computes from
     them at most once for its ``(criterion, spec, n_samples)`` runs (see the
-    module docstring): calibration sets, the masks of every base-scored key
-    for every spec of its group, and each distinct network's perplexities,
-    all held until the command ends. It holds no score set and nothing
-    keyed by a step network."""
+    module docstring): calibration sets, the masks of every scored key for
+    every spec of its group, and each distinct network's perplexities, all
+    held until the command ends. It holds no score set and no step network."""
 
     def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus], runs):
         self.cfg = cfg
@@ -210,7 +209,7 @@ class Memo:
             self._configs.setdefault((criterion, n_samples), []).append(
                 _prune_config(cfg, criterion, spec))
         self._calib: dict[tuple, CalibrationSet] = {}
-        # per base-scored key, every spec's masks, by (sparsity, nm)
+        # per scored key, every spec's masks, by (sparsity, nm)
         self._masks: dict[tuple, dict[tuple, dict[int, np.ndarray]]] = {}
         self._ppl: dict[bytes, dict[str, float]] = {}
 
@@ -225,17 +224,15 @@ class Memo:
 
     def masks(self, net: Network, config: PruneConfig, counts: np.ndarray,
               n_samples: int) -> dict[int, np.ndarray]:
-        """``build_masks(score_step(net, config, counts), config)``. On the
-        base, the first read of a ``(criterion, counts, n_samples)`` key builds
-        the masks of every spec of the command's ``(criterion, n_samples)``
-        runs from one score set, drops the scores and holds the masks until
-        the command ends. Any other network, such as a sequential baseline's
-        step network, is scored on every read and nothing is held. The rest of
-        ``config`` (epsilon and draws, which scale sensitivity scores) comes
+        """``build_masks(score_step(net, config, counts), config)``. The
+        first read of a ``(network, criterion, counts, n_samples)`` key, the
+        network by its zero pattern (``_key``), builds the masks of every spec
+        of the command's ``(criterion, n_samples)`` runs from one score set,
+        drops the scores and holds the masks until the command ends. The base
+        and a sequential baseline's step network take this one path. The rest
+        of ``config`` (epsilon and draws, which scale sensitivity scores) comes
         from the command's one ``ExperimentConfig``."""
-        if net is not self.base:
-            return build_masks(score_step(net, config, counts), config)
-        key = (config.criterion, counts.tobytes(), n_samples)
+        key = (self._key(net), config.criterion, counts.tobytes(), n_samples)
         if key not in self._masks:
             scores = score_step(net, config, counts)
             self._masks[key] = {(c.sparsity, c.nm): build_masks(scores, c)

@@ -210,23 +210,6 @@ class TestNoEffectSettings:
                                      w_draws=want["config"]["w_draws"])
             assert got == want, name
 
-    def test_prune_writes_the_same_files(self, tiny_cfg_kwargs, tmp_path, capsys):
-        stdout = []
-        for run, epsilon in (("default", []), ("set", ["--epsilon", "0.37"])):
-            out = tmp_path / run
-            assert cli.main([
-                "prune", "--model", tiny_cfg_kwargs["model_path"], "--corpus-path",
-                tiny_cfg_kwargs["corpora"]["prose"], "--criterion", "sensitivity",
-                "--n-samples", "4", "--seq-len", "48", "--seed", "0", *epsilon,
-                "--save-state", str(out / "state.bin"), "--export-masks", str(out / "masks"),
-                "--out", str(out / "p.ckpt"),
-            ]) == 0
-            stdout.append(capsys.readouterr().out)
-        assert stdout[0] == stdout[1]
-        for rel in ("p.ckpt", "state.bin", "masks/masks.bin", "masks/masks.json"):
-            want, got = ((tmp_path / run / rel).read_bytes() for run in ("default", "set"))
-            assert got == want, rel
-
 
 class TestRunContinual:
     def test_cell_counts_and_files(self, tiny_cfg_kwargs, tmp_path):
@@ -741,6 +724,26 @@ class TestCli:
             argv += ["--corpus", entry.format(**paths)]
         line = main_error(capsys, argv)
         assert line.startswith(f"contprune: UsageError: {want.format(**paths)}"), line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flagged", [False, True], ids=["alone", "with-corpus"])
+    @pytest.mark.parametrize("kind", ["empty", "missing"])
+    @pytest.mark.parametrize("command", ["train", "run-grid", "ablate-sparsity", "ablate-samples"])
+    def test_corpora_dir_without_corpora_is_named_before_any_work(
+        self, tiny_cfg_kwargs, tmp_path, capsys, monkeypatch, command, kind, flagged
+    ):
+        monkeypatch.setattr(H, "load_checkpoint", lambda *args: pytest.fail("loaded"))
+        monkeypatch.setattr(cli.corpus_mod, "load_corpus", lambda *args: pytest.fail("loaded"))
+        corpora_dir = tmp_path / "corpora"
+        if kind == "empty":
+            corpora_dir.mkdir()
+            (corpora_dir / "prose.txt").write_text("not a corpus")
+        argv = [command, "--corpora-dir", str(corpora_dir), "--seed", "0",
+                "--out", str(tmp_path / "out")]
+        argv += ["--model", tiny_cfg_kwargs["model_path"]] if command != "train" else []
+        argv += ["--corpus", f"prose={tiny_cfg_kwargs['corpora']['prose']}"] if flagged else []
+        line = main_error(capsys, argv)
+        assert line == f"contprune: InputError: --corpora-dir {corpora_dir} holds no *.bin corpus"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["", "a>b"], ids=["empty", "angle"])

@@ -216,19 +216,29 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
-    "init_mode, want",
+    "init_mode, want, want_scored",
     [
         # sensitivity runs sequentially: one step per set of datasets seen,
-        # 3 + 3 + 1; a sequential baseline one per ordering prefix, 3 + 6 + 6;
-        # the baselines run globally: one step per dataset
-        (None, {"sensitivity": 7, "magnitude": 3, "wanda": 3}),
-        ("sequential", {"sensitivity": 7, "magnitude": 15, "wanda": 15}),
-        ("global", {"sensitivity": 3, "magnitude": 3, "wanda": 3}),
+        # 3 + 3 + 1, each scoring the base; the baselines run globally: one
+        # step per dataset, each scoring the base
+        (None, {"sensitivity": 7, "magnitude": 3, "wanda": 3},
+         {"sensitivity": 7, "magnitude": 3, "wanda": 3}),
+        # a sequential baseline: one step per ordering prefix, 3 + 6 + 6. It
+        # freezes, so a later step scores its ordering's first-step network:
+        # magnitude's is one network whatever the corpus, scored with each
+        # corpus (3 + 3); wanda's one per corpus, scored with each other
+        # corpus (3 + 3 * 2)
+        ("sequential", {"sensitivity": 7, "magnitude": 15, "wanda": 15},
+         {"sensitivity": 7, "magnitude": 6, "wanda": 9}),
+        ("global", {"sensitivity": 3, "magnitude": 3, "wanda": 3},
+         {"sensitivity": 3, "magnitude": 3, "wanda": 3}),
     ],
     ids=["default", "sequential", "global"],
 )
-def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch, init_mode, want):
+def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch, init_mode, want,
+                                           want_scored):
     pruned = counting(monkeypatch, "prune_step")
+    scored = counting(monkeypatch, "score_step")
     cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
                              init_mode_override=init_mode)
     out = H.run_continual(cfg)
@@ -236,6 +246,9 @@ def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch,
     # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 prune steps
     got = {c: sum(args[2].criterion == c for args in pruned) for c in want}
     assert got == want
+    # a step scores through the memo: each (network, counts) key once
+    got = {c: sum(config.criterion == c for _, config, _ in scored) for c in want_scored}
+    assert got == want_scored
 
 
 @pytest.mark.parametrize("init_mode", ["sequential", "global"])
@@ -376,7 +389,8 @@ def test_after_the_first_spec_the_memo_holds_every_specs_masks_and_no_scores(thr
     assert len(held) == 7 * 2 * len(memo.base.prunable_indices())
 
 
-def test_sequential_step_networks_are_scored_and_not_held(three_corpora, tmp_path, monkeypatch):
+def test_sequential_step_networks_are_scored_once_per_key_and_held(three_corpora, tmp_path,
+                                                                  monkeypatch):
     memos = loaded_memos(monkeypatch)
     scored = counting(monkeypatch, "score_step")
     cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
@@ -384,12 +398,16 @@ def test_sequential_step_networks_are_scored_and_not_held(three_corpora, tmp_pat
                              init_mode_override="sequential")
     assert all(g["complete"] for g in H.run_continual(cfg)["grids"].values())
     (memo,) = memos
-    # the first step of an ordering scores the base, once per corpus; each of
-    # the 12 later prefix steps of each spec scores its parent's network
+    # the first step of an ordering scores the base, once per corpus. wanda
+    # freezes, so a later step scores its ordering's first-step network again:
+    # each spec's 3 first-step networks, once with each of the 2 other corpora
     assert sum(net is memo.base for net, _, _ in scored) == 3
-    assert len(scored) == 3 + 2 * 12
+    assert len(scored) == 3 + 2 * 3 * 2
+    keys = [(memo._key(net), counts.tobytes()) for net, _, counts in scored]
+    assert len(set(keys)) == len(keys)
+    # every key holds the masks of both specs
     held = held_arrays(memo)
-    assert only_masks(held) and len(held) == 3 * 2 * len(memo.base.prunable_indices())
+    assert only_masks(held) and len(held) == 15 * 2 * len(memo.base.prunable_indices())
 
 
 def test_a_retried_step_reads_its_held_masks(three_corpora, tmp_path, monkeypatch):
@@ -441,7 +459,9 @@ def test_grid_json_is_streamed_as_the_bytes_of_dumps(three_corpora, tmp_path, mo
     assert (tmp_path / "runs" / "grid.json").read_bytes() == want
 
 
-def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
+def captures(monkeypatch) -> list:
+    """Replace ``pruner.forward_capture`` by a wrapper; returns the list of
+    the networks it captured."""
     real, captured = P.forward_capture, []
 
     def counting_capture(net, tokens):
@@ -449,10 +469,25 @@ def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
         return real(net, tokens)
 
     monkeypatch.setattr(P, "forward_capture", counting_capture)
-    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"))
-    H.run_continual(cfg)
+    return captured
+
+
+def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
+    captured = captures(monkeypatch)
+    H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs")))
     # sensitivity and wanda (global) score only the base, on every corpus
     assert len(captured) == 1
+
+
+def test_a_sequential_step_network_is_captured_once_per_score_key(three_corpora, tmp_path,
+                                                                  monkeypatch):
+    captured = captures(monkeypatch)
+    H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                                       init_mode_override="sequential"))
+    # the base, then each of wanda's 3 frozen first-step networks once per
+    # other corpus that scores it, not once per ordering that reaches it
+    assert len(captured) == 1 + 3 * 2
+    assert len({sha256(net) for net in captured}) == 1 + 3
 
 
 @pytest.mark.parametrize("init_mode, n_steps", [(None, 13), ("sequential", 37)],
