@@ -23,9 +23,9 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
 - the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
   scores of every corpus weigh by that corpus's calibration token counts;
 - masks, one uint8 array per prunable layer, per (scored network,
-  criterion, input-token counts, ``n_samples``): a calibration set's counts
-  for the baselines, and for sensitivity the counts of every set its state
-  has seen. Sensitivity always scores the base, and so do the baselines
+  criterion, input-token counts, ``n_samples``): a calibration set's own
+  counts, or for sequential sensitivity the counts of every set its state
+  has seen. A step with a state scores the base, and so does every step
   under global initialization, so all orderings and specs share a few score
   sets. A sequential baseline scores its parent's step network, and a frozen
   baseline's step network recurs across orderings. The first read of a key
@@ -45,21 +45,20 @@ the base included.
 Within one grid, a prune step depends only on what precedes it in its
 ordering, and ``run_grid_cell`` runs each distinct step once. A sequential
 sensitivity step scores the base on the token counts of the datasets seen so
-far, which add exactly in any order (``importance``; this rests on
-``model``'s positionwise contract), so it depends only on that set of
-datasets. A sequential baseline scores its parent's masked network, so it
-depends on the ordering's prefix. Under global initialization a step depends
-only on its dataset. On three corpora, the 18 steps of the six orderings are
-7 sets for sequential sensitivity, 15 prefixes for a sequential baseline and
-3 datasets for a global step. The steps form one table of ``Step`` records
-rooted at the base (key ``()``: the base and the empty state), keyed by a
-``frozenset`` of datasets, a prefix tuple or a one-dataset tuple. Each is
-computed from its parent, the step before it on the ordering's path (the
-root for a global step), by ``pruner.prune_step`` with the memo's masks in
-place of ``pruner.score_masks``. A step keeps its pruned network only when a
-later step scores it, as a sequential baseline's does; the others keep masks,
-sparsity, perplexities and state. An ordering's report rows are read off its
-key path.
+far, which add exactly in any order (``importance``; this rests on ``model``'s
+positionwise contract), so it depends only on that set of datasets. A
+sequential baseline scores its parent's masked network, so it depends on the
+ordering's prefix. Under global initialization a step depends only on its
+dataset. On three corpora, the 18 steps of the six orderings are 7 sets for
+sequential sensitivity, 15 prefixes for a sequential baseline and 3 datasets
+for a global step. The steps form one table of ``Step`` records rooted at the
+base (key ``()``), keyed by a ``frozenset`` of datasets, a prefix tuple or a
+one-dataset tuple. Each is computed from its parent, the step before it on the
+ordering's path (the root for a global step), by ``pruner.prune_step`` with
+the memo's masks in place of ``pruner.score_masks``. A step keeps its pruned
+network only when a later step scores it, as a sequential baseline's does; the
+others keep masks, sparsity, perplexities and state, which only sequential
+sensitivity carries. An ordering's report rows are read off its key path.
 Only successes are kept: a score, mask build, evaluation or step that raises
 raises again in every ordering that reaches it, and an ordering that retries
 a step whose masks were built reads them from the memo.
@@ -275,8 +274,8 @@ def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
 
 class Step(NamedTuple):
     """One finished grid step; ``net`` is None once no later step scores it
-    (every step but a sequential baseline's), ``state`` is None for the
-    baselines, and the root step has no masks, sparsity or perplexities."""
+    (every step but a sequential baseline's), ``state`` is None unless the
+    grid accumulates, and the root has no masks, sparsity or perplexities."""
 
     net: Network | None
     masks: dict[int, np.ndarray] | None
@@ -304,7 +303,7 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     ws_perms: list[str] = []
     step_stats: list[dict] = []
     errors: list[dict] = []
-    root_state = init_state(memo.base) if criterion == "sensitivity" else None
+    root_state = init_state(memo.base) if by_set else None
     steps: dict[tuple | frozenset, Step] = {(): Step(memo.base, None, None, None, root_state)}
     for pi in permutations(names):
         if sequential and not by_set:  # sorted orderings: a prefix off this path never recurs
@@ -348,16 +347,16 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
 def _prune_and_evaluate(memo: Memo, parent: Step, pconfig: PruneConfig,
                         calib: CalibrationSet) -> Step:
     """One prune step after ``parent``, and the pruned network's perplexities,
-    as a ``Step``. A sensitivity step adds to a copy of the parent's importance
-    state, so a kept state never changes. Only a sequential baseline's step
-    keeps its network: every other step scores the base."""
+    as a ``Step``. Only sequential sensitivity's steps carry a state, each a
+    copy of its parent's, so a kept state never changes. Only a sequential
+    baseline's step keeps its network: every other step scores the base."""
     state = deepcopy(parent.state)
     pruned, masks, frag = prune_step(
         parent.net, state, pconfig, calib, memo.base,
         lambda net, config, counts: memo.masks(net, config, counts, calib.n_samples),
     )
     ppls = memo.perplexities(pruned)
-    if pconfig.init_mode != "sequential" or pconfig.criterion == "sensitivity":
+    if state is not None or pconfig.init_mode == "global":
         pruned = None
     return Step(pruned, masks, frag["overall_sparsity"], ppls, state)
 

@@ -9,31 +9,32 @@ wanda        |W| scaled column-wise by the L2 norm of the corresponding
 sensitivity  the continual criterion: ``|W|`` times the expected
              ``|grad|`` of the finite-difference sensitivities under Gaussian
              weight and input perturbations, in closed form from the token
-             counts of every calibration set seen so far
-             (``sensitivity.expected_gradient_magnitude``), so scoring draws
-             no noise. Scores are always taken against the base (unmasked)
-             weights, so previously pruned positions can re-enter. The
-             importance state is those counts (``importance``), which add
-             exactly, so every order of one set of datasets gives the same
-             state, importance and masks, bit for bit.
+             counts (``sensitivity.expected_gradient_magnitude``), so scoring
+             draws no noise.
+
+A step given an importance state (``importance``) accumulates, whatever its
+criterion: it scores the counts of every calibration set the state has seen,
+this one's included, against the base (unmasked) weights, so previously
+pruned positions can re-enter. Counts add exactly, so every order of one set
+of datasets gives the same state, scores and masks, bit for bit. The harness
+gives a state to sequential sensitivity, the paper's continual run.
 
 A prune step passes plain dicts keyed by prunable layer index through
 three stages. ``score_step`` does the work that depends only on the scored
 network and one vector of input-token counts: a score matrix per layer, for
 every criterion. ``build_masks`` turns scores into a mask per layer under one
 sparsity spec, and ``mask_step`` applies those masks to the scored network.
-``prune_step`` is their one composition: for sensitivity it scores the
-carried state's counts with the calibration set's added, and commits them to
-the state only if the step succeeds; for the baselines it scores the
-calibration set's own counts. Its ``masks`` hook, by default ``score_masks``
-(scores, then masks), lets a harness hold masks instead of recomputing them,
-and drop the float scores as soon as every spec's masks are built. Scoring
-reads each layer's inputs from one capture of the network on the vocabulary,
-which a ``ScoredNetwork`` takes once for every count vector scored on it.
-Every layer is positionwise, so a calibration position enters only through
-its input token, and both data criteria read calibration data only through
-``counts``, how many of its positions read each token: they weigh every
-column of the capture by its token's count.
+``prune_step`` is their one composition, the same for every criterion: it
+scores the calibration set's counts, plus the state's when it is given one,
+and commits them to the state only if the step succeeds. Its ``masks`` hook,
+by default ``score_masks`` (scores, then masks), lets a harness hold masks
+instead of recomputing them, and drop the float scores as soon as every
+spec's masks are built. Scoring reads each layer's inputs from one capture of
+the network on the vocabulary, which a ``ScoredNetwork`` takes once for every
+count vector scored on it. Every layer is positionwise, so a calibration
+position enters only through its input token, and both data criteria read
+calibration data only through ``counts``, how many of its positions read each
+token: they weigh every column of the capture by its token's count.
 
 A mask is a uint8 array of {0, 1}, shaped like its layer's weight, with 0
 where the weight is pruned. Unstructured selection prunes exactly the
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import json
 import math
-from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -259,28 +259,28 @@ def prune_step(
 ) -> tuple[Network, dict[int, np.ndarray], dict]:
     """One pruning pass on one dataset's calibration set: ``masks(net,
     config, counts)``, by default ``score_masks``, then ``mask_step`` on the
-    scored network ``net``. That is the base ``base_net`` for sensitivity,
-    and for the other criteria under global initialization, and ``net``
-    otherwise or when no base is given. A harness passes its own ``masks``,
-    called as ``score_masks`` is, to hold the masks of the count vectors it
-    scores on the base. Sensitivity scores the counts of ``state``, the one
-    carried across datasets, with ``calib``'s added; ``state`` takes them, in
-    place, only once the step has succeeded. The baselines score ``calib``'s
-    own counts. Returns the re-masked network, per-layer masks, and a report
-    fragment with per-layer sparsity statistics. InputError when a
-    calibration token is outside the scored network's vocabulary."""
-    if base_net is not None and (config.criterion == "sensitivity" or config.init_mode == "global"):
+    scored network. A given ``state``, the one carried across datasets, makes
+    the step accumulate, whatever the criterion: it scores ``state``'s counts
+    with ``calib``'s added, and ``state`` takes ``calib``'s, in place, only
+    once the step has succeeded. Without one the step scores ``calib``'s own
+    counts. The scored network is the base ``base_net`` when a state is given
+    or under global initialization, and ``net`` otherwise or when no base is
+    given. A harness passes its own ``masks``, called as ``score_masks`` is,
+    to hold the masks of the count vectors it scores. Returns the re-masked
+    network, per-layer masks, and a report fragment with per-layer sparsity
+    statistics. InputError when a calibration token is outside the scored
+    network's vocabulary; UsageError, after scoring, when ``calib``'s dataset
+    is the last one ``state`` has seen."""
+    if base_net is not None and (state is not None or config.init_mode == "global"):
         net = base_net
     check_tokens(net, calib.segments.ravel())  # so calib.counts fits the vocabulary
-    if config.criterion != "sensitivity":
-        counts = np.pad(calib.counts, (0, net.vocab_size - calib.counts.size))
-        return mask_step(net, config, calib, masks(net, config, counts))
-    if state is None:
-        raise UsageError("sensitivity criterion requires an importance state")
-    check_against(state, net)
-    staged = accumulate(deepcopy(state), calib)
-    step = mask_step(net, config, calib, masks(net, config, staged.counts))
-    vars(state).update(vars(staged))
+    counts = np.pad(calib.counts, (0, net.vocab_size - calib.counts.size))
+    if state is not None:
+        check_against(state, net)
+        counts += state.counts
+    step = mask_step(net, config, calib, masks(net, config, counts))
+    if state is not None:
+        accumulate(state, calib)
     return step
 
 

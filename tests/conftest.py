@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from contprune import cli
 from contprune import corpus as corpus_mod
 from contprune import model as model_mod
 from contprune import pruner as pruner_mod
 from contprune import trainer as trainer_mod
-from contprune.seeding import derive_seed
 
 DESK_SEED = 0
 DESK_TRAIN_STEPS = 6000
@@ -13,9 +13,11 @@ DESK_TRAIN_STEPS = 6000
 
 @pytest.fixture(scope="session")
 def desk_dir(tmp_path_factory):
-    """Default desk-scale corpora: three 200k-token synthetic sources."""
+    """Default desk-scale corpora: three 200k-token synthetic sources, written
+    by README's walkthrough command."""
     out = tmp_path_factory.mktemp("desk")
-    corpus_mod.generate_corpora(out, n_tokens=200_000, seed=DESK_SEED)
+    assert cli.main(["gen-corpora", "--out", str(out), "--tokens", "200000",
+                     "--seed", str(DESK_SEED)]) == 0
     return out
 
 
@@ -28,20 +30,12 @@ def desk_corpora(desk_dir):
 
 
 @pytest.fixture(scope="session")
-def desk_model_path(desk_dir, desk_corpora):
-    """The desk base checkpoint: d=64, two blocks, trained on the mixture."""
+def desk_model_path(desk_dir):
+    """The desk base checkpoint (d=64, two blocks, trained on the mixture),
+    built by README's walkthrough command, so the gates check its base."""
     path = desk_dir / "model.ckpt"
-    net = model_mod.make_decoder(d=64, hidden=128, blocks=2, seed=derive_seed(DESK_SEED, "init"))
-    cfg = trainer_mod.TrainConfig(
-        steps=DESK_TRAIN_STEPS,
-        batch=16,
-        seq_len=64,
-        learning_rate=0.3,
-        seed=derive_seed(DESK_SEED, "train"),
-    )
-    corpora = [desk_corpora[name] for name in sorted(desk_corpora)]
-    net = trainer_mod.train(net, corpora, cfg)
-    model_mod.save_checkpoint(net, path)
+    assert cli.main(["train", "--corpora-dir", str(desk_dir), "--out", str(path),
+                     "--steps", str(DESK_TRAIN_STEPS), "--seed", str(DESK_SEED)]) == 0
     return path
 
 

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, printing a pass line each.
 
 The harness-level criteria run through the CLI against the desk-scale
-fixtures (three 200k-token synthetic corpora and the trained base
-checkpoint built by the session fixtures); the numerical criteria exercise
-the library directly. Seeds are pinned throughout.
+fixtures: three 200k-token synthetic corpora and the trained base
+checkpoint, which the session fixtures build with README's walkthrough
+commands (`gen-corpora --tokens 200000 --seed 0`, then `train --steps 6000
+--seed 0`). The numerical criteria exercise the library directly. Seeds are
+pinned throughout.
 
-The gates that read a trained base check its seed-0 fixture only.
+The gates that read a trained base check that seed-0 base only.
 `docs/results.md` ("Gate margins") gives c07 and c09 on seeds 0-4: c07 holds
 on 5 of 5 seeds, and c09's bounds hold on seed 0 only.
 

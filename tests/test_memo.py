@@ -273,19 +273,21 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
         assert sha256(pruned[-1][1][0]) == sha256(net)
         assert all(np.array_equal(again[1][i], m) for i, m in step[1].items())
         assert again[2:4] == step[2:4]
+        if init_mode == "global":  # a global step scores its own counts and carries no state
+            assert parent is root
+            assert again[4] is None and step[4] is None
+            continue
         for state in (again[4], step[4]):
             assert np.array_equal(state.counts, step[4].counts)
             assert (state.datasets_seen, state.sample_count) == (step[4].datasets_seen,
                                                                  step[4].sample_count)
         # the parent's state is as the parent's own step left it
-        seen = [calib.corpus_name]
-        if init_mode == "sequential":
-            seen = parent[4].datasets_seen + seen
-        else:
-            assert parent is root
-        assert step[4].datasets_seen == seen
-    assert root[4].datasets_seen == [] and root[4].sample_count == {}
-    assert not root[4].counts.any()
+        assert step[4].datasets_seen == parent[4].datasets_seen + [calib.corpus_name]
+    if init_mode == "global":
+        assert root[4] is None
+    else:
+        assert root[4].datasets_seen == [] and root[4].sample_count == {}
+        assert not root[4].counts.any()
 
 
 def test_a_step_is_built_while_only_its_ancestors_are_held(three_corpora, monkeypatch):

@@ -1,9 +1,14 @@
-"""No ``contprune`` module imports or reads a ``_``-prefixed name of another.
+"""No ``contprune`` module imports or reads a ``_``-prefixed name of another,
+and none imports a name it never reads.
 
 A leading underscore marks a name as private to its module; a module that
 needs it from outside should get a public name instead. The walk covers
 ``from .mod import _name`` and ``mod._name`` where ``mod`` is bound by
 ``from . import mod`` or ``import contprune.mod as mod``.
+
+An import that no line reads is left over from removed code. The names that
+perfbench's tracer patches in a module are imported for that alone, on lines
+marked ``# noqa: F401``, which the walk skips.
 """
 from __future__ import annotations
 
@@ -63,3 +68,43 @@ def test_the_walk_sees_both_forms():
         "line 5: harness._items",
         "line 5: P._top_k_bits",
     ]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Every name that ``source`` imports and never reads, but on lines marked
+    ``# noqa: F401`` and in ``from __future__`` imports."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                unused.append(f"line {node.lineno}: {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_the_unused_import_walk():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from copy import deepcopy\n"
+        "from .model import Network, linear as lin\n"
+        "from .metrics import perplexity  # noqa: F401\n"
+        "def f(net: Network) -> str:\n"
+        "    return os.path.join(json.dumps(1))\n"
+    )
+    assert unused_imports(source) == ["line 4: deepcopy", "line 5: lin"]

@@ -398,6 +398,49 @@ class TestPruneStep:
             np.testing.assert_array_equal(masks1[idx], masks2[idx])
             np.testing.assert_array_equal(net1.layers[idx].weight, net2.layers[idx].weight)
 
+    @pytest.mark.parametrize("criterion", P.CRITERIA)
+    def test_one_path_for_every_criterion(self, prune_setup, criterion):
+        # no state: the scored network's masks on calib's own counts (for
+        # sensitivity, a global grid step); a state: the base's masks on the
+        # pooled counts (for wanda, the accumulating control)
+        net, calib_a, calib_b = prune_setup
+        masked = P.prune_step(net, None, P.PruneConfig(criterion="magnitude", sparsity=0.3),
+                              calib_a)[0]
+        own = input_counts(net, calib_b)
+        before = calib_b.counts.copy()
+        for mode, scored in (("global", net), ("sequential", masked)):
+            cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, init_mode=mode)
+            _, masks, _ = P.prune_step(masked, None, cfg, calib_b, base_net=net)
+            want = P.score_masks(scored, cfg, own)
+            assert all(np.array_equal(masks[idx], want[idx]) for idx in want), mode
+            _, masks, _ = P.prune_step(scored, None, cfg, calib_b)
+            assert all(np.array_equal(masks[idx], want[idx]) for idx in want), mode
+        cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, init_mode="sequential")
+        state = I.accumulate(I.init_state(net), calib_a)
+        pooled = state.counts + own
+        _, masks, _ = P.prune_step(masked, state, cfg, calib_b, base_net=net)
+        want = P.score_masks(net, cfg, pooled)
+        assert all(np.array_equal(masks[idx], want[idx]) for idx in want)
+        np.testing.assert_array_equal(state.counts, pooled)
+        assert state.datasets_seen == ["A", "B"]
+        assert state.sample_count == {"A": calib_a.n_samples, "B": calib_b.n_samples}
+        # the pooled counts are a padded copy: the cached counts stay calib's own
+        np.testing.assert_array_equal(calib_b.counts, before)
+
+    @pytest.mark.parametrize("criterion", P.CRITERIA)
+    def test_repeating_the_last_dataset_seen_is_a_usage_error(self, prune_setup, criterion):
+        net, calib_a, _ = prune_setup
+        cfg = P.PruneConfig(criterion=criterion, sparsity=0.5)
+        state = I.init_state(net)
+        P.prune_step(net, state, cfg, calib_a)
+        counts, seen, samples = state.counts.copy(), list(state.datasets_seen), dict(state.sample_count)
+        own = calib_a.counts.copy()
+        with pytest.raises(UsageError, match="dataset 'A' was already the last one seen"):
+            P.prune_step(net, state, cfg, calib_a)
+        np.testing.assert_array_equal(state.counts, counts)
+        assert state.datasets_seen == seen == ["A"] and state.sample_count == samples
+        np.testing.assert_array_equal(calib_a.counts, own)
+
     def test_nm_masks_through_prune_step(self, prune_setup, tmp_path):
         net, calib_a, _ = prune_setup
         cfg = P.PruneConfig(criterion="magnitude", nm=(2, 4), seed=0)
