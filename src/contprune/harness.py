@@ -20,8 +20,9 @@ One command (``run_continual`` or an ablation sweep) computes each of these
 at most once, in a ``Memo`` shared by the dense row and every grid:
 
 - a calibration set per (corpus, ``n_samples``);
-- the vocabulary capture of the base (``pruner.ScoredNetwork``), which the
-  scores of every corpus weigh by that corpus's calibration token counts;
+- the vocabulary capture of the base, and the count-free terms of its
+  sensitivity scores (``pruner.ScoredNetwork``), which the scores of every
+  corpus weigh by that corpus's calibration token counts;
 - masks, one uint8 array per prunable layer, per (scored network,
   criterion, input-token counts, ``n_samples``): a calibration set's own
   counts, or for sequential sensitivity the counts of every set its state
@@ -34,9 +35,9 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
   group, and drops the float scores; the masks are held until the command
   ends, at an eighth of the scores' bytes;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
-  one vocabulary table per network): magnitude under global
-  initialization, for one, prunes the base to the same network whatever the
-  dataset.
+  one forward per corpus on the tokens its eval windows read): magnitude
+  under global initialization, for one, prunes the base to the same network
+  whatever the dataset.
 
 Every network a command evaluates is the base times a {0, 1} mask per
 prunable layer, so a network is keyed by its zero pattern (``Memo._key``),
@@ -239,8 +240,9 @@ class Memo:
         return self._masks[key][config.sparsity, config.nm]
 
     def perplexities(self, net: Network) -> dict[str, float]:
-        """Perplexity of ``net`` on every corpus, in name order, from one
-        vocabulary table per distinct network."""
+        """Perplexity of ``net`` on every corpus, in name order, computed
+        once per distinct network: one forward per corpus, on the tokens its
+        eval windows read."""
         key = self._key(net)
         if key not in self._ppl:
             self._ppl[key] = perplexities(net, self.corpora, self.cfg.seq_len)

@@ -3,13 +3,13 @@ calibration set seen.
 
 Every layer is positionwise (``model``), so a calibration position enters a
 sensitivity score only through its input token, and a dataset's importance,
-``|W| * sensitivity.expected_gradient_magnitude(W, X, counts)`` (W is the
-base, unmasked weight), is linear in its token counts. The importance after
-any set of datasets is therefore that one expression on the sum of their
-counts, and the state holds just that sum: one integer per vocabulary token.
-Integers add exactly, so the state after a set of datasets is the same in
-any visit order, bit for bit, and so are the importance and the masks
-scored from it. The count state rests on the positionwise contract: a layer
+``|W| * sensitivity.expected_gradient_magnitude(gradient_terms(W, X), counts)``
+(W is the base, unmasked weight), is linear in its token counts. The
+importance after any set of datasets is therefore that one expression on the
+sum of their counts, and the state holds just that sum: one integer per
+vocabulary token. Integers add exactly, so the state after a set of datasets
+is the same in any visit order, bit for bit, and so are the importance and
+the masks scored from it. The count state rests on the positionwise contract: a layer
 kind that mixes positions makes ``model.vocabulary_tokens`` raise before
 anything is scored. Masks derived from the state at intermediate steps
 depend on what has been seen so far, which is the whole point of keeping it.
@@ -61,13 +61,18 @@ def accumulate(state: ImportanceState, calib: CalibrationSet) -> ImportanceState
     if counts.size > state.counts.size:
         raise ShapeError(f"calibration set {calib.corpus_name!r} reads token {counts.size - 1}, "
                          f"beyond the state's vocabulary of {state.counts.size}")
-    if state.datasets_seen and state.datasets_seen[-1] == calib.corpus_name:
-        raise UsageError(f"dataset {calib.corpus_name!r} was already the last one seen")
+    check_next(state, calib)
     state.counts[: counts.size] += counts
     state.datasets_seen.append(calib.corpus_name)
     state.sample_count[calib.corpus_name] = (state.sample_count.get(calib.corpus_name, 0)
                                              + calib.n_samples)
     return state
+
+
+def check_next(state: ImportanceState, calib: CalibrationSet) -> None:
+    """UsageError when ``calib``'s dataset is the last one ``state`` has seen."""
+    if state.datasets_seen and state.datasets_seen[-1] == calib.corpus_name:
+        raise UsageError(f"dataset {calib.corpus_name!r} was already the last one seen")
 
 
 def save_state(state: ImportanceState, path) -> None:

@@ -1,8 +1,11 @@
 """Perplexity evaluation, backward transfer, and permutation aggregates.
 
-``perplexities`` checks every corpus's eval windows, then scores them all
-from one vocabulary table, so evaluating a network on every dataset costs
-one ``forward``.
+``perplexities`` checks every corpus's eval windows, then scores each
+corpus from one ``forward`` on the distinct tokens its windows read (13-30
+of the 256 on the shipped corpora). A narrow forward matches the full
+vocabulary table only to within rounding (``model``), so a corpus's
+perplexity depends on the network and that corpus alone, never on which
+corpora are evaluated with it.
 
 The evaluation grid is indexed by (permutation, prune step, eval dataset):
 cell ``(pi, i, j)`` holds the perplexity on dataset ``j`` after the i-th
@@ -37,11 +40,11 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
     The eval split is cut into ``len // seq_len`` windows of ``seq_len``
     tokens; a trailing remainder is not scored. Window ``w`` scores its
     ``seq_len - 1`` next-token predictions: its value is
-    ``exp(-mean_t logp[w[t], w[t + 1]])``, where ``logp`` is the
-    log-softmax of the vocabulary table (``model.vocabulary_tokens``), so
-    row ``a`` is the next-token distribution after token ``a``. That is
-    exactly what ``forward`` gives on the window, because every layer is
-    positionwise. This is the one-corpus case of ``perplexities``.
+    ``exp(-mean_t logp[w[t], w[t + 1]])``, where ``logp[a]`` is the
+    log-softmax of the logits that follow token ``a``. Every layer is
+    positionwise, so those logits are what ``forward`` gives at any
+    position that reads ``a``; they are computed once per distinct token
+    the windows read. This is the one-corpus case of ``perplexities``.
     """
     return perplexities(net, {corpus.name: corpus}, seq_len)[corpus.name]
 
@@ -49,28 +52,33 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
 def perplexities(net: Network, corpora: dict[str, Corpus], seq_len: int = 128) -> dict[str, float]:
     """``perplexity`` of ``net`` on each corpus, by name in name order.
 
-    Every corpus's eval windows are checked first (InputError); then the
-    vocabulary table and its log-softmax are computed once, and every window
-    of every corpus is a gather from them. NumericalError names the first
-    window, in name order, that reads a non-finite row of the table.
+    Every corpus's eval windows are checked first (InputError), then the
+    positionwise contract (``model.vocabulary_tokens``, UsageError). Then
+    each corpus in name order takes one ``forward`` on the distinct tokens
+    its windows read as input, and every window is a gather from those rows
+    and their log-softmax. NumericalError names the first window, in name
+    order, that reads a non-finite row.
     """
     windows = {name: _eval_windows(net, corpora[name], seq_len) for name in sorted(corpora)}
-    logits = forward(net, vocabulary_tokens(net))  # row a: logits after token a
-    finite = np.all(np.isfinite(logits), axis=1)
-    logits[~finite] = 0.0  # rows that no window reads
-    # log-softmax via log-sum-exp, row by row; no token can hit probability
-    # zero. exp in place: one (V, V) temporary
-    zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    logz = zmax[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+    vocab = vocabulary_tokens(net)
     out: dict[str, float] = {}
     for name, w in windows.items():
-        prev, targets = w[:, :-1], w[:, 1:]
-        bad = ~np.all(finite[prev], axis=1)
-        if bad.any():
+        read = np.flatnonzero(np.bincount(w[:, :-1].ravel()))
+        logits = forward(net, np.append(vocab[read], 0))  # row r: logits after token read[r]
+        row = np.zeros(net.vocab_size, dtype=np.int64)
+        row[read] = np.arange(read.size)
+        prev, targets = row[w[:, :-1]], w[:, 1:]
+        finite = np.all(np.isfinite(logits), axis=1)
+        if not finite.all():
+            bad = ~np.all(finite[prev], axis=1)
             raise NumericalError(
                 f"non-finite logits on window {int(np.argmax(bad))} of {corpora[name].name!r}"
             )
+        # log-softmax via log-sum-exp, row by row; no token can hit probability
+        # zero. exp in place: one temporary of the rows' size
+        zmax = logits.max(axis=1, keepdims=True)
+        shifted = logits - zmax
+        logz = zmax[:, 0] + np.log(np.exp(shifted, out=shifted).sum(axis=1))
         logp = logits[prev, targets] - logz[prev]
         out[name] = float(np.exp(-logp.mean(axis=1)).mean())
     return out

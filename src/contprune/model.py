@@ -13,13 +13,15 @@ position's column on its own. The logits at a position then depend only on
 the token at that position, and the network is a map from the ``V`` token
 ids to ``V`` logits. ``forward`` on ``vocabulary_tokens(net)`` evaluates that
 map once: a (V, V) vocabulary table whose row ``a`` holds the logits that
-follow token ``a``. Perplexity and calibration captures run the stack only on
-that sequence and gather from the table instead of running the stack per
-window. The trainer runs ``layer_inputs`` on the table rows its batch reads
-and backpropagates through them. A layer kind that mixes positions must stay
-out of ``POSITIONWISE_KINDS``; ``vocabulary_tokens`` then raises. The table
-holds V x V float64 logits, so ``vocabulary_tokens`` also refuses a
-vocabulary above ``MAX_TABLE_VOCAB`` (4096 tokens, a 128 MiB table).
+follow token ``a``. Calibration captures run the stack only on that sequence
+and gather from it instead of running the stack per window; evaluation and
+the trainer run it only on the distinct tokens their windows or batch read.
+Such a forward matches the same rows of the full table to within rounding:
+the BLAS kernel of each product, and so its last bits, depends on its width.
+A layer kind that mixes positions must stay out of ``POSITIONWISE_KINDS``;
+``vocabulary_tokens`` then raises. The table holds V x V float64 logits, so
+``vocabulary_tokens`` also refuses a vocabulary above ``MAX_TABLE_VOCAB``
+(4096 tokens, a 128 MiB table).
 
 Convention: activations are stored column-wise. A matrix ``x`` of shape
 ``(dim, n)`` holds ``n`` feature vectors; a linear layer computes

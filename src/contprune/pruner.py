@@ -31,7 +31,8 @@ by default ``score_masks`` (scores, then masks), lets a harness hold masks
 instead of recomputing them, and drop the float scores as soon as every
 spec's masks are built. Scoring reads each layer's inputs from one capture of
 the network on the vocabulary, which a ``ScoredNetwork`` takes once for every
-count vector scored on it. Every layer is positionwise, so a calibration
+count vector scored on it, together with the count-free terms of each layer's
+sensitivity scores. Every layer is positionwise, so a calibration
 position enters only through its input token, and both data criteria read
 calibration data only through ``counts``, how many of its positions read each
 token: they weigh every column of the capture by its token's count.
@@ -67,9 +68,9 @@ import numpy as np
 
 from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
-from .importance import ImportanceState, accumulate, check_against
+from .importance import ImportanceState, accumulate, check_against, check_next
 from .model import Network, check_tokens, forward_capture, linear, vocabulary_tokens
-from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude
+from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude, gradient_terms
 # perfbench's tracer patches accumulate and forward_capture by their names in
 # this module, and these three, which scoring no longer calls
 from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian  # noqa: F401
@@ -183,14 +184,21 @@ def build_masks(scores: dict[int, np.ndarray], config: PruneConfig) -> dict[int,
 
 class ScoredNetwork(Network):
     """A network that does not change while it is scored, so its vocabulary
-    inputs are captured once, on first use, and shared by every calibration
-    set scored on it, which weighs them by its own token counts. The harness
-    holds its base as one."""
+    inputs, and the count-free terms of its sensitivity scores, are computed
+    once, on first use, and shared by every calibration set scored on it,
+    which weighs them by its own token counts. The harness holds its base as
+    one."""
 
     @cached_property
     def vocabulary_inputs(self) -> dict[int, np.ndarray]:
         """Column ``a`` of each prunable layer's input is its input for token ``a``."""
         return forward_capture(self, vocabulary_tokens(self))
+
+    @cached_property
+    def gradient_terms(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``sensitivity.gradient_terms`` of each prunable layer."""
+        return {idx: gradient_terms(self.layers[idx].weight, x)
+                for idx, x in self.vocabulary_inputs.items()}
 
 
 def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[int, np.ndarray]:
@@ -199,24 +207,30 @@ def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[in
     positions read each token of ``net``'s vocabulary as input; neither the
     importance state nor the sparsity spec enters it. Returns one score
     matrix, shaped like the weight, per prunable layer index. Magnitude scores
-    ``|W|``. Wanda and sensitivity read each layer's vocabulary inputs ``X``.
-    Wanda scales ``|W|`` column-wise by the feature norms
-    ``sqrt((X * X) @ counts)``, the L2 norm of each input feature over the
-    calibration positions. Sensitivity scores the importance
-    ``|W| * expected_gradient_magnitude(W, X, counts)``; ``epsilon`` and
-    ``w_draws`` only scale it, and ``seed`` does not enter it."""
+    ``|W|``. Wanda and sensitivity read each layer's vocabulary inputs ``X``,
+    held by ``net`` when it is a ``ScoredNetwork``, with sensitivity's terms,
+    and computed afresh otherwise. Wanda scales ``|W|`` column-wise by the
+    feature norms ``sqrt((X * X) @ counts)``, the L2 norm of each input
+    feature over the calibration positions. Sensitivity scores the importance
+    ``|W| * expected_gradient_magnitude(gradient_terms(W, X), counts)``;
+    ``epsilon`` and ``w_draws`` only scale it, and ``seed`` does not enter
+    it."""
     prunable = net.prunable_indices()
     if config.criterion == "magnitude":
         return {idx: np.abs(net.layers[idx].weight) for idx in prunable}
-    inputs = (net.vocabulary_inputs if isinstance(net, ScoredNetwork)
-              else forward_capture(net, vocabulary_tokens(net)))
+    scored = isinstance(net, ScoredNetwork)
+    inputs = net.vocabulary_inputs if scored else forward_capture(net, vocabulary_tokens(net))
     if config.criterion == "wanda":
         return {idx: np.abs(net.layers[idx].weight) * np.sqrt((inputs[idx] * inputs[idx]) @ counts)
                 for idx in prunable}
-    weights = {idx: net.layers[idx].weight for idx in prunable}
-    return {idx: np.abs(w) * expected_gradient_magnitude(w, inputs[idx], counts, config.epsilon,
-                                                         config.w_draws)
-            for idx, w in weights.items()}
+
+    def terms(idx):  # a plain network keeps none: each layer's go once it is scored
+        return (net.gradient_terms[idx] if scored
+                else gradient_terms(net.layers[idx].weight, inputs[idx]))
+
+    return {idx: np.abs(net.layers[idx].weight)
+            * expected_gradient_magnitude(terms(idx), counts, config.epsilon, config.w_draws)
+            for idx in prunable}
 
 
 def score_masks(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[int, np.ndarray]:
@@ -269,7 +283,7 @@ def prune_step(
     to hold the masks of the count vectors it scores. Returns the re-masked
     network, per-layer masks, and a report fragment with per-layer sparsity
     statistics. InputError when a calibration token is outside the scored
-    network's vocabulary; UsageError, after scoring, when ``calib``'s dataset
+    network's vocabulary; UsageError, before scoring, when ``calib``'s dataset
     is the last one ``state`` has seen."""
     if base_net is not None and (state is not None or config.init_mode == "global"):
         net = base_net
@@ -277,6 +291,7 @@ def prune_step(
     counts = np.pad(calib.counts, (0, net.vocab_size - calib.counts.size))
     if state is not None:
         check_against(state, net)
+        check_next(state, calib)
         counts += state.counts
     step = mask_step(net, config, calib, masks(net, config, counts))
     if state is not None:

@@ -227,14 +227,28 @@ def batch_gradient_magnitude(
     return 2.0 * np.abs(dy) @ np.abs(dfdw).T
 
 
+def gradient_terms(weight: np.ndarray, x_vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count-free factors ``(A, |X|^T)`` of ``expected_gradient_magnitude``
+    for a bare linear layer's ``weight`` and its vocabulary inputs ``x_vocab``
+    (column ``a`` is the layer's input for token ``a``)."""
+    w = np.asarray(weight, dtype=np.float64)
+    x = np.asarray(x_vocab, dtype=np.float64)
+    x_sq = x * x
+    a = np.sqrt(np.mean(w * w) * x_sq.sum(axis=0)[None, :]
+                + np.mean(x_sq, axis=0)[None, :] * (w * w).sum(axis=1)[:, None])
+    return a, np.abs(x).T
+
+
 def expected_gradient_magnitude(
-    weight: np.ndarray, x_vocab: np.ndarray, counts: np.ndarray, epsilon: float, draws: int
+    terms: tuple[np.ndarray, np.ndarray], counts: np.ndarray, epsilon: float, draws: int
 ) -> np.ndarray:
     """Expectation of the sampled sum of ``batch_gradient_magnitude`` over
     the calibration positions of a bare linear layer, with ``draws`` Gaussian
-    draws per position, from the token counts alone.
+    draws per position, from the token counts alone. ``terms`` is
+    ``gradient_terms(W, X)``, which no count enters, so a network scored on
+    many count vectors computes it once per layer.
 
-    Column ``a`` of ``x_vocab`` is the layer's input for token ``a``, and
+    Column ``a`` of ``X`` is the layer's input for token ``a``, and
     ``counts[a]`` is how many calibration positions read token ``a``. A
     position with input ``x`` adds ``2 |dy| |x|^T``, where
     ``dy = dW x + W dx``; ``dW`` has independent entries of RMS
@@ -254,10 +268,6 @@ def expected_gradient_magnitude(
     draw is shared by a segment's positions, which correlates their terms
     but leaves the expectation of their sum unchanged.
     """
-    w = np.asarray(weight, dtype=np.float64)
-    x = np.asarray(x_vocab, dtype=np.float64)
-    x_sq = x * x
-    a = np.sqrt(np.mean(w * w) * x_sq.sum(axis=0)[None, :]
-                + np.mean(x_sq, axis=0)[None, :] * (w * w).sum(axis=1)[:, None])
+    a, abs_xt = terms
     scale = 2.0 * math.sqrt(2.0 / math.pi) * epsilon * draws
-    return scale * ((a * counts) @ np.abs(x).T)
+    return scale * ((a * counts) @ abs_xt)

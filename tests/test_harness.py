@@ -405,6 +405,23 @@ class TestAblations:
 
 
 class TestCli:
+    @pytest.mark.parametrize("name", ["prose", "numeric"])
+    def test_eval_gives_the_bits_of_the_dense_row(self, tiny_cfg_kwargs, tiny_dir, tmp_path,
+                                                  monkeypatch, name):
+        # a corpus's perplexity depends on the network and that corpus alone,
+        # whichever corpora are evaluated with it
+        out = H.run_continual(H.ExperimentConfig(**tiny_cfg_kwargs, criteria=("magnitude",),
+                                                 output_dir=str(tmp_path / "runs")))
+        dense = json.loads((tmp_path / "runs" / "grid.json").read_text())["dense"]["per_dataset"]
+        assert dense == out["dense"]["per_dataset"] and len(dense) == 2
+        values = []
+        real = metrics.perplexity
+        monkeypatch.setattr(metrics, "perplexity",
+                            lambda *args, **kwargs: values.append(real(*args, **kwargs)) or values[-1])
+        assert cli.main(["eval", "--model", tiny_cfg_kwargs["model_path"],
+                         "--corpus-path", str(tiny_dir / f"{name}.bin"), "--seq-len", "48"]) == 0
+        assert [v.hex() for v in values] == [dense[name].hex()]
+
     def test_gen_train_eval_prune_pipeline(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert cli.main(["gen-corpora", "--out", str(data), "--tokens", "12000", "--seed", "1"]) == 0

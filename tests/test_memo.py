@@ -205,10 +205,10 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     # 54 x 3 + 3 dense = 165 evaluations. Memoized, every criterion scores
     # the base once per count vector: the baselines once per corpus, and
     # sensitivity once per non-empty set of corpora (7). Each distinct
-    # network is evaluated once, on all 3 corpora from one vocabulary table:
+    # network is evaluated once, on all 3 corpora, one forward per corpus:
     # the base; magnitude prunes it to one network whatever the corpus, wanda
     # to one per corpus, and sensitivity to one per set of corpora seen (7),
-    # so 12 tables give the 3 * 12 = 36 distinct values.
+    # so 12 evaluations give the 3 * 12 = 36 distinct values.
     assert len(scores) == 3 + 3 + 7
     assert len(evals) == 1 + 1 + 3 + 7
     assert len({sha256(net) for net, _, _ in evals}) == len(evals)
@@ -479,6 +479,23 @@ def test_one_capture_per_scored_network(three_corpora, tmp_path, monkeypatch):
     H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs")))
     # sensitivity and wanda (global) score only the base, on every corpus
     assert len(captured) == 1
+
+
+@pytest.mark.parametrize("init_mode", [None, "sequential", "global"])
+def test_sensitivity_terms_computed_once_per_command(three_corpora, tmp_path, monkeypatch,
+                                                     init_mode):
+    made = []
+    real = P.gradient_terms
+    monkeypatch.setattr(P, "gradient_terms", lambda w, x: made.append(w) or real(w, x))
+    memos = loaded_memos(monkeypatch)
+    H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                                       criteria=("sensitivity",), sparsities=(0.3, 0.5),
+                                       nm_patterns=((2, 4),), init_mode_override=init_mode))
+    # every sensitivity step scores the base, whose count-free terms are
+    # taken once per prunable layer for all its count vectors and specs
+    (memo,) = memos
+    assert [id(w) for w in made] == [id(memo.base.layers[i].weight)
+                                     for i in memo.base.prunable_indices()]
 
 
 def test_a_sequential_step_network_is_captured_once_per_score_key(three_corpora, tmp_path,

@@ -428,15 +428,20 @@ class TestPruneStep:
         np.testing.assert_array_equal(calib_b.counts, before)
 
     @pytest.mark.parametrize("criterion", P.CRITERIA)
-    def test_repeating_the_last_dataset_seen_is_a_usage_error(self, prune_setup, criterion):
+    def test_repeating_the_last_dataset_seen_is_a_usage_error(self, prune_setup, monkeypatch,
+                                                               criterion):
         net, calib_a, _ = prune_setup
         cfg = P.PruneConfig(criterion=criterion, sparsity=0.5)
         state = I.init_state(net)
         P.prune_step(net, state, cfg, calib_a)
         counts, seen, samples = state.counts.copy(), list(state.datasets_seen), dict(state.sample_count)
         own = calib_a.counts.copy()
+        scored = []
+        real = P.score_step
+        monkeypatch.setattr(P, "score_step", lambda *args: scored.append(args) or real(*args))
         with pytest.raises(UsageError, match="dataset 'A' was already the last one seen"):
             P.prune_step(net, state, cfg, calib_a)
+        assert scored == []  # raised before any scoring
         np.testing.assert_array_equal(state.counts, counts)
         assert state.datasets_seen == seen == ["A"] and state.sample_count == samples
         np.testing.assert_array_equal(calib_a.counts, own)
@@ -603,6 +608,43 @@ class TestVocabularyCaptures:
                                        + np.mean(x[:, p] ** 2) * np.sum(w * w, axis=1))
                     grad += draws * 2 * np.outer(np.sqrt(2 / np.pi) * sd, np.abs(x[:, p]))
             np.testing.assert_allclose(importance[idx], np.abs(w) * grad, rtol=1e-12)
+
+    def test_scored_network_scores_bit_equal_to_the_closed_form(self, tiny_model, monkeypatch):
+        """A ``ScoredNetwork`` computes each prunable layer's count-free terms
+        once and weighs them by every count vector scored on it. Its scores
+        are the bits of ``|W|`` times the closed form computed in one go."""
+
+        def closed_form(w, x, counts, epsilon, draws):
+            x_sq = x * x
+            a = np.sqrt(np.mean(w * w) * x_sq.sum(axis=0)[None, :]
+                        + np.mean(x_sq, axis=0)[None, :] * (w * w).sum(axis=1)[:, None])
+            return 2.0 * math.sqrt(2.0 / math.pi) * epsilon * draws * ((a * counts) @ np.abs(x).T)
+
+        made = []
+        real = P.gradient_terms
+        monkeypatch.setattr(P, "gradient_terms", lambda w, x: made.append(w) or real(w, x))
+        net = P.ScoredNetwork(tiny_model.layers, tiny_model.vocab_size, tiny_model.embed)
+        inputs = M.forward_capture(tiny_model, M.vocabulary_tokens(tiny_model))
+        rng = np.random.default_rng(3)
+        one_hot = np.zeros(net.vocab_size, dtype=np.int64)
+        one_hot[101] = 7
+        vectors = [one_hot, rng.integers(0, 40, size=net.vocab_size),
+                   rng.integers(0, 2, size=net.vocab_size) * 1000]
+        for eps, draws in ((1e-3, 1), (0.05, 3)):
+            cfg = P.PruneConfig(criterion="sensitivity", sparsity=0.5, epsilon=eps, w_draws=draws)
+            for counts in vectors:
+                got = P.score_step(net, cfg, counts)
+                assert sorted(got) == sorted(inputs)
+                for idx, x in inputs.items():
+                    w = net.layers[idx].weight
+                    want = np.abs(w) * closed_form(w, x, counts, eps, draws)
+                    assert got[idx].tobytes() == want.tobytes(), (eps, draws, idx)
+        # once per prunable layer, for all six (scale, counts) pairs
+        assert [id(w) for w in made] == [id(net.layers[idx].weight) for idx in sorted(inputs)]
+        # a plain network takes each layer's terms afresh, to the same bits
+        plain = P.score_step(tiny_model, cfg, vectors[1])
+        held = P.score_step(net, cfg, vectors[1])
+        assert all(plain[idx].tobytes() == held[idx].tobytes() for idx in inputs)
 
     @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
     @pytest.mark.parametrize("bad", [-1, 64])
