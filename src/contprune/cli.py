@@ -133,6 +133,9 @@ def cmd_prune(args) -> int:
     if args.criterion == "sensitivity":
         base_sha256 = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
         state = importance.load_state(args.state, net) if args.state else importance.init_state(net)
+        if args.state and state.base_sha256 is None:
+            raise UsageError(f"state {args.state} names no base checkpoint (base_sha256 null), "
+                             f"so it cannot continue on {args.model}")
         if args.state and state.base_sha256 != base_sha256:  # it scores the base it was built on
             raise UsageError(f"state {args.state} was built on a model with sha256 "
                              f"{state.base_sha256}, not on {args.model} (sha256 {base_sha256})")

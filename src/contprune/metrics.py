@@ -2,10 +2,10 @@
 
 ``perplexities`` checks every corpus's eval windows, then scores each
 corpus from one ``forward`` on the distinct tokens its windows read (13-30
-of the 256 on the shipped corpora). A narrow forward matches the full
-vocabulary table only to within rounding (``model``), so a corpus's
-perplexity depends on the network and that corpus alone, never on which
-corpora are evaluated with it.
+of the 256 on the shipped corpora). A forward matches a wider one only to
+within rounding (``model.LAYER_KINDS``), so a corpus's perplexity depends on
+the network and that corpus alone, never on which corpora are evaluated with
+it.
 
 The evaluation grid is indexed by (permutation, prune step, eval dataset):
 cell ``(pi, i, j)`` holds the perplexity on dataset ``j`` after the i-th
@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import CompletenessError, InputError, NumericalError
-from .model import Network, check_tokens, forward, vocabulary_tokens
+from .model import Network, check_tokens, forward
 
 
 def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
@@ -52,19 +52,17 @@ def perplexity(net: Network, corpus: Corpus, seq_len: int = 128) -> float:
 def perplexities(net: Network, corpora: dict[str, Corpus], seq_len: int = 128) -> dict[str, float]:
     """``perplexity`` of ``net`` on each corpus, by name in name order.
 
-    Every corpus's eval windows are checked first (InputError), then the
-    positionwise contract (``model.vocabulary_tokens``, UsageError). Then
-    each corpus in name order takes one ``forward`` on the distinct tokens
-    its windows read as input, and every window is a gather from those rows
-    and their log-softmax. NumericalError names the first window, in name
+    Every corpus's eval windows are checked first (InputError). Then each
+    corpus in name order takes one ``forward`` on the distinct tokens its
+    windows read as input, and every window is a gather from those rows and
+    their log-softmax. NumericalError names the first window, in name
     order, that reads a non-finite row.
     """
     windows = {name: _eval_windows(net, corpora[name], seq_len) for name in sorted(corpora)}
-    vocab = vocabulary_tokens(net)
     out: dict[str, float] = {}
     for name, w in windows.items():
         read = np.flatnonzero(np.bincount(w[:, :-1].ravel()))
-        logits = forward(net, np.append(vocab[read], 0))  # row r: logits after token read[r]
+        logits = forward(net, np.append(read, 0))  # row r: logits after token read[r]
         row = np.zeros(net.vocab_size, dtype=np.int64)
         row[read] = np.arange(read.size)
         prev, targets = row[w[:, :-1]], w[:, 1:]

@@ -6,22 +6,8 @@ modelling: a token embedding, repeated blocks of
 ``linear -> activation -> linear -> layer_norm``, and a tied output
 projection (the embedding matrix reused as the classification head).
 There is no attention; every layer is a map ``y = f(x, W)`` applied
-independently per position, so causality holds by construction.
-
-Positionwise contract: every layer kind in ``POSITIONWISE_KINDS`` maps each
-position's column on its own. The logits at a position then depend only on
-the token at that position, and the network is a map from the ``V`` token
-ids to ``V`` logits. ``forward`` on ``vocabulary_tokens(net)`` evaluates that
-map once: a (V, V) vocabulary table whose row ``a`` holds the logits that
-follow token ``a``. Calibration captures run the stack only on that sequence
-and gather from it instead of running the stack per window; evaluation and
-the trainer run it only on the distinct tokens their windows or batch read.
-Such a forward matches the same rows of the full table to within rounding:
-the BLAS kernel of each product, and so its last bits, depends on its width.
-A layer kind that mixes positions must stay out of ``POSITIONWISE_KINDS``;
-``vocabulary_tokens`` then raises. The table holds V x V float64 logits, so
-``vocabulary_tokens`` also refuses a vocabulary above ``MAX_TABLE_VOCAB``
-(4096 tokens, a 128 MiB table).
+independently per position (``LAYER_KINDS``), so causality holds by
+construction.
 
 Convention: activations are stored column-wise. A matrix ``x`` of shape
 ``(dim, n)`` holds ``n`` feature vectors; a linear layer computes
@@ -39,12 +25,17 @@ import numpy as np
 
 from .errors import FormatError, InputError, ShapeError, UsageError
 
+# The positionwise contract: each kind maps every position's column on its
+# own, and ``Layer`` and ``load_checkpoint`` accept no other. The logits at a
+# position then depend only on the token there, so callers forward only the
+# distinct tokens they need, plus a trailing 0 that is only ever a target:
+# pruner the whole vocabulary, metrics and trainer the tokens their windows or
+# batch read. Such a forward matches the same rows of a wider one to within
+# rounding only, as the BLAS kernel of a product depends on its width.
 LAYER_KINDS = ("linear", "activation", "layer_norm")
-POSITIONWISE_KINDS = frozenset({"linear", "activation", "layer_norm"})
 ACTIVATION_KINDS = ("relu", "gelu", "tanh")
 
 LAYER_NORM_EPS = 1e-5
-MAX_TABLE_VOCAB = 4096
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -223,8 +214,7 @@ def forward(net: Network, tokens) -> np.ndarray:
     """Next-token logits, shape (len(tokens) - 1, vocab_size).
 
     Row t is the prediction for tokens[t + 1]. Every layer is positionwise
-    (see the module docstring), so row t depends on tokens[t] alone: it is
-    row ``tokens[t]`` of ``forward(net, vocabulary_tokens(net))``. Only the
+    (``LAYER_KINDS``), so row t depends on tokens[t] alone. Only the
     running activation is held, never the earlier layers' inputs.
     """
     for x in _stream(net, tokens):
@@ -254,22 +244,6 @@ def _stream(net: Network, tokens):
         yield x
         x = layer_forward(layer, x)
     yield x
-
-
-def vocabulary_tokens(net: Network) -> np.ndarray:
-    """``[0, 1, ..., V-1, 0]``: ``forward`` on it is the vocabulary table, and
-    column ``a`` of each layer input is that layer's input for token ``a``
-    (the trailing 0 is never an input). Raises UsageError when a layer kind
-    is not in ``POSITIONWISE_KINDS`` or V exceeds ``MAX_TABLE_VOCAB``."""
-    mixing = sorted({layer.kind for layer in net.layers} - POSITIONWISE_KINDS)
-    if mixing:
-        raise UsageError(f"layer kinds {mixing} are not positionwise; no vocabulary table")
-    if net.vocab_size > MAX_TABLE_VOCAB:
-        raise UsageError(
-            f"vocabulary of {net.vocab_size} tokens exceeds the table bound "
-            f"MAX_TABLE_VOCAB={MAX_TABLE_VOCAB}"
-        )
-    return np.append(np.arange(net.vocab_size), 0)
 
 
 # --- checkpoint format ------------------------------------------------------

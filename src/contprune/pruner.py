@@ -69,7 +69,7 @@ import numpy as np
 from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
 from .importance import ImportanceState, accumulate, check_against, check_next
-from .model import Network, check_tokens, forward_capture, linear, vocabulary_tokens
+from .model import Network, check_tokens, forward_capture, linear
 from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude, gradient_terms
 # perfbench's tracer patches accumulate and forward_capture by their names in
 # this module, and these three, which scoring no longer calls
@@ -182,6 +182,12 @@ def build_masks(scores: dict[int, np.ndarray], config: PruneConfig) -> dict[int,
     return {idx: build_mask_nm(s, *config.nm) for idx, s in scores.items()}
 
 
+def _vocabulary_inputs(net: Network) -> dict[int, np.ndarray]:
+    """Each prunable layer's input on every token of the vocabulary: column
+    ``a`` is its input for token ``a``; the trailing 0 is never an input."""
+    return forward_capture(net, np.append(np.arange(net.vocab_size), 0))
+
+
 class ScoredNetwork(Network):
     """A network that does not change while it is scored, so its vocabulary
     inputs, and the count-free terms of its sensitivity scores, are computed
@@ -189,10 +195,7 @@ class ScoredNetwork(Network):
     which weighs them by its own token counts. The harness holds its base as
     one."""
 
-    @cached_property
-    def vocabulary_inputs(self) -> dict[int, np.ndarray]:
-        """Column ``a`` of each prunable layer's input is its input for token ``a``."""
-        return forward_capture(self, vocabulary_tokens(self))
+    vocabulary_inputs = cached_property(_vocabulary_inputs)
 
     @cached_property
     def gradient_terms(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -219,7 +222,7 @@ def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[in
     if config.criterion == "magnitude":
         return {idx: np.abs(net.layers[idx].weight) for idx in prunable}
     scored = isinstance(net, ScoredNetwork)
-    inputs = net.vocabulary_inputs if scored else forward_capture(net, vocabulary_tokens(net))
+    inputs = net.vocabulary_inputs if scored else _vocabulary_inputs(net)
     if config.criterion == "wanda":
         return {idx: np.abs(net.layers[idx].weight) * np.sqrt((inputs[idx] * inputs[idx]) @ counts)
                 for idx in prunable}

@@ -7,12 +7,13 @@ given corpora, so the evaluation splits stay unseen; ``train`` refuses a
 corpus whose calibration range is shorter than ``seq_len`` before any step.
 
 The forward pass is the model's: every layer is positionwise, so a batch's
-loss is a sum over its bigram counts of the vocabulary table's rows. A step
-runs ``model.layer_inputs`` only on the batch's distinct previous tokens
-(about 60 of the 256 for a 16 x 64 batch on the shipped corpora), which
-gives every input the backward pass needs. Only the backward pass lives here.
-It returns one list of (parameter, gradient) pairs, the embedding first and
-then the layers in backward order; the clip norm sums in that order.
+loss is a sum over its bigram counts of the logit rows that follow each
+previous token. A step runs ``model.layer_inputs`` only on the batch's
+distinct previous tokens (about 60 of the 256 for a 16 x 64 batch on the
+shipped corpora), which gives every input the backward pass needs. Only the
+backward pass lives here. It returns one list of (parameter, gradient)
+pairs, the embedding first and then the layers in backward order; the clip
+norm sums in that order.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import TrainingError, UsageError
-from .model import Network, activation_grad, check_tokens, layer_inputs, standardize, vocabulary_tokens
+from .model import Network, activation_grad, check_tokens, layer_inputs, standardize
 
 CLIP_NORM = 1.0
 
@@ -59,8 +60,8 @@ def _loss_and_grads(net: Network, windows: np.ndarray):
     """Mean cross-entropy over all next-token positions, and the (parameter,
     gradient) pairs of ``net``, in the order ``train`` sums the clip norm.
 
-    Position ``(a, b)`` (previous token, target) reads row ``a`` of the
-    vocabulary table, so with the batch's bigram counts ``C[a, b]`` over
+    Position ``(a, b)`` (previous token, target) reads the logits that
+    follow token ``a``, so with the batch's bigram counts ``C[a, b]`` over
     ``n`` positions the loss is ``-sum(C * logp) / n`` and the logit
     gradient of row ``a`` is ``(rowcount[a] * softmax[a] - C[a]) / n``.
     Only the rows of the batch's previous tokens are computed; the others
@@ -76,7 +77,7 @@ def _loss_and_grads(net: Network, windows: np.ndarray):
     counts = np.bincount(row * V + targets, minlength=active.size * V).reshape(active.size, V)
 
     # column i: token active[i] (the trailing 0 is never an input)
-    xs = layer_inputs(net, np.append(vocabulary_tokens(net)[active], 0))
+    xs = layer_inputs(net, np.append(active, 0))
     h = xs[-1]
     logits = (net.embed @ h).T  # (n_active, vocab), row i: logits after token active[i]
     z = logits - logits.max(axis=1, keepdims=True)

@@ -11,6 +11,13 @@ DESK_SEED = 0
 DESK_TRAIN_STEPS = 6000
 
 
+def vocabulary_sequence(net):
+    """``[0, 1, ..., V-1, 0]``: ``forward`` on it gives the logits after every
+    token, row ``a`` for token ``a``, and column ``a`` of each layer input is
+    that layer's input for token ``a`` (the trailing 0 is only a target)."""
+    return np.append(np.arange(net.vocab_size), 0)
+
+
 @pytest.fixture(scope="session")
 def desk_dir(tmp_path_factory):
     """Default desk-scale corpora: three 200k-token synthetic sources, written

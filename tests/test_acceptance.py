@@ -8,8 +8,9 @@ commands (`gen-corpora --tokens 200000 --seed 0`, then `train --steps 6000
 pinned throughout.
 
 The gates that read a trained base check that seed-0 base only.
-`docs/results.md` ("Gate margins") gives c07 and c09 on seeds 0-4: c07 holds
-on 5 of 5 seeds, and c09's bounds hold on seed 0 only.
+`docs/results.md` ("Gate margins") gives them on seeds 0-4: c06, c07, c08
+and the sparsity ablation trend hold on 5 of 5 seeds, c09's bounds hold on
+seed 0 only, and c10 and c11 are exact by construction.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
 """

@@ -526,6 +526,20 @@ class TestCli:
                         f"{base}, not on {tmp_path / 'p1.ckpt'} (sha256 {pruned})")
         assert not (tmp_path / "p3.ckpt").exists()
 
+    def test_prune_refuses_a_state_that_names_no_base(self, tiny_dir, tiny_model_path, tmp_path, capsys):
+        """A state built in-process names no checkpoint (``base_sha256``
+        null), so no ``--model`` can continue it."""
+        state = tmp_path / "s0.bin"
+        I.save_state(I.init_state(M.load_checkpoint(tiny_model_path)), state)
+        line = main_error(capsys, [
+            "prune", "--model", str(tiny_model_path), "--corpus-path", str(tiny_dir / "prose.bin"),
+            "--out", str(tmp_path / "p.ckpt"), "--state", str(state), "--seed", "1",
+            "--n-samples", "2", "--seq-len", "48",
+        ])
+        assert line == (f"contprune: UsageError: state {state} names no base checkpoint "
+                        f"(base_sha256 null), so it cannot continue on {tiny_model_path}")
+        assert not (tmp_path / "p.ckpt").exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["prune", "--model", "m", "--corpus-path", "c", "--out", "o", "--seed", "0"],
          ["--init-mode", "global"]),

@@ -8,7 +8,9 @@ import pytest
 from contprune import corpus as C
 from contprune import metrics as X
 from contprune import model as M
-from contprune.errors import CompletenessError, InputError, NumericalError, UsageError
+from contprune.errors import CompletenessError, InputError, NumericalError
+
+from conftest import vocabulary_sequence
 
 DATA = Path(__file__).parent / "data"
 
@@ -142,11 +144,6 @@ class TestVocabularyTable:
         with_nonfinite_row(monkeypatch, 63)
         assert X.perplexity(net, corpus, seq_len=16) == want
 
-    def test_layer_kind_outside_positionwise_kinds_raises(self, monkeypatch, tiny_model, tiny_corpora):
-        monkeypatch.setattr(M, "POSITIONWISE_KINDS", M.POSITIONWISE_KINDS - {"layer_norm"})
-        with pytest.raises(UsageError, match="not positionwise"):
-            X.perplexity(tiny_model, tiny_corpora["prose"], seq_len=48)
-
 
 def per_corpus_loop(net, corpora, seq_len):
     """The reference for ``perplexities``: one ``perplexity`` call per
@@ -194,7 +191,7 @@ def two_temporary_perplexities(net, corpora, seq_len):
 
 def full_table_perplexity(net, corpus, seq_len):
     """The reference that reads every window from the full vocabulary table."""
-    logits = M.forward(net, M.vocabulary_tokens(net))
+    logits = M.forward(net, vocabulary_sequence(net))
     return gathered_perplexity(logits, np.arange(net.vocab_size), eval_windows(corpus, seq_len))
 
 

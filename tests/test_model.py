@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from contprune import corpus as C
+from contprune import importance as I
 from contprune import metrics as X
 from contprune import model as M
 from contprune import pruner as P
 from contprune import trainer as T
-from contprune.errors import FormatError, InputError, ShapeError, UsageError
+from contprune.errors import FormatError, InputError, ShapeError
+
+from conftest import vocabulary_sequence
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,7 +154,7 @@ class TestStreamedForward:
         return tiny_model if request.param == "base" else masked_tiny_model
 
     def test_bit_equal_to_the_list_based_loop(self, net, rng):
-        for tokens in (M.vocabulary_tokens(net), rng.integers(0, net.vocab_size, size=300)):
+        for tokens in (vocabulary_sequence(net), rng.integers(0, net.vocab_size, size=300)):
             xs = list_layer_inputs(net, tokens)
             assert M.forward(net, tokens).tobytes() == (net.embed @ xs[-1]).T.tobytes()
             captured = M.forward_capture(net, tokens)
@@ -162,7 +165,7 @@ class TestStreamedForward:
 
     def test_forward_holds_one_activation_not_every_layer_input(self):
         net = M.make_decoder(d=64, hidden=128, blocks=2, seed=0)  # the desk shape
-        tokens = M.vocabulary_tokens(net)
+        tokens = vocabulary_sequence(net)
         every_input = sum(x.nbytes for x in M.layer_inputs(net, tokens))
         tracemalloc.start()
         try:
@@ -173,37 +176,69 @@ class TestStreamedForward:
         assert peak < every_input
 
 
-class TestVocabularyBound:
-    """Perplexity, captures and the trainer all run the stack on
-    ``vocabulary_tokens``, so its bound stops each of them before a forward."""
+class TestPositionwiseContract:
+    """Every kind in ``LAYER_KINDS`` maps each position on its own, so the
+    logits at a position are those that a forward on its distinct tokens
+    gives for its token; a new kind fails here until it has a builder."""
 
-    @pytest.mark.parametrize(
-        "consumer",
-        [
-            lambda net, corpus: X.perplexity(net, corpus, seq_len=16),
-            lambda net, corpus: P.prune_step(
-                net, None, P.PruneConfig(criterion="wanda", sparsity=0.5, seed=0),
-                C.sample_calibration(corpus, 2, 16, seed=0),
-            ),
-            lambda net, corpus: T.train(
-                net, [corpus], T.TrainConfig(steps=1, batch=2, seq_len=16, seed=0)
-            ),
-        ],
-        ids=["perplexity", "wanda", "train"],
-    )
-    def test_vocabulary_above_bound_raises_before_any_forward(self, rng, monkeypatch, consumer):
-        vocab = M.MAX_TABLE_VOCAB + 1
-        layers = [M.linear([[1.0]]), M.activation("relu"), M.linear([[1.0]]),
-                  M.layer_norm([1.0], [0.0])]
-        net = M.Network(layers=layers, vocab_size=vocab, embed=rng.standard_normal((vocab, 1)))
-        corpus = C.Corpus(name="big", tokens=rng.integers(0, vocab, size=2000))
+    def test_every_kind_maps_each_position_on_its_own(self, rng):
+        d, vocab = 6, 64
+        builders = {
+            "linear": lambda: [M.linear(rng.standard_normal((d, d)) / np.sqrt(d))],
+            "activation": lambda: [M.activation(kind) for kind in M.ACTIVATION_KINDS],
+            "layer_norm": lambda: [M.layer_norm(1.0 + 0.1 * rng.standard_normal(d),
+                                                0.1 * rng.standard_normal(d))],
+        }
+        assert set(M.LAYER_KINDS) <= set(builders), "a layer kind with no builder in this test"
+        layers = [layer for kind in M.LAYER_KINDS for layer in builders[kind]()]
+        net = M.Network(layers=layers, vocab_size=vocab, embed=rng.standard_normal((vocab, d)))
+        assert {layer.kind for layer in net.layers} == set(M.LAYER_KINDS)
+        assert [layer.activation_kind for layer in net.layers
+                if layer.kind == "activation"] == list(M.ACTIVATION_KINDS)
+        tokens = rng.integers(0, vocab, size=300)
+        distinct = np.unique(tokens[:-1])
+        want = M.forward(net, np.append(distinct, 0))[np.searchsorted(distinct, tokens[:-1])]
+        got = M.forward(net, tokens)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
 
-        def no_forward(*args, **kwargs):
-            raise AssertionError("a layer ran")
 
-        monkeypatch.setattr(M, "layer_forward", no_forward)
-        with pytest.raises(UsageError, match="MAX_TABLE_VOCAB=4096"):
-            consumer(net, corpus)
+class TestLargeVocabulary:
+    """No command builds a (V, V) table of logits, so a 5000-token network
+    evaluates, prunes and trains on a 200-token corpus."""
+
+    @pytest.fixture()
+    def big(self, rng):
+        vocab = 5000
+        net = M.make_decoder(vocab_size=vocab, d=8, hidden=12, blocks=1, seed=2)
+        return net, C.Corpus(name="big", tokens=rng.integers(0, vocab, size=200))
+
+    def test_perplexity_matches_the_window_loop(self, big):
+        net, corpus = big
+        ev, seq_len = corpus.eval_tokens(), 16
+        ppls = []
+        for w in range(len(ev) // seq_len):
+            window = ev[w * seq_len : (w + 1) * seq_len]
+            logits = M.forward(net, window)
+            zmax = logits.max(axis=1, keepdims=True)
+            logz = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+            ppls.append(np.exp(-(logits[np.arange(seq_len - 1), window[1:]] - logz).mean()))
+        assert len(ppls) == 2
+        assert X.perplexity(net, corpus, seq_len) == pytest.approx(np.mean(ppls), rel=1e-12)
+
+    @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
+    def test_prune_step_reaches_its_sparsity(self, big, criterion):
+        net, corpus = big
+        state = I.init_state(net) if criterion == "sensitivity" else None
+        _, _, frag = P.prune_step(net, state, P.PruneConfig(criterion=criterion, sparsity=0.5),
+                                  C.sample_calibration(corpus, 2, 16, seed=0))
+        assert frag["overall_sparsity"] == 0.5
+
+    def test_train_takes_a_step(self, big):
+        net, corpus = big
+        losses = []
+        trained = T.train(net, [corpus], T.TrainConfig(steps=1, batch=2, seq_len=16, seed=0), losses)
+        assert len(losses) == 1 and np.isfinite(losses[0])
+        assert not np.array_equal(trained.embed, net.embed)
 
 
 class TestCheckpoint:

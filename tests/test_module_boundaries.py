@@ -8,11 +8,16 @@ needs it from outside should get a public name instead. The walk covers
 
 An import that no line reads is left over from removed code. The names that
 perfbench's tracer patches in a module are imported for that alone, on lines
-marked ``# noqa: F401``, which the walk skips.
+marked ``# noqa: F401``, which the walk skips; the last test checks that the
+tracer patches every name on such a line, on that module.
 """
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contprune"
@@ -70,6 +75,10 @@ def test_the_walk_sees_both_forms():
     ]
 
 
+def _noqa(node: ast.stmt, lines: list[str]) -> bool:
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+
+
 def unused_imports(source: str) -> list[str]:
     """Every name that ``source`` imports and never reads, but on lines marked
     ``# noqa: F401`` and in ``from __future__`` imports."""
@@ -82,7 +91,7 @@ def unused_imports(source: str) -> list[str]:
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if _noqa(node, lines):
             continue
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
@@ -108,3 +117,43 @@ def test_the_unused_import_walk():
         "    return os.path.join(json.dumps(1))\n"
     )
     assert unused_imports(source) == ["line 4: deepcopy", "line 5: lin"]
+
+
+RECORD_PATCHES = """
+import json, sys
+import tracer
+patched = []
+tracer.Tracer.patch = lambda self, module, attr, *args, **kwargs: patched.append(
+    [module.__name__, attr])
+tracer.install(tracer.Tracer())
+json.dump(patched, sys.stdout)
+"""
+
+
+def noqa_imports(source: str) -> list[str]:
+    """Every name that ``source`` imports on a line marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    return [alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            if _noqa(node, lines)
+            for alias in node.names]
+
+
+def test_every_noqa_import_is_a_name_the_tracer_patches():
+    """The ``# noqa: F401`` hatch keeps an import that no line reads only
+    while ``perfbench/tracer.install`` patches that name on that module."""
+    root = PACKAGE.parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", RECORD_PATCHES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    patched = {tuple(pair) for pair in json.loads(proc.stdout)}
+    found = {f"contprune.{path.stem}": noqa_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {
+        "contprune.harness": ["perplexity"],
+        "contprune.pruner": ["batch_gradient_magnitude", "batch_input_perturbation", "scaled_gaussian"],
+    }
+    unpatched = [f"{module}.{name}" for module, names in found.items() for name in names
+                 if (module, name) not in patched]
+    assert unpatched == []

@@ -16,6 +16,8 @@ from contprune import sensitivity as S
 from contprune.errors import InputError, NumericalError, ShapeError, UsageError
 from contprune.seeding import derive_seed
 
+from conftest import vocabulary_sequence
+
 
 class TestCriterionScores:
     def test_magnitude(self, prune_setup):
@@ -266,7 +268,7 @@ def input_counts(net, calib):
 def gathered_inputs(net, calib):
     """Each segment's per-layer inputs, gathered from one capture on the
     vocabulary: column ``a`` of a layer's capture is its input for token ``a``."""
-    inputs = M.forward_capture(net, M.vocabulary_tokens(net))
+    inputs = M.forward_capture(net, vocabulary_sequence(net))
     return [{idx: x[:, seg[:-1]] for idx, x in inputs.items()} for seg in calib.segments]
 
 
@@ -624,7 +626,7 @@ class TestVocabularyCaptures:
         real = P.gradient_terms
         monkeypatch.setattr(P, "gradient_terms", lambda w, x: made.append(w) or real(w, x))
         net = P.ScoredNetwork(tiny_model.layers, tiny_model.vocab_size, tiny_model.embed)
-        inputs = M.forward_capture(tiny_model, M.vocabulary_tokens(tiny_model))
+        inputs = M.forward_capture(tiny_model, vocabulary_sequence(tiny_model))
         rng = np.random.default_rng(3)
         one_hot = np.zeros(net.vocab_size, dtype=np.int64)
         one_hot[101] = 7
@@ -657,15 +659,6 @@ class TestVocabularyCaptures:
         cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, seed=0)
         with pytest.raises(InputError, match="out of range"):
             P.prune_step(net, state, cfg, calib)
-
-    @pytest.mark.parametrize("criterion", ["wanda", "sensitivity"])
-    def test_layer_kind_outside_positionwise_kinds_raises(self, prune_setup, monkeypatch, criterion):
-        net, calib_a, _ = prune_setup
-        monkeypatch.setattr(M, "POSITIONWISE_KINDS", M.POSITIONWISE_KINDS - {"activation"})
-        state = I.init_state(net) if criterion == "sensitivity" else None
-        cfg = P.PruneConfig(criterion=criterion, sparsity=0.5, seed=0)
-        with pytest.raises(UsageError, match="not positionwise"):
-            P.prune_step(net, state, cfg, calib_a)
 
 
 class TestMonotoneDegradation:

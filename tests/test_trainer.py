@@ -7,6 +7,8 @@ from contprune import model as M
 from contprune import trainer as T
 from contprune.errors import InputError, TrainingError, UsageError
 
+from conftest import vocabulary_sequence
+
 
 def byte_corpus(rng, n=6000, name="t"):
     return C.Corpus(name=name, tokens=rng.integers(0, 64, size=n))
@@ -196,7 +198,7 @@ def table_loss_and_grads(net, windows):
     counts = np.zeros((net.vocab_size, net.vocab_size))
     np.add.at(counts, (prev, targets), 1.0)
 
-    xs = M.layer_inputs(net, M.vocabulary_tokens(net))  # column a: token a
+    xs = M.layer_inputs(net, vocabulary_sequence(net))  # column a: token a
     h = xs[-1]
     logits = (net.embed @ h).T  # (vocab, vocab), row a: logits after token a
     z = logits - logits.max(axis=1, keepdims=True)
@@ -346,7 +348,7 @@ def parent_loss_and_grads(net, windows):
     counts = np.zeros((active.size, net.vocab_size))
     np.add.at(counts, (row, targets), 1.0)
 
-    xs = M.layer_inputs(net, np.append(M.vocabulary_tokens(net)[active], 0))
+    xs = M.layer_inputs(net, np.append(vocabulary_sequence(net)[active], 0))
     h = xs[-1]
     logits = (net.embed @ h).T
     z = logits - logits.max(axis=1, keepdims=True)
