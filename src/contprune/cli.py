@@ -116,9 +116,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    if args.criterion != "sensitivity" and (args.state or args.save_state):
-        flag = "--state" if args.state else "--save-state"
-        raise UsageError(f"{flag} needs --criterion sensitivity, got {args.criterion}")
     net = model.load_checkpoint(args.model)
     corpus = _load_named_corpus(args)
     calib = corpus_mod.sample_calibration(
@@ -130,7 +127,7 @@ def cmd_prune(args) -> int:
         kwargs = {"sparsity": args.sparsity}
     config = pruner.PruneConfig(criterion=args.criterion, **kwargs)
     state = None
-    if args.criterion == "sensitivity":
+    if args.state or args.save_state:  # under any criterion: a state holds token counts
         base_sha256 = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
         state = importance.load_state(args.state, net) if args.state else importance.init_state(net)
         if args.state and state.base_sha256 is None:

@@ -4,7 +4,7 @@ calibration set seen.
 Every layer is positionwise (``model.LAYER_KINDS``), so a calibration
 position enters a sensitivity score only through its input token, and a
 dataset's importance,
-``|W| * sensitivity.expected_gradient_magnitude(gradient_terms(W, X), counts)``
+``|W| * pruner.expected_gradient_magnitude(gradient_terms(W, X), counts)``
 (W is the base, unmasked weight), is linear in its token counts. The
 importance after any set of datasets is therefore that one expression on the
 sum of their counts, and the state holds just that sum: one integer per
@@ -12,7 +12,8 @@ vocabulary token. Integers add exactly, so the state after a set of datasets
 is the same in any visit order, bit for bit, and so are the importance and
 the masks scored from it. Masks derived from the state at intermediate
 steps depend on what has been seen so far, which is the whole point of
-keeping it.
+keeping it. The counts belong to no criterion: a state saved under wanda
+continues under sensitivity, and magnitude's scores never read it.
 
 The state is the only artifact carried between datasets; its size depends
 on the vocabulary, never on how much data has been consumed. A saved state

@@ -8,16 +8,17 @@ wanda        |W| scaled column-wise by the L2 norm of the corresponding
              from the token counts: ``sqrt((X * X) @ counts)``.
 sensitivity  the continual criterion: ``|W|`` times the expected
              ``|grad|`` of the finite-difference sensitivities under Gaussian
-             weight and input perturbations, in closed form from the token
-             counts (``sensitivity.expected_gradient_magnitude``), so scoring
-             draws no noise.
+             weight and input perturbations (sampled in ``sensitivity``), in
+             closed form from the token counts (``expected_gradient_magnitude``),
+             so scoring draws no noise.
 
 A step given an importance state (``importance``) accumulates, whatever its
 criterion: it scores the counts of every calibration set the state has seen,
 this one's included, against the base (unmasked) weights, so previously
 pruned positions can re-enter. Counts add exactly, so every order of one set
 of datasets gives the same state, scores and masks, bit for bit. The harness
-gives a state to sequential sensitivity, the paper's continual run.
+gives one to sequential sensitivity, the paper's continual run, and ``prune``
+to any criterion run with ``--state`` or ``--save-state``.
 
 A prune step passes plain dicts keyed by prunable layer index through
 three stages. ``score_step`` does the work that depends only on the scored
@@ -70,7 +71,7 @@ from .corpus import CalibrationSet
 from .errors import NumericalError, ShapeError, UsageError
 from .importance import ImportanceState, accumulate, check_against, check_next
 from .model import Network, check_tokens, forward_capture, linear
-from .sensitivity import DEFAULT_EPSILON, expected_gradient_magnitude, gradient_terms
+from .sensitivity import DEFAULT_EPSILON
 # perfbench's tracer patches accumulate and forward_capture by their names in
 # this module, and these three, which scoring no longer calls
 from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian  # noqa: F401
@@ -182,6 +183,52 @@ def build_masks(scores: dict[int, np.ndarray], config: PruneConfig) -> dict[int,
     return {idx: build_mask_nm(s, *config.nm) for idx, s in scores.items()}
 
 
+def gradient_terms(weight: np.ndarray, x_vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count-free factors ``(A, |X|^T)`` of ``expected_gradient_magnitude``
+    for a bare linear layer's ``weight`` and its vocabulary inputs ``x_vocab``
+    (column ``a`` is the layer's input for token ``a``)."""
+    w = np.asarray(weight, dtype=np.float64)
+    x = np.asarray(x_vocab, dtype=np.float64)
+    x_sq = x * x
+    a = np.sqrt(np.mean(w * w) * x_sq.sum(axis=0)[None, :]
+                + np.mean(x_sq, axis=0)[None, :] * (w * w).sum(axis=1)[:, None])
+    return a, np.abs(x).T
+
+
+def expected_gradient_magnitude(
+    terms: tuple[np.ndarray, np.ndarray], counts: np.ndarray, epsilon: float, draws: int
+) -> np.ndarray:
+    """The expectation of ``sensitivity.batch_gradient_magnitude`` summed
+    over the calibration positions of a bare linear layer, ``draws`` Gaussian
+    draws per position, from the token counts alone. ``terms`` is
+    ``gradient_terms(W, X)``, which no count enters, so a network scored on
+    many count vectors computes it once per layer.
+
+    Column ``a`` of ``X`` is the layer's input for token ``a``, and
+    ``counts[a]`` is how many calibration positions read token ``a``. A
+    position with input ``x`` adds ``2 |dy| |x|^T``, where
+    ``dy = dW x + W dx``; ``dW`` has independent entries of RMS
+    ``eps * RMS(W)`` and ``dx`` of RMS ``eps * RMS(x)``. So row ``i`` of
+    ``dy`` is ``N(0, s_i^2)`` with
+
+        s_i^2 = eps^2 (mean(W^2) |x|^2 + mean(x^2) |W_i|^2)
+
+    and ``E|dy_i| = sqrt(2/pi) s_i``. Every position reading token ``a``
+    adds the same expectation, so the sum over positions and draws is
+
+        G = 2 sqrt(2/pi) eps draws ((A * counts) @ |X|^T)
+        A[i, a] = sqrt(mean(W^2) |x_a|^2 + mean(x_a^2) |W_i|^2)
+
+    The sampled reference rescales its noise to an exact RMS, so it is only
+    nearly Gaussian; this is the expectation under exact Gaussians. A weight
+    draw is shared by a segment's positions, which correlates their terms
+    but leaves the expectation of their sum unchanged.
+    """
+    a, abs_xt = terms
+    scale = 2.0 * math.sqrt(2.0 / math.pi) * epsilon * draws
+    return scale * ((a * counts) @ abs_xt)
+
+
 def _vocabulary_inputs(net: Network) -> dict[int, np.ndarray]:
     """Each prunable layer's input on every token of the vocabulary: column
     ``a`` is its input for token ``a``; the trailing 0 is never an input."""
@@ -199,7 +246,7 @@ class ScoredNetwork(Network):
 
     @cached_property
     def gradient_terms(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """``sensitivity.gradient_terms`` of each prunable layer."""
+        """``gradient_terms`` of each prunable layer."""
         return {idx: gradient_terms(self.layers[idx].weight, x)
                 for idx, x in self.vocabulary_inputs.items()}
 

@@ -1,5 +1,5 @@
-"""Finite-difference sensitivity of layer outputs to weight and input
-perturbations, and the closed-form gradient of the sensitivity loss.
+"""The sampled sensitivity reference: finite-difference sensitivity of layer
+outputs to weight and input perturbations, and the loss gradient it gives.
 
 For a layer ``y = f(x, W)`` and small perturbations ``dW``, ``dx``:
 
@@ -18,15 +18,14 @@ For bare linear layers the finite differences collapse algebraically to
 the cancellation error of evaluating ``f(W + dW, x) - f(W, x)`` in floating
 point.
 
-Pruning scores with ``expected_gradient_magnitude``, the Gaussian expectation
-of the summed gradient magnitudes, which draws no noise. The batch functions
-(``batch_input_perturbation``, ``batch_gradient_magnitude``) and
-``scaled_gaussian`` are the sampled reference whose many-draw average the
-tests hold it against.
+No command draws this noise: ``pruner.expected_gradient_magnitude`` scores
+its expectation in closed form, and ``tests/test_pruner.py`` holds that to the
+many-draw average of the batch functions (``batch_input_perturbation``,
+``batch_gradient_magnitude``, ``scaled_gaussian``). Of this module, the
+command path reads ``DEFAULT_EPSILON`` only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,49 +224,3 @@ def batch_gradient_magnitude(
     x_batch = np.asarray(x_batch, dtype=np.float64)
     _, _, dy, dfdw = _terms(layer, x_batch, None, Perturbation(delta_w, delta_x), None)
     return 2.0 * np.abs(dy) @ np.abs(dfdw).T
-
-
-def gradient_terms(weight: np.ndarray, x_vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The count-free factors ``(A, |X|^T)`` of ``expected_gradient_magnitude``
-    for a bare linear layer's ``weight`` and its vocabulary inputs ``x_vocab``
-    (column ``a`` is the layer's input for token ``a``)."""
-    w = np.asarray(weight, dtype=np.float64)
-    x = np.asarray(x_vocab, dtype=np.float64)
-    x_sq = x * x
-    a = np.sqrt(np.mean(w * w) * x_sq.sum(axis=0)[None, :]
-                + np.mean(x_sq, axis=0)[None, :] * (w * w).sum(axis=1)[:, None])
-    return a, np.abs(x).T
-
-
-def expected_gradient_magnitude(
-    terms: tuple[np.ndarray, np.ndarray], counts: np.ndarray, epsilon: float, draws: int
-) -> np.ndarray:
-    """Expectation of the sampled sum of ``batch_gradient_magnitude`` over
-    the calibration positions of a bare linear layer, with ``draws`` Gaussian
-    draws per position, from the token counts alone. ``terms`` is
-    ``gradient_terms(W, X)``, which no count enters, so a network scored on
-    many count vectors computes it once per layer.
-
-    Column ``a`` of ``X`` is the layer's input for token ``a``, and
-    ``counts[a]`` is how many calibration positions read token ``a``. A
-    position with input ``x`` adds ``2 |dy| |x|^T``, where
-    ``dy = dW x + W dx``; ``dW`` has independent entries of RMS
-    ``eps * RMS(W)`` and ``dx`` of RMS ``eps * RMS(x)``. So row ``i`` of
-    ``dy`` is ``N(0, s_i^2)`` with
-
-        s_i^2 = eps^2 (mean(W^2) |x|^2 + mean(x^2) |W_i|^2)
-
-    and ``E|dy_i| = sqrt(2/pi) s_i``. Every position reading token ``a``
-    adds the same expectation, so the sum over positions and draws is
-
-        G = 2 sqrt(2/pi) eps draws ((A * counts) @ |X|^T)
-        A[i, a] = sqrt(mean(W^2) |x_a|^2 + mean(x_a^2) |W_i|^2)
-
-    The sampled reference rescales its noise to an exact RMS, so it is only
-    nearly Gaussian; this is the expectation under exact Gaussians. A weight
-    draw is shared by a segment's positions, which correlates their terms
-    but leaves the expectation of their sum unchanged.
-    """
-    a, abs_xt = terms
-    scale = 2.0 * math.sqrt(2.0 / math.pi) * epsilon * draws
-    return scale * ((a * counts) @ abs_xt)

@@ -19,6 +19,7 @@ from contprune import model as M
 from contprune import pruner as P
 from contprune import trainer as T
 from contprune.errors import InputError, NumericalError, UsageError
+from contprune.seeding import derive_seed
 
 
 @pytest.fixture()
@@ -540,6 +541,52 @@ class TestCli:
                         f"(base_sha256 null), so it cannot continue on {tiny_model_path}")
         assert not (tmp_path / "p.ckpt").exists()
 
+    @pytest.mark.parametrize("criterion", P.CRITERIA)
+    def test_prune_state_accumulates_for_every_criterion(self, tiny_dir, tiny_model_path, tmp_path,
+                                                         criterion):
+        """``--state`` and ``--save-state`` give a step a state whatever its
+        criterion, and a step with a state is ``prune_step`` on the base."""
+        settings = ["--criterion", criterion, "--seed", "1", "--n-samples", "2", "--seq-len", "48"]
+        first, second = tmp_path / "s1.bin", tmp_path / "s2.bin"
+
+        def prune(name, *extra):
+            assert cli.main(["prune", "--model", str(tiny_model_path), "--corpus-path",
+                             str(tiny_dir / f"{name}.bin"), "--out", str(tmp_path / f"{name}.ckpt"),
+                             *extra, *settings]) == 0
+
+        prune("prose", "--save-state", str(first))
+        prune("numeric", "--state", str(first), "--save-state", str(second),
+              "--export-masks", str(tmp_path / "cli"))
+        base = M.load_checkpoint(tiny_model_path)
+        calibs = [C.sample_calibration(C.load_corpus(tiny_dir / f"{name}.bin", name), 2, 48,
+                                       derive_seed(1, "calib", name)) for name in ("prose", "numeric")]
+        config = P.PruneConfig(criterion=criterion, sparsity=0.5)
+        _, masks, _ = P.prune_step(base, I.load_state(first), config, calibs[1])
+        P.export_masks(masks, config, tmp_path / "in-process")
+        for name in ("masks.bin", "masks.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
+        state = I.load_state(second)
+        assert state.counts.tolist() == sum(
+            np.pad(c.counts, (0, base.vocab_size - c.counts.size)) for c in calibs).tolist()
+        assert state.datasets_seen == ["prose", "numeric"]
+
+    def test_sensitivity_prune_without_a_state_scores_its_own_counts(
+        self, tiny_dir, tiny_model_path, tmp_path, capsys
+    ):
+        """Without ``--state`` or ``--save-state`` a sensitivity step scores
+        its dataset's own counts, the counts a fresh state would hold."""
+        written = []
+        for name, extra in (("fresh", ["--save-state", str(tmp_path / "s.bin")]), ("none", [])):
+            capsys.readouterr()
+            assert cli.main(["prune", "--model", str(tiny_model_path), "--corpus-path",
+                             str(tiny_dir / "prose.bin"), "--out", str(tmp_path / f"{name}.ckpt"),
+                             "--export-masks", str(tmp_path / name), "--seed", "1", "--n-samples",
+                             "2", "--seq-len", "48", *extra]) == 0
+            written.append([capsys.readouterr().out.encode()] + [
+                (tmp_path / rel).read_bytes()
+                for rel in (f"{name}.ckpt", f"{name}/masks.bin", f"{name}/masks.json")])
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("argv, flag", [
         (["prune", "--model", "m", "--corpus-path", "c", "--out", "o", "--seed", "0"],
          ["--init-mode", "global"]),
@@ -891,12 +938,9 @@ class TestCli:
             (["prune", "--corpus-path", "{prose}", "--state", "{model}", "--seed", "0",
               "--out", "{tmp}/p.ckpt"],
              r"FormatError: bad state magic b'DECKPT01'"),
-            (["prune", "--corpus-path", "{prose}", "--criterion", "magnitude",
-              "--save-state", "{tmp}/s.bin", "--seed", "0", "--out", "{tmp}/p.ckpt"],
-             r"UsageError: --save-state needs --criterion sensitivity, got magnitude"),
             (["prune", "--corpus-path", "{prose}", "--criterion", "wanda",
               "--state", "{tmp}/missing.bin", "--seed", "0", "--out", "{tmp}/p.ckpt"],
-             r"UsageError: --state needs --criterion sensitivity, got wanda"),
+             r"FileNotFoundError: .*missing\.bin'"),
             (["gen-corpora", "--out", "{tmp}/c", "--tokens", "0"],
              r"UsageError: n_tokens must be >= 1, got 0"),
             (["gen-corpora", "--out", "{tmp}/c", "--tokens", "-5"],
@@ -918,8 +962,8 @@ class TestCli:
              r"UsageError: need d >= 1, hidden >= 1 and blocks >= 0, got d=64, hidden=128, "
              r"blocks=-1"),
         ],
-        ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state", "save-state-magnitude",
-             "state-wanda", "zero-tokens", "negative-tokens", "negative-corpora-seed",
+        ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state", "state-wanda",
+             "zero-tokens", "negative-tokens", "negative-corpora-seed",
              "negative-train-seed", "zero-dim", "zero-hidden", "negative-blocks"],
     )
     def test_failed_command_prints_one_line_and_exits_1(

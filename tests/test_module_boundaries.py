@@ -8,8 +8,12 @@ needs it from outside should get a public name instead. The walk covers
 
 An import that no line reads is left over from removed code. The names that
 perfbench's tracer patches in a module are imported for that alone, on lines
-marked ``# noqa: F401``, which the walk skips; the last test checks that the
+marked ``# noqa: F401``, which the walk skips; a test checks that the
 tracer patches every name on such a line, on that module.
+
+The command path scores sensitivity with ``pruner``'s closed form; the last
+test checks that ``pruner`` reads nothing else of ``sensitivity``, the sampled
+reference, but ``DEFAULT_EPSILON``.
 """
 from __future__ import annotations
 
@@ -157,3 +161,21 @@ def test_every_noqa_import_is_a_name_the_tracer_patches():
     unpatched = [f"{module}.{name}" for module, names in found.items() for name in names
                  if (module, name) not in patched]
     assert unpatched == []
+
+
+def top_level_functions(source: str) -> set[str]:
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_pruner_owns_the_closed_form_sensitivity_score():
+    """``pruner`` defines the closed form it scores with, and imports from
+    ``sensitivity``, the sampled reference, only ``DEFAULT_EPSILON`` and the
+    names the tracer patches there (on ``# noqa: F401`` lines)."""
+    source = (PACKAGE / "pruner.py").read_text()
+    imported = [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "sensitivity" for alias in node.names]
+    assert imported == ["DEFAULT_EPSILON", *noqa_imports(source)]
+    closed_form = {"gradient_terms", "expected_gradient_magnitude"}
+    assert closed_form <= top_level_functions(source)
+    assert closed_form & top_level_functions((PACKAGE / "sensitivity.py").read_text()) == set()
