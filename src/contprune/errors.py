@@ -25,14 +25,9 @@ class TrainingError(RuntimeError):
     """Training diverged or produced non-finite values."""
 
 
-class CompletenessError(ValueError):
-    """An aggregate was requested over an incomplete cell grid."""
-
-
 # The package's own errors: the command line prints one line for each.
 PACKAGE_ERRORS = (
     ShapeError, InputError, FormatError, UsageError, NumericalError, TrainingError,
-    CompletenessError,
 )
 
 # What a failed grid ordering records as an ``errors`` entry, the run going

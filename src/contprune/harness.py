@@ -30,10 +30,12 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
   under global initialization, so all orderings and specs share a few score
   sets. A sequential baseline scores its parent's step network, and a frozen
   baseline's step network recurs across orderings. The first read of a key
-  takes one score set (``pruner.score_step``), builds from it the masks of
-  every spec that the command runs for that (criterion, ``n_samples``)
-  group, and drops the float scores; the masks are held until the command
-  ends, at an eighth of the scores' bytes;
+  takes one score set (``pruner.score_step``), builds masks from it and
+  drops the float scores: a key on the base builds the masks of every spec
+  that the command runs for that (criterion, ``n_samples``) group, a key on
+  a step network only those of the spec whose step produced it (a later
+  spec that reads an equal key scores it again). The masks are held until
+  the command ends, at an eighth of the scores' bytes;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one forward per corpus on the tokens its eval windows read): magnitude
   under global initialization, for one, prunes the base to the same network
@@ -79,7 +81,7 @@ import numpy as np
 from .corpus import CalibrationSet, Corpus, load_corpus, permutations, sample_calibration
 from .errors import RECOVERABLE_ERRORS, InputError, UsageError
 from .importance import ImportanceState, init_state
-from .metrics import EvalCell, aggregate, perplexities
+from .metrics import aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
 from .pruner import PruneConfig, ScoredNetwork, build_masks, prune_step, score_step
@@ -195,9 +197,9 @@ def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
 class Memo:
     """One command's base network and corpora, and what it computes from
     them at most once for its ``(criterion, spec, n_samples)`` runs (see the
-    module docstring): calibration sets, the masks of every scored key for
-    every spec of its group, and each distinct network's perplexities, all
-    held until the command ends. It holds no score set and no step network."""
+    module docstring): calibration sets, the masks of every scored key, and
+    each distinct network's perplexities, all held until the command ends.
+    It holds no score set and no step network."""
 
     def __init__(self, cfg: ExperimentConfig, base: Network, corpora: dict[str, Corpus], runs):
         self.cfg = cfg
@@ -224,20 +226,23 @@ class Memo:
 
     def masks(self, net: Network, config: PruneConfig, counts: np.ndarray,
               n_samples: int) -> dict[int, np.ndarray]:
-        """``build_masks(score_step(net, config, counts), config)``. The
-        first read of a ``(network, criterion, counts, n_samples)`` key, the
-        network by its zero pattern (``_key``), builds the masks of every spec
-        of the command's ``(criterion, n_samples)`` runs from one score set,
-        drops the scores and holds the masks until the command ends. The base
-        and a sequential baseline's step network take this one path. The rest
-        of ``config`` (epsilon and draws, which scale sensitivity scores) comes
-        from the command's one ``ExperimentConfig``."""
-        key = (self._key(net), config.criterion, counts.tobytes(), n_samples)
-        if key not in self._masks:
+        """``build_masks(score_step(net, config, counts), config)``, held
+        per ``(network, criterion, counts, n_samples)`` key, the network by its
+        zero pattern (``_key``), until the command ends; the scores are dropped
+        once the masks are built. The first read of a key on the base builds
+        the masks of every spec of the command's ``(criterion, n_samples)``
+        runs from one score set, since every spec scores the base. A step
+        network's key builds the spec asked for, which alone produced that
+        network; a later spec that reads an equal key scores it again for its
+        own masks. The rest of ``config`` (epsilon and draws, which scale
+        sensitivity scores) comes from the command's one ``ExperimentConfig``."""
+        held = self._masks.setdefault(
+            (self._key(net), config.criterion, counts.tobytes(), n_samples), {})
+        if (config.sparsity, config.nm) not in held:
             scores = score_step(net, config, counts)
-            self._masks[key] = {(c.sparsity, c.nm): build_masks(scores, c)
-                                for c in self._configs[config.criterion, n_samples]}
-        return self._masks[key][config.sparsity, config.nm]
+            specs = self._configs[config.criterion, n_samples] if net is self.base else [config]
+            held.update({(c.sparsity, c.nm): build_masks(scores, c) for c in specs})
+        return held[config.sparsity, config.nm]
 
     def perplexities(self, net: Network) -> dict[str, float]:
         """Perplexity of ``net`` on every corpus, in name order, computed
@@ -300,8 +305,7 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     sequential = pconfig.init_mode == "sequential"
     by_set = sequential and criterion == "sensitivity"
 
-    cells: list[EvalCell] = []
-    completed: list[tuple[str, ...]] = []
+    paths: dict[tuple[str, ...], list[dict[str, float]]] = {}
     ws_perms: list[str] = []
     step_stats: list[dict] = []
     errors: list[dict] = []
@@ -328,18 +332,16 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
             step_stats.append({"permutation": ">".join(pi), "step": step,
                                "pruned_dataset": ds_name, "overall_sparsity": cur.sparsity,
                                "hamming_vs_prev": distance})
-            cells += [EvalCell(permutation=pi, step=step, eval_dataset=ds, perplexity=ppl)
-                      for ds, ppl in cur.ppls.items()]
-        completed.append(pi)
+        paths[pi] = [cur.ppls for cur in path]
         if len(path) > 1 and not any(hamming[1:]):  # every transition kept every mask bit
             ws_perms.append(">".join(pi))
         del path, cur  # so that the next ordering's filter frees the steps off its path
     return {
         "criterion": criterion,
         "spec": pconfig.spec_label(),
-        "ws": bool(completed) and len(ws_perms) == len(completed),
+        "ws": bool(paths) and len(ws_perms) == len(paths),
         "ws_permutations": ws_perms,
-        "report": aggregate(cells, completed, names) if completed else None,
+        "report": aggregate(paths) if paths else None,
         "step_stats": step_stats,
         "errors": errors,
         "complete": not errors,

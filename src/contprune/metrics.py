@@ -7,10 +7,11 @@ within rounding (``model.LAYER_KINDS``), so a corpus's perplexity depends on
 the network and that corpus alone, never on which corpora are evaluated with
 it.
 
-The evaluation grid is indexed by (permutation, prune step, eval dataset):
-cell ``(pi, i, j)`` holds the perplexity on dataset ``j`` after the i-th
-prune step of ordering ``pi``. Backward transfer for a dataset ``j`` pruned
-at step ``s_j`` and re-evaluated after a later step ``i`` is
+``aggregate`` reads each completed ordering ``pi`` as its path: one
+``{eval dataset: perplexity}`` per prune step, so that cell ``(pi, i, j)``
+is the perplexity on dataset ``j`` after the i-th prune step of ``pi``.
+Backward transfer for a dataset ``j`` pruned at step ``s_j`` and
+re-evaluated after a later step ``i`` is
 
     bwt = ppl(i, j) - ppl(s_j, j)
 
@@ -25,12 +26,10 @@ dict that each ``grid.json`` entry stores as its ``report``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Corpus
-from .errors import CompletenessError, InputError, NumericalError
+from .errors import InputError, NumericalError
 from .model import Network, check_tokens, forward
 
 
@@ -96,18 +95,6 @@ def _eval_windows(net: Network, corpus: Corpus, seq_len: int) -> np.ndarray:
     return check_tokens(net, tokens[: n_windows * seq_len]).reshape(n_windows, seq_len)
 
 
-@dataclass(frozen=True)
-class EvalCell:
-    permutation: tuple[str, ...]
-    step: int  # 1-based position in the permutation
-    eval_dataset: str
-    perplexity: float
-
-    @property
-    def pruned_dataset(self) -> str:
-        return self.permutation[self.step - 1]
-
-
 def bwt_cell(p_after: float, p_immediate: float) -> float:
     """Backward transfer: perplexity drift since the dataset was pruned on."""
     if not (np.isfinite(p_after) and np.isfinite(p_immediate)):
@@ -115,62 +102,32 @@ def bwt_cell(p_after: float, p_immediate: float) -> float:
     return float(p_after - p_immediate)
 
 
-def _required_coords(perms, datasets):
-    for pi in perms:
-        for step in range(1, len(pi) + 1):
-            for ds in datasets:
-                yield (pi, step, ds)
+def aggregate(paths: dict[tuple[str, ...], list[dict[str, float]]]) -> dict:
+    """Fold each ordering's path into the report that ``grid.json`` stores.
 
-
-def aggregate(
-    cells,
-    permutations: list[tuple[str, ...]] | None = None,
-    datasets: list[str] | None = None,
-) -> dict:
-    """Fold a complete cell grid into the report that ``grid.json`` stores:
-    ``cells`` in (permutation, step, eval dataset) order, ``bwt_entries``,
-    ``aggregates`` (``a_bwt``/``m_bwt`` None when the grid has no backward
-    pairs) and ``per_dataset``.
-
-    The expected schedule is derived from the cells when not given
-    explicitly: every permutation present must have one cell per
-    (step, eval dataset) combination.
+    ``paths`` maps an ordering to its steps' perplexities, one
+    ``{eval dataset: perplexity}`` per prune step. The report holds
+    ``cells`` in the order given (ordering, step, eval dataset),
+    ``bwt_entries`` in the same order, ``aggregates`` (``a_bwt``/``m_bwt``
+    None when no ordering has two steps) and ``per_dataset``.
     """
-    cells = sorted(cells, key=lambda c: (c.permutation, c.step, c.eval_dataset))
-    if not cells:
-        raise CompletenessError("no cells to aggregate")
-    if datasets is None:
-        datasets = sorted({c.eval_dataset for c in cells})
-    if permutations is None:
-        permutations = sorted({c.permutation for c in cells})
-    index: dict[tuple, float] = {}
-    for c in cells:
-        index[(c.permutation, c.step, c.eval_dataset)] = c.perplexity
-    missing = [k for k in _required_coords(permutations, datasets) if k not in index]
-    if missing:
-        desc = ", ".join(f"({'>'.join(p)}, step {s}, {d})" for p, s, d in missing[:8])
-        raise CompletenessError(
-            f"{len(missing)} missing cell(s) in the evaluation grid: {desc}"
-        )
-
-    # the later step is the one whose pruning is charged; the eval dataset
-    # was pruned at an earlier step
+    cells: list[dict] = []
     bwt_entries: list[dict] = []
-    for pi in permutations:
-        step_of = {ds: k + 1 for k, ds in enumerate(pi)}
-        for step in range(2, len(pi) + 1):
-            for ds in pi:
-                if step_of[ds] < step:
-                    value = bwt_cell(index[(pi, step, ds)], index[(pi, step_of[ds], ds)])
-                    bwt_entries.append(
-                        {"permutation": list(pi), "step": step, "eval_dataset": ds, "value": value}
-                    )
+    for pi, path in paths.items():
+        for step, (pruned, ppls) in enumerate(zip(pi, path), start=1):
+            cells += [{"permutation": list(pi), "step": step, "pruned_dataset": pruned,
+                       "eval_dataset": ds, "perplexity": ppl} for ds, ppl in ppls.items()]
+            # the later step is the one whose pruning is charged; the eval
+            # dataset was pruned at an earlier step
+            bwt_entries += [{"permutation": list(pi), "step": step, "eval_dataset": ds,
+                             "value": bwt_cell(ppls[ds], path[k][ds])}
+                            for k, ds in enumerate(pi[: step - 1])]
 
-    ppls = np.array([c.perplexity for c in cells])
+    ppls = np.array([c["perplexity"] for c in cells])
     bwts = np.array([b["value"] for b in bwt_entries]) if bwt_entries else None
     per_dataset: dict[str, dict] = {}
-    for ds in datasets:
-        ds_ppl = np.array([c.perplexity for c in cells if c.eval_dataset == ds])
+    for ds in dict.fromkeys(c["eval_dataset"] for c in cells):
+        ds_ppl = np.array([c["perplexity"] for c in cells if c["eval_dataset"] == ds])
         entry = {
             "ppl_mean": float(ds_ppl.mean()),
             "ppl_std": float(ds_ppl.std()),
@@ -182,16 +139,7 @@ def aggregate(
         per_dataset[ds] = entry
 
     return {
-        "cells": [
-            {
-                "permutation": list(c.permutation),
-                "step": c.step,
-                "pruned_dataset": c.pruned_dataset,
-                "eval_dataset": c.eval_dataset,
-                "perplexity": c.perplexity,
-            }
-            for c in cells
-        ],
+        "cells": cells,
         "bwt_entries": bwt_entries,
         "aggregates": {
             "a_ppl": float(ppls.mean()),

@@ -18,6 +18,19 @@ def vocabulary_sequence(net):
     return np.append(np.arange(net.vocab_size), 0)
 
 
+def paths_from_cells(cells) -> dict:
+    """A report's serialized ``cells``, in their (ordering, step, eval
+    dataset) order, read back into the paths ``metrics.aggregate`` takes:
+    per ordering, one ``{eval dataset: perplexity}`` per step."""
+    paths: dict[tuple, list[dict]] = {}
+    for c in cells:
+        path = paths.setdefault(tuple(c["permutation"]), [])
+        if len(path) < c["step"]:
+            path.append({})
+        path[c["step"] - 1][c["eval_dataset"]] = c["perplexity"]
+    return paths
+
+
 @pytest.fixture(scope="session")
 def desk_dir(tmp_path_factory):
     """Default desk-scale corpora: three 200k-token synthetic sources, written

@@ -30,11 +30,12 @@ from contprune import linalg
 from contprune import model as M
 from contprune import pruner as P
 from contprune import sensitivity as S
-from contprune.metrics import EvalCell, aggregate
+from contprune.metrics import aggregate
 from contprune.seeding import derive_seed
 
+from conftest import paths_from_cells
+
 DATA = Path(__file__).parent / "data"
-CORPORA = ("bracket", "numeric", "prose")
 
 
 def _ok(num, name, detail=""):
@@ -223,11 +224,7 @@ def test_c08_dense_baseline_sanity(grid_run):
         assert dense["a_ppl"] < g["report"]["aggregates"]["a_ppl"], key
     # a never-pruned model evaluated over the whole schedule has BWT == 0
     perms = [("bracket", "numeric", "prose"), ("prose", "numeric", "bracket")]
-    cells = [
-        EvalCell(permutation=pi, step=s, eval_dataset=ds, perplexity=dense["per_dataset"][ds])
-        for pi in perms for s in (1, 2, 3) for ds in CORPORA
-    ]
-    report = aggregate(cells, perms, list(CORPORA))
+    report = aggregate({pi: [dense["per_dataset"]] * 3 for pi in perms})
     assert report["aggregates"]["a_bwt"] == 0.0 and report["aggregates"]["m_bwt"] == 0.0
     _ok(8, "dense baseline sanity", f"(dense a-ppl {dense['a_ppl']:.4f} lowest; BWT identically 0)")
 
@@ -244,7 +241,8 @@ def test_c09_sample_efficiency_trend(desk_dir, desk_model_path, tmp_path):
         "--samples-sweep", "16,32,64",
     ])
     assert rc == 0
-    rows = list(csv.DictReader((out / "ablation_samples.csv").open()))
+    with (out / "ablation_samples.csv").open() as f:
+        rows = list(csv.DictReader(f))
     points = {int(r["n_samples"]): (float(r["a_bwt"]), float(r["m_bwt"])) for r in rows}
     assert set(points) == {16, 32, 64}
     a_values = [points[n][0] for n in (16, 32, 64)]
@@ -312,7 +310,8 @@ def test_sparsity_ablation_trend(desk_dir, desk_model_path, tmp_path):
         "--sparsity-sweep", "0.3,0.7",
     ])
     assert rc == 0
-    rows = list(csv.DictReader((out / "ablation_sparsity.csv").open()))
+    with (out / "ablation_sparsity.csv").open() as f:
+        rows = list(csv.DictReader(f))
     by_s = {float(r["sparsity"]): float(r["a_bwt"]) for r in rows}
     assert by_s[0.7] >= by_s[0.3]
     print(f"SUPPORTING sparsity trend: PASS (wanda a-bwt 0.3 -> {by_s[0.3]:.4f}, 0.7 -> {by_s[0.7]:.4f})")
@@ -320,16 +319,7 @@ def test_sparsity_ablation_trend(desk_dir, desk_model_path, tmp_path):
 
 def test_c12_aggregate_metric_oracle():
     fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
-    cells = [
-        EvalCell(
-            permutation=tuple(c["permutation"]),
-            step=c["step"],
-            eval_dataset=c["eval_dataset"],
-            perplexity=c["perplexity"],
-        )
-        for c in fixture["cells"]
-    ]
-    report = aggregate(cells)
+    report = aggregate(paths_from_cells(fixture["cells"]))
     exp = fixture["expected"]
     assert abs(report["aggregates"]["a_bwt"] - exp["a_bwt"]) <= 1e-12
     assert abs(report["aggregates"]["m_bwt"] - exp["m_bwt"]) <= 1e-12

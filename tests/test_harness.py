@@ -21,6 +21,8 @@ from contprune import trainer as T
 from contprune.errors import InputError, NumericalError, UsageError
 from contprune.seeding import derive_seed
 
+from conftest import paths_from_cells
+
 
 @pytest.fixture()
 def tiny_cfg_kwargs(tiny_dir, tiny_model_path):
@@ -274,6 +276,20 @@ class TestRunContinual:
                 assert float(row["a_bwt"]) == agg["a_bwt"]
             else:
                 assert row["a_bwt"] == "WS"
+
+    @pytest.mark.parametrize("mode", [None, "sequential"])
+    def test_each_serialized_report_re_aggregates_to_itself(self, tiny_cfg_kwargs, tiny_dir,
+                                                             tmp_path, mode):
+        # all three tiny corpora, so that a step charges backward transfer to two datasets
+        corpora = {n: str(tiny_dir / f"{n}.bin") for n in ("bracket", "numeric", "prose")}
+        cfg = H.ExperimentConfig(**{**tiny_cfg_kwargs, "corpora": corpora},
+                                 output_dir=str(tmp_path / "runs"), init_mode_override=mode)
+        H.run_continual(cfg)
+        grids = json.loads((tmp_path / "runs" / "grid.json").read_text())["grids"]
+        assert len(grids) == 3
+        for key, g in grids.items():
+            assert len(g["report"]["cells"]) == 54, key
+            assert metrics.aggregate(paths_from_cells(g["report"]["cells"])) == g["report"], key
 
     def test_failed_permutations_are_recorded_not_fatal(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
         cfg = H.ExperimentConfig(

@@ -24,7 +24,7 @@ from contprune import pruner as P
 from contprune.corpus import permutations, sample_calibration
 from contprune.errors import NumericalError
 from contprune.importance import init_state
-from contprune.metrics import EvalCell, aggregate, perplexity
+from contprune.metrics import aggregate, perplexity
 from contprune.pruner import prune_step
 from contprune.seeding import derive_seed
 
@@ -50,9 +50,9 @@ def oracle_grid_cell(cfg, base, corpora, criterion, spec, n_samples) -> dict:
     names = sorted(corpora)
     pconfig = H._prune_config(cfg, criterion, spec)
 
-    cells, completed, ws_perms, step_stats, errors = [], [], [], [], []
+    paths, ws_perms, step_stats, errors = {}, [], [], []
     for pi in permutations(names):
-        perm_cells, perm_stats = [], []
+        perm_path, perm_stats = [], []
         try:
             current = base.copy()
             state = init_state(base) if criterion == "sensitivity" else None
@@ -77,25 +77,21 @@ def oracle_grid_cell(cfg, base, corpora, criterion, spec, n_samples) -> dict:
                     "overall_sparsity": frag["overall_sparsity"],
                     "hamming_vs_prev": hamming_total,
                 })
-                for ds in names:
-                    perm_cells.append(EvalCell(
-                        permutation=pi, step=step, eval_dataset=ds,
-                        perplexity=perplexity(current, corpora[ds], cfg.seq_len),
-                    ))
+                perm_path.append({ds: perplexity(current, corpora[ds], cfg.seq_len)
+                                  for ds in names})
         except Exception as exc:
             errors.append({"permutation": ">".join(pi), "error": f"{type(exc).__name__}: {exc}"})
             continue
-        cells += perm_cells
+        paths[pi] = perm_path
         step_stats += perm_stats
-        completed.append(pi)
         if transitions_stasis and all(transitions_stasis):
             ws_perms.append(">".join(pi))
     return {
         "criterion": criterion,
         "spec": pconfig.spec_label(),
-        "ws": bool(completed) and len(ws_perms) == len(completed),
+        "ws": bool(paths) and len(ws_perms) == len(paths),
         "ws_permutations": ws_perms,
-        "report": aggregate(cells, completed, names) if completed else None,
+        "report": aggregate(paths) if paths else None,
         "step_stats": step_stats,
         "errors": errors,
         "complete": not errors,
@@ -407,9 +403,10 @@ def test_sequential_step_networks_are_scored_once_per_key_and_held(three_corpora
     assert len(scored) == 3 + 2 * 3 * 2
     keys = [(memo._key(net), counts.tobytes()) for net, _, counts in scored]
     assert len(set(keys)) == len(keys)
-    # every key holds the masks of both specs
+    # a base key holds the masks of both specs, a step network's key those
+    # of the one spec whose step produced it
     held = held_arrays(memo)
-    assert only_masks(held) and len(held) == 15 * 2 * len(memo.base.prunable_indices())
+    assert only_masks(held) and len(held) == (3 * 2 + 12) * len(memo.base.prunable_indices())
 
 
 def test_a_retried_step_reads_its_held_masks(three_corpora, tmp_path, monkeypatch):

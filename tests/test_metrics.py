@@ -8,15 +8,11 @@ import pytest
 from contprune import corpus as C
 from contprune import metrics as X
 from contprune import model as M
-from contprune.errors import CompletenessError, InputError, NumericalError
+from contprune.errors import InputError, NumericalError
 
-from conftest import vocabulary_sequence
+from conftest import paths_from_cells, vocabulary_sequence
 
 DATA = Path(__file__).parent / "data"
-
-
-def cell(pi, step, ds, ppl):
-    return X.EvalCell(permutation=tuple(pi), step=step, eval_dataset=ds, perplexity=ppl)
 
 
 class TestPerplexity:
@@ -296,28 +292,22 @@ class TestBwtCell:
 
     def test_grid_produces_bwt_only_for_earlier_datasets(self):
         pi = ("A", "B", "C")
-        cells = [cell(pi, s, d, 10.0 + s + 0.1 * i)
-                 for s in (1, 2, 3) for i, d in enumerate(pi)]
-        report = X.aggregate(cells)
+        path = [{d: 10.0 + s + 0.1 * i for i, d in enumerate(pi)} for s in (1, 2, 3)]
+        report = X.aggregate({pi: path})
         coords = {(b["step"], b["eval_dataset"]) for b in report["bwt_entries"]}
         assert coords == {(2, "A"), (3, "A"), (3, "B")}
 
 
 class TestAggregate:
     def test_all_equal_cells(self):
-        pi1, pi2 = ("A", "B"), ("B", "A")
-        cells = [cell(p, s, d, 7.5) for p in (pi1, pi2) for s in (1, 2) for d in ("A", "B")]
-        agg = X.aggregate(cells)["aggregates"]
+        paths = {pi: [{"A": 7.5, "B": 7.5}] * 2 for pi in (("A", "B"), ("B", "A"))}
+        agg = X.aggregate(paths)["aggregates"]
         assert agg["a_ppl"] == agg["m_ppl"] == 7.5
         assert agg["a_bwt"] == agg["m_bwt"] == 0.0
 
     def test_hand_computed_fixture(self):
         fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
-        cells = [
-            cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"])
-            for c in fixture["cells"]
-        ]
-        report = X.aggregate(cells)
+        report = X.aggregate(paths_from_cells(fixture["cells"]))
         agg, exp = report["aggregates"], fixture["expected"]
         assert abs(agg["a_bwt"] - exp["a_bwt"]) <= 1e-12
         assert abs(agg["m_bwt"] - exp["m_bwt"]) <= 1e-12
@@ -327,42 +317,23 @@ class TestAggregate:
             for key, val in stats.items():
                 assert abs(report["per_dataset"][ds][key] - val) <= 1e-12
 
-    def test_missing_cell_is_completeness_error(self):
-        fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
-        cells = [
-            cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"])
-            for c in fixture["cells"]
-        ][:-1]
-        with pytest.raises(CompletenessError) as exc:
-            X.aggregate(
-                cells,
-                permutations=[("A", "B"), ("B", "A")],
-                datasets=["A", "B"],
-            )
-        assert "B>A" in str(exc.value) and "step 2" in str(exc.value)
-
     def test_mean_bounded_by_max(self, rng):
-        pi1, pi2 = ("A", "B"), ("B", "A")
         for _ in range(20):
-            cells = [
-                cell(p, s, d, float(rng.uniform(1, 50)))
-                for p in (pi1, pi2) for s in (1, 2) for d in ("A", "B")
-            ]
-            agg = X.aggregate(cells)["aggregates"]
+            paths = {pi: [{d: float(rng.uniform(1, 50)) for d in ("A", "B")} for _ in (1, 2)]
+                     for pi in (("A", "B"), ("B", "A"))}
+            agg = X.aggregate(paths)["aggregates"]
             assert agg["a_ppl"] <= agg["m_ppl"]
             assert agg["a_bwt"] <= agg["m_bwt"]
 
     def test_dense_grid_has_identically_zero_bwt(self):
         # a model that never changes yields equal perplexities at all steps
-        pi1, pi2 = ("A", "B"), ("B", "A")
         fixed = {"A": 9.25, "B": 17.5}
-        cells = [cell(p, s, d, fixed[d]) for p in (pi1, pi2) for s in (1, 2) for d in ("A", "B")]
-        report = X.aggregate(cells)
+        report = X.aggregate({pi: [fixed] * 2 for pi in (("A", "B"), ("B", "A"))})
         assert report["aggregates"]["a_bwt"] == 0.0 and report["aggregates"]["m_bwt"] == 0.0
         assert all(b["value"] == 0.0 for b in report["bwt_entries"])
 
     def test_single_dataset_has_no_bwt(self):
-        agg = X.aggregate([cell(("A",), 1, "A", 3.0)])["aggregates"]
+        agg = X.aggregate({("A",): [{"A": 3.0}]})["aggregates"]
         assert agg["a_bwt"] is None and agg["m_bwt"] is None
 
 
@@ -370,15 +341,15 @@ class TestSerialization:
     def test_roundtrip_recomputes_identical_aggregates(self):
         # the serialized cells alone carry everything the report needs
         fixture = json.loads((DATA / "aggregate_fixture.json").read_text())
-        report = X.aggregate(
-            [cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"])
-             for c in fixture["cells"]]
-        )
+        report = X.aggregate(paths_from_cells(fixture["cells"]))
         data = json.loads(json.dumps(report))
-        back = X.aggregate(
-            [cell(c["permutation"], c["step"], c["eval_dataset"], c["perplexity"]) for c in data["cells"]]
-        )
+        back = X.aggregate(paths_from_cells(data["cells"]))
         assert back == report == data
+        # the cells come back in the fixture's order, each naming its step's dataset
+        assert [{k: v for k, v in c.items() if k != "pruned_dataset"}
+                for c in report["cells"]] == fixture["cells"]
+        assert [c["pruned_dataset"] for c in report["cells"]] == [
+            c["permutation"][c["step"] - 1] for c in fixture["cells"]]
         agg = report["aggregates"]
         assert back["aggregates"]["a_ppl"] == agg["a_ppl"]
         assert back["aggregates"]["m_ppl"] == agg["m_ppl"]

@@ -11,9 +11,12 @@ perfbench's tracer patches in a module are imported for that alone, on lines
 marked ``# noqa: F401``, which the walk skips; a test checks that the
 tracer patches every name on such a line, on that module.
 
-The command path scores sensitivity with ``pruner``'s closed form; the last
-test checks that ``pruner`` reads nothing else of ``sensitivity``, the sampled
+The command path scores sensitivity with ``pruner``'s closed form; a test
+checks that ``pruner`` reads nothing else of ``sensitivity``, the sampled
 reference, but ``DEFAULT_EPSILON``.
+
+Every error type in ``errors.PACKAGE_ERRORS`` is raised by some module, so
+none outlives its last raiser.
 """
 from __future__ import annotations
 
@@ -23,6 +26,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from contprune.errors import PACKAGE_ERRORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contprune"
 
@@ -179,3 +184,35 @@ def test_pruner_owns_the_closed_form_sensitivity_score():
     closed_form = {"gradient_terms", "expected_gradient_magnitude"}
     assert closed_form <= top_level_functions(source)
     assert closed_form & top_level_functions((PACKAGE / "sensitivity.py").read_text()) == set()
+
+
+def raised_names(source: str) -> set[str]:
+    """The name of every exception that a ``raise`` in ``source`` names, as
+    ``raise E(...)``, ``raise E`` or ``raise mod.E(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_package_error_is_raised_by_some_module():
+    raised = set().union(*(raised_names(path.read_text()) for path in PACKAGE.glob("*.py")))
+    assert [e.__name__ for e in PACKAGE_ERRORS if e.__name__ not in raised] == []
+
+
+def test_the_raise_walk():
+    source = (
+        "def f(x):\n"
+        "    try:\n"
+        "        raise InputError(f'bad {x}') from None\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "    raise errors.UsageError\n"
+        "    NumericalError('built, never raised')\n"
+    )
+    assert raised_names(source) == {"InputError", "UsageError"}
