@@ -12,7 +12,7 @@ A grid command's ExperimentConfig fields can also come from a JSON config
 file (--config); explicit flags override file values, and a field the
 command has no flag for is a usage error. A command that fails on a package
 error or an OSError prints one line, ``contprune: <Type>: <message>``, and
-exits 1.
+exits 1. Each command imports the package modules it runs when it runs.
 """
 from __future__ import annotations
 
@@ -23,10 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
-from . import harness, importance, metrics, model, pruner, trainer
 from .errors import PACKAGE_ERRORS, FormatError, InputError, UsageError
-from .seeding import derive_seed
 
 
 def _add_corpora_args(p: argparse.ArgumentParser) -> None:
@@ -56,6 +53,7 @@ def _collect_corpora(args) -> dict[str, str]:
     entry overrides a ``--corpora-dir`` file of the same stem, and names a
     corpus no other ``--corpus`` entry names. InputError when
     ``--corpora-dir`` holds no ``*.bin`` file or is missing."""
+    from .corpus import check_corpus_name
     entries: dict[str, str] = {}
     if args.corpora_dir:
         paths = sorted(Path(args.corpora_dir).glob("*.bin"))
@@ -68,7 +66,7 @@ def _collect_corpora(args) -> dict[str, str]:
         name, _, path = spec.partition("=")
         if not path:
             raise UsageError(f"--corpus expects NAME=PATH, got {spec!r}")
-        harness.check_corpus_name(name, f"--corpus {spec!r}")
+        check_corpus_name(name, f"--corpus {spec!r}")
         if name in flagged:
             raise UsageError(f"--corpus {spec!r} repeats the name {name!r}")
         flagged.add(name)
@@ -76,13 +74,15 @@ def _collect_corpora(args) -> dict[str, str]:
     return entries
 
 
-def _load_named_corpus(args) -> corpus_mod.Corpus:
+def _load_named_corpus(args):
     """``--corpus-path``, named ``--corpus-name`` or, like ``--corpora-dir``, its stem."""
+    from . import corpus as corpus_mod
     path = Path(args.corpus_path)
     return corpus_mod.load_corpus(path, args.corpus_name or path.stem)
 
 
 def cmd_gen_corpora(args) -> int:
+    from . import corpus as corpus_mod
     paths = corpus_mod.generate_corpora(args.out, n_tokens=args.tokens, seed=args.seed)
     for name, path in sorted(paths.items()):
         print(f"wrote {name}: {path}")
@@ -90,20 +90,16 @@ def cmd_gen_corpora(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import corpus as corpus_mod, model, trainer
+    from .seeding import derive_seed
     entries = _collect_corpora(args)
     if not entries:
         raise UsageError("no corpora given; use --corpora-dir or --corpus")
     corpora = [corpus_mod.load_corpus(p, n) for n, p in sorted(entries.items())]
-    net = model.make_decoder(
-        d=args.dim, hidden=args.hidden, blocks=args.blocks, seed=derive_seed(args.seed, "init")
-    )
-    cfg = trainer.TrainConfig(
-        steps=args.steps,
-        batch=args.batch,
-        seq_len=args.seq_len,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
+    net = model.make_decoder(d=args.dim, hidden=args.hidden, blocks=args.blocks,
+                             seed=derive_seed(args.seed, "init"))
+    cfg = trainer.TrainConfig(steps=args.steps, batch=args.batch, seq_len=args.seq_len,
+                              learning_rate=args.lr, seed=args.seed)
     losses: list[float] = []
     net = trainer.train(net, corpora, cfg, loss_log=losses)
     model.save_checkpoint(net, args.out)
@@ -116,16 +112,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    net = model.load_checkpoint(args.model)
-    corpus = _load_named_corpus(args)
-    calib = corpus_mod.sample_calibration(
-        corpus, args.n_samples, args.seq_len, derive_seed(args.seed, "calib", corpus.name)
-    )
+    from . import corpus as corpus_mod, harness, importance, model, pruner
+    from .seeding import derive_seed
     if args.nm:  # one pattern, so no comma split
         kwargs = {"nm": harness.parse_items("--nm", [args.nm], harness.nm_pair)[0]}
     else:
         kwargs = {"sparsity": args.sparsity}
     config = pruner.PruneConfig(criterion=args.criterion, **kwargs)
+    net = model.load_checkpoint(args.model)
+    corpus = _load_named_corpus(args)
+    calib = corpus_mod.sample_calibration(
+        corpus, args.n_samples, args.seq_len, derive_seed(args.seed, "calib", corpus.name)
+    )
     state = None
     if args.state or args.save_state:  # under any criterion: a state holds token counts
         base_sha256 = hashlib.sha256(Path(args.model).read_bytes()).hexdigest()
@@ -148,6 +146,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics, model
     net = model.load_checkpoint(args.model)
     corpus = _load_named_corpus(args)
     ppl = metrics.perplexity(net, corpus, seq_len=args.seq_len)
@@ -159,6 +158,7 @@ def _experiment_config(args) -> harness.ExperimentConfig:
     """Config file values, overridden by every flag given; each grid flag's
     ``dest`` is the name of the ExperimentConfig field it sets, and the file
     may set only ``corpora`` and the fields of the command's flags."""
+    from . import harness
     try:
         values = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, ValueError) as exc:
@@ -189,6 +189,7 @@ def _experiment_config(args) -> harness.ExperimentConfig:
 
 
 def cmd_run_grid(args) -> int:
+    from . import harness
     cfg = _experiment_config(args)
     out = harness.run_continual(cfg)
     print(harness.render_table(out))
@@ -197,12 +198,14 @@ def cmd_run_grid(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    for row in args.sweep(_experiment_config(args)):
+    from . import harness
+    for row in getattr(harness, args.sweep)(_experiment_config(args)):
         print(row)
     return 0
 
 
 def cmd_report(args) -> int:
+    from . import harness
     path = Path(args.run_dir) / "grid.json"
     try:
         table = harness.render_table(json.loads(path.read_text()))
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="one prune step on one corpus")
     _add_named_corpus_args(p)
-    p.add_argument("--criterion", default="sensitivity", choices=pruner.CRITERIA)
+    p.add_argument("--criterion", default="sensitivity", help="sensitivity, magnitude or wanda")
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--nm", help="N:M pattern, e.g. 2:4 (overrides --sparsity)")
     p.add_argument("--n-samples", type=int, default=16, dest="n_samples")
@@ -287,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     _add_criteria_args(p)
     p.add_argument("--sparsity-sweep", dest="sparsity_sweep", help="comma-separated values")
-    p.set_defaults(func=cmd_ablate, sweep=harness.run_ablation_sparsity)
+    p.set_defaults(func=cmd_ablate, sweep="run_ablation_sparsity")
 
     p = sub.add_parser("ablate-samples", help="calibration sample-count sweep")
     _add_grid_args(p)
     p.add_argument("--samples-sweep", dest="samples_sweep", help="comma-separated counts")
     p.add_argument("--ablate-criteria", dest="ablate_criteria", help="criteria for the sweep")
-    p.set_defaults(func=cmd_ablate, sweep=harness.run_ablation_samples)
+    p.set_defaults(func=cmd_ablate, sweep="run_ablation_samples")
 
     p = sub.add_parser("report", help="re-render the table from a run directory")
     p.add_argument("--run-dir", required=True, dest="run_dir")

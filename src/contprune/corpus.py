@@ -120,6 +120,13 @@ def permutations(names) -> list[tuple[str, ...]]:
     return sorted(itertools.permutations(names))
 
 
+def check_corpus_name(name: str, entry: str) -> None:
+    """UsageError naming ``entry`` when ``name`` is empty or holds ``>``,
+    which joins the corpus names of an ordering's label."""
+    if not name or ">" in name:
+        raise UsageError(f"{entry}: a corpus name must be non-empty and hold no '>'")
+
+
 # --- synthetic corpus generators ---------------------------------------------
 
 

@@ -24,18 +24,20 @@ at most once, in a ``Memo`` shared by the dense row and every grid:
   sensitivity scores (``pruner.ScoredNetwork``), which the scores of every
   corpus weigh by that corpus's calibration token counts;
 - masks, one uint8 array per prunable layer, per (scored network,
-  criterion, input-token counts, ``n_samples``): a calibration set's own
-  counts, or for sequential sensitivity the counts of every set its state
-  has seen. A step with a state scores the base, and so does every step
+  criterion, input-token counts): a calibration set's own counts, or for
+  sequential sensitivity the counts of every set its state has seen. Only a
+  criterion whose scores read counts (``pruner.DATA_CRITERIA``) has them in
+  its key, so a magnitude network is scored once, not once per corpus or
+  sample count. A step with a state scores the base, and so does every step
   under global initialization, so all orderings and specs share a few score
   sets. A sequential baseline scores its parent's step network, and a frozen
   baseline's step network recurs across orderings. The first read of a key
   takes one score set (``pruner.score_step``), builds masks from it and
   drops the float scores: a key on the base builds the masks of every spec
-  that the command runs for that (criterion, ``n_samples``) group, a key on
-  a step network only those of the spec whose step produced it (a later
-  spec that reads an equal key scores it again). The masks are held until
-  the command ends, at an eighth of the scores' bytes;
+  that the command runs for that criterion, a key on a step network only
+  those of the spec whose step produced it (a later spec that reads an
+  equal key scores it again). The masks are held until the command ends, at
+  an eighth of the scores' bytes;
 - the perplexities of a network on every corpus (``metrics.perplexities``,
   one forward per corpus on the tokens its eval windows read): magnitude
   under global initialization, for one, prunes the base to the same network
@@ -78,13 +80,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CalibrationSet, Corpus, load_corpus, permutations, sample_calibration
+from .corpus import (CalibrationSet, Corpus, check_corpus_name, load_corpus, permutations,
+                     sample_calibration)
 from .errors import RECOVERABLE_ERRORS, InputError, UsageError
 from .importance import ImportanceState, init_state
 from .metrics import aggregate, perplexities
 from .metrics import perplexity  # noqa: F401  perfbench's tracer patches it by this name
 from .model import Network, load_checkpoint
-from .pruner import PruneConfig, ScoredNetwork, build_masks, prune_step, score_step
+from .pruner import DATA_CRITERIA, PruneConfig, ScoredNetwork, build_masks, prune_step, score_step
 from .seeding import derive_seed
 from .sensitivity import DEFAULT_EPSILON
 
@@ -133,13 +136,6 @@ class ExperimentConfig:
             raise InputError(f"missing input files: {missing}")
 
 
-def check_corpus_name(name: str, entry: str) -> None:
-    """UsageError naming ``entry`` when ``name`` is empty or holds ``>``,
-    which joins the corpus names of an ordering's label."""
-    if not name or ">" in name:
-        raise UsageError(f"{entry}: a corpus name must be non-empty and hold no '>'")
-
-
 def parse_items(name: str, value, parse) -> tuple:
     """A list from a JSON config, or a comma-separated string from a flag, as
     a tuple of parsed values; UsageError names the first item that does not
@@ -180,10 +176,9 @@ _FIELDS = (
 
 def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
     """Load the model and corpora into the command's ``Memo``, after checking
-    every ``(criterion, spec, n_samples)`` run, so that a bad later value
-    cannot discard finished grids."""
-    for criterion, spec, n_samples in runs:
-        _prune_config(cfg, criterion, spec)
+    the sample count of every ``(PruneConfig, n_samples)`` run, so that a bad
+    later value cannot discard finished grids."""
+    for _, n_samples in runs:
         if n_samples < 1:
             raise UsageError(f"n_samples must be >= 1, got {n_samples}")
     net = load_checkpoint(cfg.model_path)
@@ -196,7 +191,7 @@ def _load_inputs(cfg: ExperimentConfig, runs) -> "Memo":
 
 class Memo:
     """One command's base network and corpora, and what it computes from
-    them at most once for its ``(criterion, spec, n_samples)`` runs (see the
+    them at most once for its ``(PruneConfig, n_samples)`` runs (see the
     module docstring): calibration sets, the masks of every scored key, and
     each distinct network's perplexities, all held until the command ends.
     It holds no score set and no step network."""
@@ -206,10 +201,9 @@ class Memo:
         # never modified: prune_step builds new linear layers and shares the rest
         self.base = ScoredNetwork(base.layers, base.vocab_size, base.embed)
         self.corpora = corpora
-        self._configs: dict[tuple, list[PruneConfig]] = {}  # per (criterion, n_samples)
-        for criterion, spec, n_samples in runs:
-            self._configs.setdefault((criterion, n_samples), []).append(
-                _prune_config(cfg, criterion, spec))
+        self._specs: dict[str, dict[tuple, PruneConfig]] = {}  # by criterion, (sparsity, nm)
+        for config, _ in runs:
+            self._specs.setdefault(config.criterion, {})[config.sparsity, config.nm] = config
         self._calib: dict[tuple, CalibrationSet] = {}
         # per scored key, every spec's masks, by (sparsity, nm)
         self._masks: dict[tuple, dict[tuple, dict[int, np.ndarray]]] = {}
@@ -224,25 +218,26 @@ class Memo:
             )
         return self._calib[key]
 
-    def masks(self, net: Network, config: PruneConfig, counts: np.ndarray,
-              n_samples: int) -> dict[int, np.ndarray]:
-        """``build_masks(score_step(net, config, counts), config)``, held
-        per ``(network, criterion, counts, n_samples)`` key, the network by its
-        zero pattern (``_key``), until the command ends; the scores are dropped
-        once the masks are built. The first read of a key on the base builds
-        the masks of every spec of the command's ``(criterion, n_samples)``
-        runs from one score set, since every spec scores the base. A step
-        network's key builds the spec asked for, which alone produced that
-        network; a later spec that reads an equal key scores it again for its
-        own masks. The rest of ``config`` (epsilon and draws, which scale
-        sensitivity scores) comes from the command's one ``ExperimentConfig``."""
-        held = self._masks.setdefault(
-            (self._key(net), config.criterion, counts.tobytes(), n_samples), {})
-        if (config.sparsity, config.nm) not in held:
+    def masks(self, net: Network, config: PruneConfig, counts: np.ndarray) -> dict[int, np.ndarray]:
+        """``prune_step``'s ``masks`` hook: ``build_masks(score_step(net,
+        config, counts), config)``, held per ``(network, criterion, counts)``
+        key, the network by its zero pattern (``_key``) and the counts only
+        for a criterion that reads them (``DATA_CRITERIA``), until the
+        command ends; the scores are dropped once the masks are built. The
+        first read of a key on the base builds the masks of every spec of
+        the command's runs of that criterion from one score set, since every
+        spec scores the base. A step network's key builds the spec asked for,
+        which alone produced that network; a later spec that reads an equal
+        key scores it again. The rest of ``config`` (epsilon and draws, which
+        scale sensitivity scores) comes from the one ``ExperimentConfig``."""
+        data = counts.tobytes() if config.criterion in DATA_CRITERIA else None
+        held = self._masks.setdefault((self._key(net), config.criterion, data), {})
+        spec = (config.sparsity, config.nm)
+        if spec not in held:
             scores = score_step(net, config, counts)
-            specs = self._configs[config.criterion, n_samples] if net is self.base else [config]
+            specs = self._specs[config.criterion].values() if net is self.base else [config]
             held.update({(c.sparsity, c.nm): build_masks(scores, c) for c in specs})
-        return held[config.sparsity, config.nm]
+        return held[spec]
 
     def perplexities(self, net: Network) -> dict[str, float]:
         """Perplexity of ``net`` on every corpus, in name order, computed
@@ -269,14 +264,8 @@ class Memo:
 def _prune_config(cfg: ExperimentConfig, criterion: str, spec) -> PruneConfig:
     mode = cfg.init_mode_override or ("sequential" if criterion == "sensitivity" else "global")
     kwargs = {"sparsity": spec} if isinstance(spec, float) else {"nm": spec}
-    return PruneConfig(
-        criterion=criterion,
-        init_mode=mode,
-        seed=cfg.seed,
-        epsilon=cfg.epsilon,
-        w_draws=cfg.w_draws,
-        **kwargs,
-    )
+    return PruneConfig(criterion=criterion, init_mode=mode, seed=cfg.seed, epsilon=cfg.epsilon,
+                       w_draws=cfg.w_draws, **kwargs)
 
 
 class Step(NamedTuple):
@@ -291,8 +280,8 @@ class Step(NamedTuple):
     state: ImportanceState | None
 
 
-def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
-    """Full permutation grid for one (criterion, sparsity spec) pair, as its
+def run_grid_cell(memo: Memo, pconfig: PruneConfig, n_samples: int) -> dict:
+    """Full permutation grid for one criterion and sparsity spec, as its
     ``grid.json`` entry. ``steps`` is one table rooted at the base (``()``);
     each ``Step`` is keyed by its set of datasets (sequential sensitivity),
     its prefix (a sequential baseline) or its dataset alone (global), and
@@ -301,9 +290,8 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
     entry if that fails; its rows are then read off the path."""
     names = sorted(memo.corpora)
     calib_sets = {name: memo.calibration(name, n_samples) for name in names}
-    pconfig = _prune_config(memo.cfg, criterion, spec)
     sequential = pconfig.init_mode == "sequential"
-    by_set = sequential and criterion == "sensitivity"
+    by_set = sequential and pconfig.criterion == "sensitivity"
 
     paths: dict[tuple[str, ...], list[dict[str, float]]] = {}
     ws_perms: list[str] = []
@@ -320,8 +308,7 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
         try:
             for key, parent, name in zip(keys, parents, pi):
                 if key not in steps:
-                    steps[key] = _prune_and_evaluate(memo, steps[parent], pconfig,
-                                                     calib_sets[name])
+                    steps[key] = _prune_and_evaluate(memo, steps[parent], pconfig, calib_sets[name])
         except RECOVERABLE_ERRORS as exc:  # keep other orderings running
             errors.append({"permutation": ">".join(pi), "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -337,7 +324,7 @@ def run_grid_cell(memo: Memo, criterion: str, spec, n_samples: int) -> dict:
             ws_perms.append(">".join(pi))
         del path, cur  # so that the next ordering's filter frees the steps off its path
     return {
-        "criterion": criterion,
+        "criterion": pconfig.criterion,
         "spec": pconfig.spec_label(),
         "ws": bool(paths) and len(ws_perms) == len(paths),
         "ws_permutations": ws_perms,
@@ -355,10 +342,7 @@ def _prune_and_evaluate(memo: Memo, parent: Step, pconfig: PruneConfig,
     copy of its parent's, so a kept state never changes. Only a sequential
     baseline's step keeps its network: every other step scores the base."""
     state = deepcopy(parent.state)
-    pruned, masks, frag = prune_step(
-        parent.net, state, pconfig, calib, memo.base,
-        lambda net, config, counts: memo.masks(net, config, counts, calib.n_samples),
-    )
+    pruned, masks, frag = prune_step(parent.net, state, pconfig, calib, memo.base, memo.masks)
     ppls = memo.perplexities(pruned)
     if state is not None or pconfig.init_mode == "global":
         pruned = None
@@ -378,7 +362,8 @@ def dense_row(memo: Memo) -> dict:
 def run_continual(cfg: ExperimentConfig) -> dict:
     """Run the full grid; returns the result dict and writes report files."""
     specs = [*cfg.sparsities, *cfg.nm_patterns]
-    runs = [(criterion, spec, cfg.n_samples) for criterion in cfg.criteria for spec in specs]
+    runs = [(_prune_config(cfg, criterion, spec), cfg.n_samples)
+            for criterion in cfg.criteria for spec in specs]
     memo = _load_inputs(cfg, runs)
     dense = dense_row(memo)
     entries = [run_grid_cell(memo, *run) for run in runs]
@@ -495,26 +480,28 @@ def render_table(out: dict) -> str:
 
 def run_ablation_sparsity(cfg: ExperimentConfig) -> list[dict]:
     """Sweep unstructured sparsity; one row per (criterion, sparsity)."""
-    runs = [(s, (c, s, cfg.n_samples)) for s in cfg.sparsity_sweep for c in cfg.criteria]
+    runs = [(s, (_prune_config(cfg, c, s), cfg.n_samples))
+            for s in cfg.sparsity_sweep for c in cfg.criteria]
     return _ablation(cfg, "ablation_sparsity.csv", "sparsity", runs)
 
 
 def run_ablation_samples(cfg: ExperimentConfig) -> list[dict]:
     """Sweep calibration sample counts at fixed 0.5 unstructured sparsity;
     one row per (``ablate_criteria`` criterion, sample count)."""
-    runs = [(n, (c, 0.5, n)) for n in cfg.samples_sweep for c in cfg.ablate_criteria]
+    runs = [(n, (_prune_config(cfg, c, 0.5), n))
+            for n in cfg.samples_sweep for c in cfg.ablate_criteria]
     return _ablation(cfg, "ablation_samples.csv", "n_samples", runs)
 
 
 def _ablation(cfg: ExperimentConfig, filename: str, sweep_key: str, runs) -> list[dict]:
-    """One grid per ``(sweep value, (criterion, spec, n_samples))`` run and
-    one row per grid, also written to ``filename``."""
+    """One grid per ``(sweep value, (PruneConfig, n_samples))`` run and one
+    row per grid, also written to ``filename``."""
     memo = _load_inputs(cfg, [run for _, run in runs])
     rows: list[dict] = []
     for value, run in runs:
         entry = run_grid_cell(memo, *run)
         summary = _summary(entry)
-        row = {"criterion": run[0], sweep_key: value}
+        row = {"criterion": run[0].criterion, sweep_key: value}
         if summary is None:
             row.update({"a_bwt": None, "m_bwt": None, "error": True})
         else:

@@ -136,9 +136,9 @@ def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 
 def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """layer_norm's per-column ``(x - mean) / std`` and the (1, n) ``std``."""
-    mu = x.mean(axis=0, keepdims=True)
-    std = np.sqrt(x.var(axis=0, keepdims=True) + LAYER_NORM_EPS)
-    return (x - mu) / std, std
+    d = x - x.mean(axis=0, keepdims=True)
+    std = np.sqrt((d * d).mean(axis=0, keepdims=True) + LAYER_NORM_EPS)
+    return d / std, std
 
 
 @dataclass

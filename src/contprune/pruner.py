@@ -33,8 +33,8 @@ instead of recomputing them, and drop the float scores as soon as every
 spec's masks are built. Scoring reads each layer's inputs from one capture of
 the network on the vocabulary, which a ``ScoredNetwork`` takes once for every
 count vector scored on it, together with the count-free terms of each layer's
-sensitivity scores. Every layer is positionwise, so a calibration
-position enters only through its input token, and both data criteria read
+sensitivity scores. Every layer is positionwise, so a calibration position
+enters only through its input token, and both ``DATA_CRITERIA`` read
 calibration data only through ``counts``, how many of its positions read each
 token: they weigh every column of the capture by its token's count.
 
@@ -77,6 +77,7 @@ from .sensitivity import DEFAULT_EPSILON
 from .sensitivity import batch_gradient_magnitude, batch_input_perturbation, scaled_gaussian  # noqa: F401
 
 CRITERIA = ("sensitivity", "magnitude", "wanda")
+DATA_CRITERIA = ("sensitivity", "wanda")  # the criteria whose scores read token counts
 INIT_MODES = ("sequential", "global")
 NM_PATTERNS = ((2, 4), (4, 8))
 
@@ -257,7 +258,7 @@ def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[in
     positions read each token of ``net``'s vocabulary as input; neither the
     importance state nor the sparsity spec enters it. Returns one score
     matrix, shaped like the weight, per prunable layer index. Magnitude scores
-    ``|W|``. Wanda and sensitivity read each layer's vocabulary inputs ``X``,
+    ``|W|``; the ``DATA_CRITERIA`` read each layer's vocabulary inputs ``X``,
     held by ``net`` when it is a ``ScoredNetwork``, with sensitivity's terms,
     and computed afresh otherwise. Wanda scales ``|W|`` column-wise by the
     feature norms ``sqrt((X * X) @ counts)``, the L2 norm of each input
@@ -266,7 +267,7 @@ def score_step(net: Network, config: PruneConfig, counts: np.ndarray) -> dict[in
     ``epsilon`` and ``w_draws`` only scale it, and ``seed`` does not enter
     it."""
     prunable = net.prunable_indices()
-    if config.criterion == "magnitude":
+    if config.criterion not in DATA_CRITERIA:
         return {idx: np.abs(net.layers[idx].weight) for idx in prunable}
     scored = isinstance(net, ScoredNetwork)
     inputs = net.vocabulary_inputs if scored else _vocabulary_inputs(net)
@@ -330,7 +331,7 @@ def prune_step(
     counts. The scored network is the base ``base_net`` when a state is given
     or under global initialization, and ``net`` otherwise or when no base is
     given. A harness passes its own ``masks``, called as ``score_masks`` is,
-    to hold the masks of the count vectors it scores. Returns the re-masked
+    to hold the masks it builds across steps. Returns the re-masked
     network, per-layer masks, and a report fragment with per-layer sparsity
     statistics. InputError when a calibration token is outside the scored
     network's vocabulary; UsageError, before scoring, when ``calib``'s dataset

@@ -318,7 +318,7 @@ class TestRunContinual:
 
     def test_failed_ordering_adds_no_cells(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
         cfg = H.ExperimentConfig(
-            **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("magnitude",)
+            **tiny_cfg_kwargs, output_dir=str(tmp_path / "runs"), criteria=("wanda",)
         )
         real = H.score_step
         calls = {"n": 0}
@@ -326,13 +326,14 @@ class TestRunContinual:
         def flaky(net, config, calib):
             calls["n"] += 1
             # step 1 of the first ordering scores numeric; its step 2, the
-            # first score of prose, fails, and the next ordering scores prose anew
+            # first score of prose, fails, and the next ordering scores prose
+            # anew (wanda reads counts, so each corpus has its own score key)
             if calls["n"] == 2:
                 raise NumericalError("synthetic failure")
             return real(net, config, calib)
 
         monkeypatch.setattr(H, "score_step", flaky)
-        g = H.run_continual(cfg)["grids"]["magnitude:unstructured-0.5"]
+        g = H.run_continual(cfg)["grids"]["wanda:unstructured-0.5"]
         assert [e["permutation"] for e in g["errors"]] == ["numeric>prose"]
         cells = g["report"]["cells"]
         assert len(cells) == 4
@@ -341,7 +342,7 @@ class TestRunContinual:
         assert g["report"]["aggregates"]["a_ppl"] == float(
             np.mean([c["perplexity"] for c in cells])
         )
-        rows = read_csv(tmp_path / "runs" / "cells_magnitude_unstructured-0.5.csv")
+        rows = read_csv(tmp_path / "runs" / "cells_wanda_unstructured-0.5.csv")
         assert rows[1:] == cells_csv_rows(cells)
 
     def test_failed_grid_renders_as_error(self, tiny_cfg_kwargs, tmp_path, monkeypatch):
@@ -634,14 +635,14 @@ class TestCli:
         # under 100 steps each end averages steps // 2 losses, so the two
         # ends never overlap and the line shows the loss moving
         logged = []
-        real = cli.trainer.train
+        real = T.train
 
         def train(net, corpora, cfg, loss_log):
             out = real(net, corpora, cfg, loss_log=loss_log)
             logged.append(list(loss_log))
             return out
 
-        monkeypatch.setattr(cli.trainer, "train", train)
+        monkeypatch.setattr(T, "train", train)
         data = tmp_path / "data"
         assert cli.main(["gen-corpora", "--out", str(data), "--tokens", "12000", "--seed", "1"]) == 0
         capsys.readouterr()
@@ -810,7 +811,7 @@ class TestCli:
         self, tiny_cfg_kwargs, tmp_path, capsys, monkeypatch, command, entries, want
     ):
         monkeypatch.setattr(H, "load_checkpoint", lambda *args: pytest.fail("loaded"))
-        monkeypatch.setattr(cli.corpus_mod, "load_corpus", lambda *args: pytest.fail("loaded"))
+        monkeypatch.setattr(C, "load_corpus", lambda *args: pytest.fail("loaded"))
         paths = tiny_cfg_kwargs["corpora"]
         argv = [command, "--seed", "0", "--out", str(tmp_path / "out")]
         argv += ["--model", tiny_cfg_kwargs["model_path"]] if command == "run-grid" else []
@@ -827,7 +828,7 @@ class TestCli:
         self, tiny_cfg_kwargs, tmp_path, capsys, monkeypatch, command, kind, flagged
     ):
         monkeypatch.setattr(H, "load_checkpoint", lambda *args: pytest.fail("loaded"))
-        monkeypatch.setattr(cli.corpus_mod, "load_corpus", lambda *args: pytest.fail("loaded"))
+        monkeypatch.setattr(C, "load_corpus", lambda *args: pytest.fail("loaded"))
         corpora_dir = tmp_path / "corpora"
         if kind == "empty":
             corpora_dir.mkdir()
@@ -946,6 +947,9 @@ class TestCli:
             (["run-grid", "--corpus", "prose={prose}", "--sparsity", "1", "--seed", "0",
               "--out", "{tmp}/runs"],
              r"UsageError: sparsity must be in \[0, 1\), got 1\.0"),
+            (["ablate-samples", "--corpus", "prose={prose}", "--samples-sweep", "4,0",
+              "--seed", "0", "--out", "{tmp}/runs"],
+             r"UsageError: n_samples must be >= 1, got 0"),
             (["prune", "--corpus-path", "{prose}", "--nm", "a:b", "--seed", "0",
               "--out", "{tmp}/p.ckpt"],
              r"UsageError: --nm has an item that does not parse: 'a:b'"),
@@ -957,6 +961,10 @@ class TestCli:
             (["prune", "--corpus-path", "{prose}", "--criterion", "wanda",
               "--state", "{tmp}/missing.bin", "--seed", "0", "--out", "{tmp}/p.ckpt"],
              r"FileNotFoundError: .*missing\.bin'"),
+            (["prune", "--corpus-path", "{prose}", "--criterion", "obd", "--seed", "0",
+              "--out", "{tmp}/p.ckpt"],
+             r"UsageError: criterion must be one of \('sensitivity', 'magnitude', 'wanda'\), "
+             r"got 'obd'"),
             (["gen-corpora", "--out", "{tmp}/c", "--tokens", "0"],
              r"UsageError: n_tokens must be >= 1, got 0"),
             (["gen-corpora", "--out", "{tmp}/c", "--tokens", "-5"],
@@ -978,8 +986,8 @@ class TestCli:
              r"UsageError: need d >= 1, hidden >= 1 and blocks >= 0, got d=64, hidden=128, "
              r"blocks=-1"),
         ],
-        ids=["usage", "bad-nm", "missing-file", "checkpoint-as-state", "state-wanda",
-             "zero-tokens", "negative-tokens", "negative-corpora-seed",
+        ids=["usage", "zero-samples", "bad-nm", "missing-file", "checkpoint-as-state", "state-wanda",
+             "bad-criterion", "zero-tokens", "negative-tokens", "negative-corpora-seed",
              "negative-train-seed", "zero-dim", "zero-hidden", "negative-blocks"],
     )
     def test_failed_command_prints_one_line_and_exits_1(
@@ -992,6 +1000,13 @@ class TestCli:
         assert re.fullmatch(f"contprune: {want}", main_error(capsys, argv))
         if "--out" in argv:
             assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    @pytest.mark.parametrize("flag", [["--criterion", "obd"], ["--sparsity", "1"], ["--nm", "3:4"]])
+    def test_prune_names_a_bad_setting_before_loading(self, tmp_path, capsys, flag):
+        line = main_error(capsys, ["prune", "--model", str(tmp_path / "missing.ckpt"),
+                                   "--corpus-path", str(tmp_path / "missing.bin"), *flag,
+                                   "--seed", "0", "--out", str(tmp_path / "p.ckpt")])
+        assert line.startswith("contprune: UsageError: "), line
 
     @pytest.mark.parametrize("kind, want", [
         ("other-vocabulary",

@@ -42,13 +42,13 @@ def sha256(net) -> bytes:
     return h.digest()
 
 
-def oracle_grid_cell(cfg, base, corpora, criterion, spec, n_samples) -> dict:
+def oracle_grid_cell(cfg, base, corpora, pconfig, n_samples) -> dict:
     calib_sets = {
         name: sample_calibration(corpus, n_samples, cfg.seq_len, derive_seed(cfg.seed, "calib", name))
         for name, corpus in corpora.items()
     }
     names = sorted(corpora)
-    pconfig = H._prune_config(cfg, criterion, spec)
+    criterion = pconfig.criterion
 
     paths, ws_perms, step_stats, errors = {}, [], [], []
     for pi in permutations(names):
@@ -107,6 +107,12 @@ def three_corpora(tiny_dir, tiny_model_path):
         seq_len=48,
         n_samples=4,
     )
+
+
+def grid_runs(cfg, *runs) -> list:
+    """Each ``(criterion, spec, n_samples)`` run as the harness passes it:
+    ``(PruneConfig, n_samples)``."""
+    return [(H._prune_config(cfg, criterion, spec), n) for criterion, spec, n in runs]
 
 
 def run_both(monkeypatch, tmp_path, run):
@@ -199,13 +205,14 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     assert all(g["complete"] for g in out["grids"].values())
     # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 prune steps and
     # 54 x 3 + 3 dense = 165 evaluations. Memoized, every criterion scores
-    # the base once per count vector: the baselines once per corpus, and
-    # sensitivity once per non-empty set of corpora (7). Each distinct
+    # the base once per score key: magnitude, which reads no counts, once;
+    # wanda once per corpus; sensitivity once per non-empty set of corpora
+    # (7). Each distinct
     # network is evaluated once, on all 3 corpora, one forward per corpus:
     # the base; magnitude prunes it to one network whatever the corpus, wanda
     # to one per corpus, and sensitivity to one per set of corpora seen (7),
     # so 12 evaluations give the 3 * 12 = 36 distinct values.
-    assert len(scores) == 3 + 3 + 7
+    assert len(scores) == 1 + 3 + 7
     assert len(evals) == 1 + 1 + 3 + 7
     assert len({sha256(net) for net, _, _ in evals}) == len(evals)
     assert all(sorted(corpora) == list(CORPORA) for _, corpora, _ in evals)
@@ -216,18 +223,18 @@ def test_scores_and_perplexities_computed_once(three_corpora, tmp_path, monkeypa
     [
         # sensitivity runs sequentially: one step per set of datasets seen,
         # 3 + 3 + 1, each scoring the base; the baselines run globally: one
-        # step per dataset, each scoring the base
+        # step per dataset, each scoring the base, which magnitude, reading
+        # no counts, scores once
         (None, {"sensitivity": 7, "magnitude": 3, "wanda": 3},
-         {"sensitivity": 7, "magnitude": 3, "wanda": 3}),
+         {"sensitivity": 7, "magnitude": 1, "wanda": 3}),
         # a sequential baseline: one step per ordering prefix, 3 + 6 + 6. It
         # freezes, so a later step scores its ordering's first-step network:
-        # magnitude's is one network whatever the corpus, scored with each
-        # corpus (3 + 3); wanda's one per corpus, scored with each other
-        # corpus (3 + 3 * 2)
+        # magnitude's is one network whatever the corpus, scored once (1 + 1);
+        # wanda's one per corpus, scored with each other corpus (3 + 3 * 2)
         ("sequential", {"sensitivity": 7, "magnitude": 15, "wanda": 15},
-         {"sensitivity": 7, "magnitude": 6, "wanda": 9}),
+         {"sensitivity": 7, "magnitude": 2, "wanda": 9}),
         ("global", {"sensitivity": 3, "magnitude": 3, "wanda": 3},
-         {"sensitivity": 3, "magnitude": 3, "wanda": 3}),
+         {"sensitivity": 3, "magnitude": 1, "wanda": 3}),
     ],
     ids=["default", "sequential", "global"],
 )
@@ -242,7 +249,8 @@ def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch,
     # un-memoized: 3 criteria x 6 orderings x 3 steps = 54 prune steps
     got = {c: sum(args[2].criterion == c for args in pruned) for c in want}
     assert got == want
-    # a step scores through the memo: each (network, counts) key once
+    # a step scores through the memo: each (network, criterion, counts) key
+    # once, magnitude's without counts
     got = {c: sum(config.criterion == c for _, config, _ in scored) for c in want_scored}
     assert got == want_scored
 
@@ -250,7 +258,8 @@ def test_each_distinct_step_is_masked_once(three_corpora, tmp_path, monkeypatch,
 @pytest.mark.parametrize("init_mode", ["sequential", "global"])
 def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, init_mode):
     cfg = H.ExperimentConfig(**three_corpora, init_mode_override=init_mode)
-    memo = H._load_inputs(cfg, [("sensitivity", 0.5, cfg.n_samples)])
+    (run,) = grid_runs(cfg, ("sensitivity", 0.5, cfg.n_samples))
+    memo = H._load_inputs(cfg, [run])
     real, steps = H._prune_and_evaluate, []
     pruned = recording(monkeypatch, "prune_step")  # the networks the steps let go
 
@@ -260,7 +269,7 @@ def test_each_step_hangs_off_an_untouched_parent(three_corpora, monkeypatch, ini
         return step
 
     monkeypatch.setattr(H, "_prune_and_evaluate", step_recording)
-    assert H.run_grid_cell(memo, "sensitivity", 0.5, cfg.n_samples)["complete"]
+    assert H.run_grid_cell(memo, *run)["complete"]
     assert len(steps) == (7 if init_mode == "sequential" else 3)
     root = steps[0][0]
     assert root[:4] == (memo.base, None, None, None)
@@ -290,7 +299,8 @@ def test_a_step_is_built_while_only_its_ancestors_are_held(three_corpora, monkey
     # the sequential table drops the steps off each new ordering's path, and
     # nothing else may hold them: the next ordering's steps are built without them
     cfg = H.ExperimentConfig(**three_corpora, init_mode_override="sequential")
-    memo = H._load_inputs(cfg, [("magnitude", 0.5, cfg.n_samples)])
+    (run,) = grid_runs(cfg, ("magnitude", 0.5, cfg.n_samples))
+    memo = H._load_inputs(cfg, [run])
     real, nets, alive = H._prune_and_evaluate, [], []
 
     def recording(memo, parent, pconfig, calib):
@@ -300,7 +310,7 @@ def test_a_step_is_built_while_only_its_ancestors_are_held(three_corpora, monkey
         return step
 
     monkeypatch.setattr(H, "_prune_and_evaluate", recording)
-    assert H.run_grid_cell(memo, "magnitude", 0.5, cfg.n_samples)["complete"]
+    assert H.run_grid_cell(memo, *run)["complete"]
     assert len(alive) == 15 and max(alive) == len(CORPORA) - 1
 
 
@@ -314,7 +324,8 @@ def test_a_step_keeps_its_network_only_while_a_later_step_scores_it(
     three_corpora, monkeypatch, criterion, init_mode, kept
 ):
     cfg = H.ExperimentConfig(**three_corpora, init_mode_override=init_mode)
-    memo = H._load_inputs(cfg, [(criterion, 0.5, cfg.n_samples)])
+    (run,) = grid_runs(cfg, (criterion, 0.5, cfg.n_samples))
+    memo = H._load_inputs(cfg, [run])
     real_prune, real_step, nets, alive, parents = H.prune_step, H._prune_and_evaluate, [], [], []
 
     def prune(*args):
@@ -332,7 +343,7 @@ def test_a_step_keeps_its_network_only_while_a_later_step_scores_it(
 
     monkeypatch.setattr(H, "prune_step", prune)
     monkeypatch.setattr(H, "_prune_and_evaluate", step)
-    assert H.run_grid_cell(memo, criterion, 0.5, cfg.n_samples)["complete"]
+    assert H.run_grid_cell(memo, *run)["complete"]
     assert alive == [kept] * len(alive)
     assert parents.count("base") == len(CORPORA)
     assert parents.count("live" if kept else "none") == len(alive) - len(CORPORA)
@@ -363,22 +374,23 @@ def test_score_sets_leave_the_memo_after_their_groups_last_run(three_corpora, tm
     memos = loaded_memos(monkeypatch)
     real, held = H.run_grid_cell, []
 
-    def cell(memo, criterion, spec, n_samples):
-        entry = real(memo, criterion, spec, n_samples)
+    def cell(memo, *run):
+        entry = real(memo, *run)
         held.append(only_masks(held_arrays(memo)))
         return entry
 
     monkeypatch.setattr(H, "run_grid_cell", cell)
     out = H.run_continual(H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs")))
     assert all(g["complete"] for g in out["grids"].values())
-    # each (criterion, n_samples) group is one run, every set is base-scored,
-    # and only its masks are held
+    # each criterion is one run, every set is base-scored, and only its masks
+    # are held
     assert len(memos) == 1 and held == [True, True, True]
 
 
 def test_after_the_first_spec_the_memo_holds_every_specs_masks_and_no_scores(three_corpora):
     cfg = H.ExperimentConfig(**three_corpora, criteria=("sensitivity",), nm_patterns=((2, 4),))
-    runs = [("sensitivity", 0.5, cfg.n_samples), ("sensitivity", (2, 4), cfg.n_samples)]
+    runs = grid_runs(cfg, ("sensitivity", 0.5, cfg.n_samples),
+                     ("sensitivity", (2, 4), cfg.n_samples))
     memo = H._load_inputs(cfg, runs)
     assert H.run_grid_cell(memo, *runs[0])["complete"]
     held = held_arrays(memo)
@@ -441,9 +453,26 @@ def test_each_score_key_is_computed_once_and_none_is_left(three_corpora, tmp_pat
         assert not any(row.get("error") for row in H.run_ablation_sparsity(cfg))
     (memo,) = memos
     keys = [(config.criterion, memo._key(net), counts.tobytes()) for net, config, counts in scored]
-    # sensitivity: one per non-empty set of corpora; each baseline: one per corpus
-    assert len(set(keys)) == len(keys) == 7 + 3 + 3
+    # sensitivity: one per non-empty set of corpora; magnitude: one, as it
+    # reads no counts; wanda: one per corpus
+    assert len(set(keys)) == len(keys) == 7 + 1 + 3
     assert only_masks(held_arrays(memo))
+
+
+def test_no_score_key_holds_the_sample_count(three_corpora, tmp_path, monkeypatch):
+    memos = loaded_memos(monkeypatch)
+    scored = counting(monkeypatch, "score_step")
+    cfg = H.ExperimentConfig(**three_corpora, output_dir=str(tmp_path / "runs"),
+                             samples_sweep=(2, 4), ablate_criteria=("magnitude", "sensitivity"))
+    assert not any(row.get("error") for row in H.run_ablation_samples(cfg))
+    (memo,) = memos
+    # magnitude reads no counts, so both sample counts read its one key;
+    # sensitivity: one per non-empty set of corpora (7) at each sample count,
+    # whose counts differ
+    keys = [(config.criterion, memo._key(net), counts.tobytes()) for net, config, counts in scored]
+    assert len(set(keys)) == len(keys) == 1 + 2 * 7
+    held = held_arrays(memo)
+    assert only_masks(held) and len(held) == (1 + 2 * 7) * len(memo.base.prunable_indices())
 
 
 def test_grid_json_is_streamed_as_the_bytes_of_dumps(three_corpora, tmp_path, monkeypatch):
@@ -564,21 +593,22 @@ def test_failing_score_is_an_error_in_every_ordering_that_reaches_it(
 
 def test_memo_holds_one_matrix_per_prunable_layer_per_score_key(three_corpora, monkeypatch):
     cfg = H.ExperimentConfig(**three_corpora, criteria=("sensitivity", "wanda", "magnitude"))
-    runs = [("sensitivity", 0.5, 4), ("sensitivity", (2, 4), 4), ("wanda", 0.5, 4),
-            ("magnitude", 0.5, 4), ("sensitivity", 0.5, 2)]
+    runs = grid_runs(cfg, ("sensitivity", 0.5, 4), ("sensitivity", (2, 4), 4), ("wanda", 0.5, 4),
+                     ("magnitude", 0.5, 4), ("sensitivity", 0.5, 2))
     memo = H._load_inputs(cfg, runs)
     scored = recording(monkeypatch, "score_step")
     for run in runs:
         H.run_grid_cell(memo, *run)
     prunable = memo.base.prunable_indices()
-    # each scores the base: wanda and magnitude once per corpus, sensitivity
+    # each scores the base: wanda once per corpus, magnitude once, sensitivity
     # at 4 and at 2 samples once per non-empty set of corpora (7); each set
-    # is computed once, and only its masks, one per spec, are left
+    # is computed once, and only its masks are left, one per spec of its
+    # criterion: a sensitivity key at 2 samples builds both specs too
     keys = [(config.criterion, memo._key(net), counts.tobytes())
             for (net, config, counts), _ in scored]
-    assert len(set(keys)) == len(keys) == 2 * len(CORPORA) + 2 * 7
+    assert len(set(keys)) == len(keys) == len(CORPORA) + 1 + 2 * 7
     held = held_arrays(memo)
-    assert only_masks(held) and len(held) == (2 * len(CORPORA) + 7 * 2 + 7) * len(prunable)
+    assert only_masks(held) and len(held) == (len(CORPORA) + 1 + 2 * 7 * 2) * len(prunable)
     for key, (_, scores) in zip(keys, scored):
         assert sorted(scores) == prunable, key
         for idx, matrix in scores.items():
@@ -591,7 +621,8 @@ def test_key_is_equal_exactly_when_all_parameter_bytes_are(three_corpora, monkey
         **three_corpora, criteria=("sensitivity", "magnitude", "wanda"), sparsities=(0.5,),
         nm_patterns=((2, 4),), w_draws=2, init_mode_override=init_mode,
     )
-    runs = [(c, spec, cfg.n_samples) for c in cfg.criteria for spec in (0.5, (2, 4))]
+    runs = grid_runs(cfg, *((c, spec, cfg.n_samples)
+                            for c in cfg.criteria for spec in (0.5, (2, 4))))
     memo = H._load_inputs(cfg, runs)
     nets = []  # every network the grid scores or evaluates
 

@@ -71,6 +71,16 @@ class TestLayerForward:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 257])
+    def test_standardize_is_bit_equal_to_the_var_form(self, rng, dim):
+        # centering once runs the ufuncs x.var runs, so no bit moves
+        x = rng.standard_normal((dim, 11)) * 3.0 + 1.0
+        mu = x.mean(axis=0, keepdims=True)
+        std = np.sqrt(x.var(axis=0, keepdims=True) + M.LAYER_NORM_EPS)
+        got_x, got_std = M.standardize(x)
+        assert got_std.tobytes() == std.tobytes()
+        assert got_x.tobytes() == ((x - mu) / std).tobytes()
+
     def test_shape_errors(self, rng):
         with pytest.raises(ShapeError):
             M.layer_forward(M.linear(np.ones((3, 2))), np.ones((4, 1)))

@@ -17,6 +17,9 @@ reference, but ``DEFAULT_EPSILON``.
 
 Every error type in ``errors.PACKAGE_ERRORS`` is raised by some module, so
 none outlives its last raiser.
+
+Each command loads only the package modules it runs: a test runs
+``cli.main`` in a fresh interpreter and reads ``sys.modules``.
 """
 from __future__ import annotations
 
@@ -216,3 +219,39 @@ def test_the_raise_walk():
         "    NumericalError('built, never raised')\n"
     )
     assert raised_names(source) == {"InputError", "UsageError"}
+
+
+LOADED_MODULES = """
+import json, sys
+from contprune import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "contprune")]))
+"""
+
+
+def loaded_modules(argv: list[str]) -> set[str]:
+    """The ``contprune`` modules, by their names past ``contprune.``, that
+    ``cli.main(argv)`` leaves in a fresh interpreter's ``sys.modules``."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return {m.partition(".")[2] for m in modules}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    corpora, model = str(tmp_path / "corpora"), str(tmp_path / "m.ckpt")
+    common = {"", "cli", "corpus", "errors"}
+    assert loaded_modules(["gen-corpora", "--out", corpora, "--tokens", "3000",
+                           "--seed", "1"]) == common
+    assert loaded_modules(["train", "--corpora-dir", corpora, "--out", model, "--steps", "2",
+                           "--batch", "2", "--seq-len", "16", "--dim", "8", "--hidden", "8",
+                           "--blocks", "1", "--seed", "0"]) == common | {
+        "model", "seeding", "trainer"}
+    # sensitivity and linalg come in with pruner's tracer-patched imports
+    assert loaded_modules(["run-grid", "--model", model, "--corpora-dir", corpora, "--seed", "0",
+                           "--out", str(tmp_path / "runs"), "--criteria", "magnitude",
+                           "--n-samples", "1", "--seq-len", "16"]) == common | {
+        "harness", "importance", "linalg", "metrics", "model", "pruner", "seeding",
+        "sensitivity"}
